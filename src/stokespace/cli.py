@@ -21,29 +21,32 @@ import numpy as np
 from .config import NumericalError
 from .fock import (
     HomInputSpec,
+    JointPhotonDistribution,
     TmsvSpec,
     VacuumSpec,
+    _warn_divergent,
     auto_cutoff,
     direction_to_beamsplitter,
+    joint_photon_distribution,
     make_state,
+    rotate_many,
     spec_from_json,
     spec_to_json,
 )
-from .mgf import MgfQuery, char_fn, mgf, sphere_grid, surface_map
+from .mgf import MgfQuery, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
-    cross_correlation_det,
+    _verdict,
+    cross_correlation_det_from_distribution,
     matrix_verdict,
-    mgf_matrix,
-    second_order_det,
-    variance_criteria,
-    NONCLASSICAL,
-    INCONCLUSIVE,
+    mgf_matrix_from_distribution,
+    second_order_det_from_distribution,
+    variance_criteria_from_distribution,
 )
 from .detector import (
     ClickDetectorConfig,
-    click_distribution,
     click_moment_to_mgf_point,
+    clicks_from_distribution,
     clicks_to_json,
     estimate_mgf_from_samples,
     moments_from_clicks,
@@ -149,12 +152,14 @@ def cmd_mgf(args) -> int:
     rows = []
     for e in directions:
         d = direction_to_beamsplitter(e)
-        for t in ts:
-            for tau in taus:
-                v = mgf(state, MgfQuery(d, t, tau))
-                rows.append(
-                    (d.e[0], d.e[1], d.e[2], t.real, t.imag, tau, v.real, v.imag)
-                )
+        queries = [MgfQuery(d, t, tau) for t in ts for tau in taus]
+        dist = joint_photon_distribution(state, d)
+        for q in queries:
+            _warn_divergent(state.leakage, q.z_a, q.z_b)
+            v = mgf_from_distribution(dist, q.t, q.tau)
+            rows.append(
+                (d.e[0], d.e[1], d.e[2], q.t.real, q.t.imag, q.tau, v.real, v.imag)
+            )
     path = cfg.out / "mgf.csv"
     _write_csv(
         path,
@@ -202,13 +207,17 @@ def cmd_hom_scan(args) -> int:
     state = make_state(HomInputSpec(), cutoff)
     ts = args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0]
     t2_grid = np.linspace(args.t2_min, args.t2_max, args.t2_steps)
-    rows = []
+    directions = []
     for trans in t2_grid:
         e_z = 2.0 * trans - 1.0
         e = np.array([math.sqrt(max(0.0, 1.0 - e_z**2)), 0.0, e_z])
-        d = direction_to_beamsplitter(e)
+        directions.append(direction_to_beamsplitter(e))
+    p, clipped = rotate_many(state, directions)
+    rows = []
+    for trans, d, p_d, c_d in zip(t2_grid, directions, p, clipped):
+        dist = JointPhotonDistribution(p_d, d, min(1.0, state.leakage + c_d))
         for t in ts:
-            det = second_order_det(state, d, t, 0.0, 0.0, 0.0)
+            det = second_order_det_from_distribution(dist, t, 0.0, 0.0, 0.0)
             rows.append((trans, t, det))
     path = cfg.out / "hom_scan.csv"
     _write_csv(path, ["T2", "t", "determinant"], rows, cfg.timestamp)
@@ -227,9 +236,9 @@ def cmd_tmsv_scan(args) -> int:
             raise ValueError("tanh xi must lie in [0, 1)")
         spec = TmsvSpec(xi=math.atanh(kappa))
         cutoff = cfg.cutoff if cfg.cutoff is not None else auto_cutoff(spec)
-        state = make_state(spec, cutoff)
+        dist = joint_photon_distribution(make_state(spec, cutoff), d)
         for tau in taus:
-            det = second_order_det(state, d, -tau, tau, tau, tau)
+            det = second_order_det_from_distribution(dist, -tau, tau, tau, tau)
             rows.append((kappa, tau, det))
     path = cfg.out / "tmsv_scan.csv"
     _write_csv(path, ["tanh_xi", "tau", "determinant"], rows, cfg.timestamp)
@@ -244,46 +253,36 @@ def cmd_nctest(args) -> int:
     d = direction_to_beamsplitter(e)
     t, tau = args.t, args.tau
     t2, tau2 = args.t2, args.tau2
-    verdict = lambda v: NONCLASSICAL if v < -args.tolerance else INCONCLUSIVE
-    blank = ""
+    tol = args.tolerance
+    spec = MgfMatrixSpec(d, ((t, tau), (t2, tau2)))
+    # every criterion reads the one distribution along d; the
+    # characteristic function Phi(k e) = M(i k e; 0) is one of its sums
+    dist = joint_photon_distribution(state, d)
+    pair = (t.real, t.imag, tau, t2.real, t2.imag, tau2)
+    blank = ("",) * 6
     rows = []
 
-    det = second_order_det(state, d, t, tau, t2, tau2)
-    rows.append(
-        ("second_order_det", *d.e, t.real, t.imag, tau, t2.real, t2.imag, tau2,
-         det, verdict(det))
-    )
+    det = second_order_det_from_distribution(dist, t, tau, t2, tau2)
+    rows.append(("second_order_det", *d.e, *pair, det, _verdict(det, tol)))
     report = matrix_verdict(
-        mgf_matrix(state, MgfMatrixSpec(d, ((t, tau), (t2, tau2)))),
-        tolerance=args.tolerance,
+        mgf_matrix_from_distribution(dist, spec.points), tolerance=tol
     )
-    rows.append(
-        ("matrix_min_eigenvalue", *d.e, t.real, t.imag, tau, t2.real, t2.imag,
-         tau2, report.value, report.verdict)
-    )
-    k = e * args.k_norm
-    cf = 1.0 - abs(char_fn(state, k))
-    rows.append(
-        ("char_fn", *d.e, blank, blank, blank, blank, blank, blank, cf, verdict(cf))
-    )
-    var_s, var_n = variance_criteria(state, d)
-    rows.append(
-        ("variance_stokes", *d.e, blank, blank, blank, blank, blank, blank,
-         var_s, verdict(var_s))
-    )
-    rows.append(
-        ("variance_number", *d.e, blank, blank, blank, blank, blank, blank,
-         var_n, verdict(var_n))
-    )
-    cross = cross_correlation_det(state, d)
-    rows.append(
-        ("cross_number_stokes", *d.e, blank, blank, blank, blank, blank, blank,
-         cross.number_stokes, verdict(cross.number_stokes))
-    )
-    rows.append(
-        ("cross_photon_photon", *d.e, blank, blank, blank, blank, blank, blank,
-         cross.photon_photon, verdict(cross.photon_photon))
-    )
+    rows.append(("matrix_min_eigenvalue", *d.e, *pair, report.value, report.verdict))
+    phi = 1.0
+    if args.k_norm != 0.0:
+        z = 1j * args.k_norm * float(np.linalg.norm(e))
+        _warn_divergent(state.leakage, 1.0 + z, 1.0 - z)
+        phi = mgf_from_distribution(dist, z, 0.0)
+    cf = 1.0 - abs(phi)
+    rows.append(("char_fn", *d.e, *blank, cf, _verdict(cf, tol)))
+    var_s, var_n = variance_criteria_from_distribution(dist)
+    rows.append(("variance_stokes", *d.e, *blank, var_s, _verdict(var_s, tol)))
+    rows.append(("variance_number", *d.e, *blank, var_n, _verdict(var_n, tol)))
+    cross = cross_correlation_det_from_distribution(dist)
+    rows.append(("cross_number_stokes", *d.e, *blank, cross.number_stokes,
+                 _verdict(cross.number_stokes, tol)))
+    rows.append(("cross_photon_photon", *d.e, *blank, cross.photon_photon,
+                 _verdict(cross.photon_photon, tol)))
     path = cfg.out / "nctest.csv"
     _write_csv(
         path,
@@ -307,7 +306,9 @@ def cmd_clicks(args) -> int:
     cfg_b = ClickDetectorConfig(
         apds=args.apds_b, eta=args.eta_b, nu=args.nu_b, eps=args.eps_b
     )
-    clicks = click_distribution(state, d, cfg_a, cfg_b)
+    # the click table and the direct M column share one distribution
+    dist = joint_photon_distribution(state, d)
+    clicks = clicks_from_distribution(dist, cfg_a, cfg_b)
 
     dist_rows = [
         (i, j, clicks.c[i, j])
@@ -327,7 +328,7 @@ def cmd_clicks(args) -> int:
         for l in range(cfg_b.apds + 1):
             t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
             mu = moments_from_clicks(clicks, k, l)
-            direct = mgf(state, MgfQuery(d, t, tau)).real
+            direct = mgf_from_distribution(dist, t, tau).real
             if samples is not None:
                 est, err = estimate_mgf_from_samples(samples, k, l, cfg_a, cfg_b)
                 moment_rows.append((k, l, t, tau, mu, direct, est, err))
@@ -362,6 +363,8 @@ def cmd_reconstruct(args) -> int:
     maxs = _parse_direction(args.s_max)
     grid = Grid3(tuple(mins), tuple(maxs), (args.n_points,) * 3)
     tau = args.tau if args.tau is not None else default_tau(grid)
+    if args.mc_oracle and args.ensemble is None:
+        raise ValueError("the MC oracle requires an --ensemble source")
 
     ensemble = None
     if args.ensemble is not None:
@@ -409,8 +412,6 @@ def cmd_reconstruct(args) -> int:
         "label": pess.label,
     }
     if args.mc_oracle:
-        if ensemble is None:
-            raise ValueError("the MC oracle requires an --ensemble source")
         oracle = pess_mc_oracle(ensemble, grid, args.mc_oracle, cfg.seed)
         save_pess(oracle, cfg.out / "oracle.bin")
         payload["l1_vs_oracle"] = l1_distance(pess, oracle)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     hermiticity: float = 1e-10          # max |rho - rho^dag| elementwise
-    trace_window: float = 1e-10         # trace(rho) in [1 - leakage - tw, 1 + tw]
+    trace_window: float = 1e-10         # rotated mass kept + clipped vs trace(rho)
     eigenvalue_floor: float = -1e-9     # smallest admissible rho eigenvalue
     unit_vector: float = 1e-12          # | ||e|| - 1 | on a stored direction
     direction_input: float = 1e-9       # renormalization slack for raw axis input

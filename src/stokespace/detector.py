@@ -104,10 +104,25 @@ def click_distribution(
     above 8 are rejected because the alternating sums become numerically
     unstable.
     """
-    da, db = config_a.apds, config_b.apds
-    if da > _MAX_APDS or db > _MAX_APDS:
+    _check_apds(config_a, config_b)
+    return clicks_from_distribution(
+        joint_photon_distribution(state, direction), config_a, config_b
+    )
+
+
+def _check_apds(config_a: ClickDetectorConfig, config_b: ClickDetectorConfig) -> None:
+    if config_a.apds > _MAX_APDS or config_b.apds > _MAX_APDS:
         raise NumericalError(f"diode counts above {_MAX_APDS} are not supported")
-    dist = joint_photon_distribution(state, direction)
+
+
+def clicks_from_distribution(
+    dist: JointPhotonDistribution,
+    config_a: ClickDetectorConfig,
+    config_b: ClickDetectorConfig,
+) -> ClickDistribution:
+    """click_distribution behind an already computed photon distribution."""
+    _check_apds(config_a, config_b)
+    da, db = config_a.apds, config_b.apds
     grid = _silent_prob_grid(dist, config_a, config_b)
     signed_a = [
         np.array([math.comb(i, r) * (-1.0) ** r for r in range(i + 1)])
@@ -131,7 +146,7 @@ def click_distribution(
             f"click probabilities sum to {total:.12f}, expected {grid[0, 0]:.12f}"
         )
     return ClickDistribution(
-        c=c, direction=direction, config_a=config_a, config_b=config_b
+        c=c, direction=dist.direction, config_a=config_a, config_b=config_b
     )
 
 

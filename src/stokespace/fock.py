@@ -26,26 +26,24 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .config import TOL, ConvergenceWarning, TruncationWarning
+from .config import TOL, ConvergenceWarning, NumericalError, TruncationWarning
 
 # rho above this dimension is refused; the factored paths stay usable.
 _MAX_DENSE_DIM = 5000
 
 
 def _powers(z, n: int) -> np.ndarray:
-    """[z^0, z^1, ..., z^n] by cumulative products (keeps conj symmetry exact)."""
-    out = np.empty(n + 1, dtype=complex)
-    out[0] = 1.0
+    """[z^0, z^1, ..., z^n] by cumulative products (keeps conj symmetry exact).
+
+    An array z gives one row of powers per entry, on a new last axis.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape + (n + 1,), dtype=complex)
+    out[..., 0] = 1.0
     if n:
-        np.cumprod(np.full(n, z, dtype=complex), out=out[1:])
+        np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1,
+                   out=out[..., 1:])
     return out
-
-
-def _pascal_rows(nmax: int) -> list[np.ndarray]:
-    rows = [np.array([1.0])]
-    for _ in range(nmax):
-        rows.append(np.convolve(rows[-1], [1.0, 1.0]))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -419,52 +417,190 @@ def auto_cutoff(
 
 # ---------------------------------------------------------------------------
 # beam splitter
+#
+# On the block of total photon number N the splitter acts as the spin-N/2
+# representation of its one-particle matrix [[T, R], [-R*, T*]]:
+#
+#     <k', N-k'| U |k, N-k> = (uT uR)^k' (uT uR*)^k uT*^N d^{N/2}_{m'm}(beta)
+#
+# with m = k - N/2, m' = k' - N/2, cos(beta/2) = |T|, uT = T/|T| and
+# uR = -R/|R|.  The real Wigner matrix d is built one column per input
+# offset that the state populates, by the three-term recurrence in j at
+# fixed (m', m) (Prezeau & Reinecke, ApJS 190, 267 (2010)).  It is run on
+# the step D_j = d^j - d^(j-1), whose coefficients are free of
+# cancellation, so the error stays near rounding even where d is close to
+# the identity.  Splitters with |R| > |T| are a mode swap followed by a
+# splitter with |T| > |R|, so beta <= pi/2 always.  Offsets below are
+# delta = n_a - n_b = 2m.
 
-def _splitter_columns(N, ks, pascal, powT, powR, powTc, powRm, half):
-    """Columns <m, N-m|U|k, N-k> for the requested k values of one N block."""
-    cols = np.empty((N + 1, len(ks)), dtype=complex)
-    for idx, k in enumerate(ks):
-        p = pascal[k] * powT[: k + 1] * powRm[k::-1]
-        q = pascal[N - k] * powR[: N - k + 1] * powTc[N - k :: -1]
-        cols[:, idx] = np.convolve(p, q) * np.exp(half - half[k])
-    return cols
+# doubles per recurrence buffer: direction batches are cut to this size so
+# the engine's live arrays stay a few MB at any batch size
+_BUFFER_DOUBLES = 1 << 15
 
 
-def _apply_splitter(amp: np.ndarray, T: complex, R: complex):
-    """Exact block transform of one pure amplitude grid.
+def _offset_chains(amps: np.ndarray):
+    """Populated input offsets for each block parity, sorted by |delta|.
 
-    Returns (new grid, clipped norm^2).  Blocks with total photon number
-    above the cutoff extend past the square truncation; the amplitude
-    that leaves the box is dropped and reported as clipped mass.
+    Returns one (delta, live) pair per parity.  live[i] is the last block
+    for which column i or any column after it is still needed, so the
+    columns live at any block form a prefix of delta.
     """
-    C = amp.shape[0] - 1
-    n2 = 2 * C
-    gl = gammaln(np.arange(n2 + 2) + 1.0)
-    powT = _powers(T, n2)
-    powR = _powers(R, n2)
-    powTc = _powers(np.conj(T), n2)
-    powRm = _powers(-np.conj(R), n2)
-    pascal = _pascal_rows(n2)
-    out = np.zeros_like(amp, dtype=complex)
-    clipped = 0.0
-    for N in range(n2 + 1):
-        lo, hi = max(0, N - C), min(N, C)
-        ks = np.arange(lo, hi + 1)
-        vec = amp[ks, N - ks]
-        nz = np.flatnonzero(vec)
-        if nz.size == 0:
+    c = amps.shape[-1] - 1
+    na, nb = np.nonzero(np.any(amps != 0, axis=0))
+    last = np.full(2 * c + 1, -1)
+    np.maximum.at(last, na - nb + c, na + nb)
+    offsets = np.flatnonzero(last >= 0) - c
+    chains = []
+    for parity in (0, 1):
+        d = offsets[offsets % 2 == parity]
+        d = d[np.argsort(np.abs(d), kind="stable")]
+        chains.append((d, np.maximum.accumulate(last[d + c][::-1])[::-1]))
+    return chains
+
+
+def _step_columns(cur, diff, dc, n, y):
+    """Advance d^(n/2 - 1) -> d^(n/2) in place on the interior rows.
+
+    cur holds d and diff the last step of the columns with offsets dc on
+    the rows |delta'| <= n - 2; y = 1 - cos(beta) per direction.
+    """
+    m = n - 2
+    if m == 0:  # d^1_00 = cos(beta)
+        diff[...] = -y * cur
+        cur += diff
+        return
+    dc = dc.astype(float)[:, None]
+    dr = np.arange(-m, m + 1, 2, dtype=float)[None, :]
+    ac, ar = np.sqrt(n * n - dc * dc), np.sqrt(n * n - dr * dr)
+    gc, gr = np.sqrt(m * m - dc * dc), np.sqrt(m * m - dr * dr)
+    inv = 1.0 / (ac * ar)
+    cross = dc * dr
+    # e = k1 - k2 - k3 - 1 >= 0 written without cancellation; it vanishes on
+    # the diagonal, where both denominators may be zero
+    lo = m * m - cross + gc * gr
+    lo[lo == 0.0] = 1.0
+    e = (dc - dr) ** 2 * (n * m / lo + n * n / (n * n - cross + ac * ar)) * inv
+    # diff <- k3 diff + (e - y k1) cur, with one temporary
+    step = np.multiply(y, (2.0 * (m + 1) * n) * inv)
+    np.subtract(e, step, out=step)
+    step *= cur
+    diff *= (n / m) * gc * gr * inv
+    diff += step
+    cur += diff
+
+
+def _wigner_blocks(amps, chains, T, R):
+    """Rotated blocks of amps behind splitters with |T| >= |R| > 0.
+
+    Yields (N, out) for every block N that holds amplitude, with
+    out[i, c, k'] = <k', N-k'| U(T[i], R[i]) |amps[c]> for k' = 0..N.
+    """
+    cut = amps.shape[-1] - 1
+    n_d, n_c = T.shape[0], amps.shape[0]
+    top = max(int(live[0]) for d, live in chains if d.size)
+    aT, aR = np.abs(T), np.abs(R)
+    c2 = (aT * aT / (aT * aT + aR * aR))[:, None]
+    s2 = (aR * aR / (aT * aT + aR * aR))[:, None]
+    y = 2.0 * s2[:, :, None]
+    # phases of uT and uR (R = 0 only arrives from a swapped T = 0, where
+    # any phase does); each power is taken from its angle, since products
+    # of unit numbers drift off the unit circle by an ulp per factor
+    arg_t = np.angle(T)[:, None]
+    arg_r = np.where(aR > 0, np.angle(-R), 0.0)[:, None]
+    phase_in = np.exp(1j * (arg_t - arg_r) * np.arange(cut + 1))
+    # binom[:, a] = C(N, a) cos^2a sin^2(N-a): squared edge values of d
+    binom = np.zeros((n_d, top + 1))
+    binom[:, 0] = 1.0
+    bufs = [(np.zeros((n_d, d.size, int(live[0]) + 1)),
+             np.zeros((n_d, d.size, int(live[0]) + 1))) if d.size else None
+            for d, live in chains]
+    width = [0, 0]
+    for n in range(top + 1):
+        if n:
+            binom[:, 1 : n + 1] = c2 * binom[:, :n] + s2 * binom[:, 1 : n + 1]
+            binom[:, 0] *= s2[:, 0]
+            binom[:, : n + 1] /= binom[:, : n + 1].sum(axis=1, keepdims=True)
+        d, live = chains[n % 2]
+        if not d.size or n > live[0]:
             continue
-        half = 0.5 * (gl[: N + 1] + gl[N::-1])
-        cols = _splitter_columns(N, ks[nz], pascal, powT, powR, powTc, powRm, half)
-        res = cols @ vec[nz]
-        out[ks, N - ks] = res[lo : hi + 1]
-        if lo > 0:
-            clipped += float(np.sum(res[:lo].real ** 2 + res[:lo].imag ** 2))
-        if hi < N:
-            clipped += float(
-                np.sum(res[hi + 1 :].real ** 2 + res[hi + 1 :].imag ** 2)
-            )
-    return out, clipped
+        cur, diff = bufs[n % 2]
+        hi = min(int(np.searchsorted(np.abs(d), n, side="right")),
+                 int(np.searchsorted(-live, -n, side="right")))
+        old = min(width[n % 2], hi)
+        width[n % 2] = hi
+        r0 = (int(live[0]) - n) // 2
+        r1 = r0 + n + 1
+        b = np.sqrt(binom[:, : n + 1])
+        if old:
+            d_old = d[:old]
+            _step_columns(cur[:, :old, r0 + 1 : r1 - 1],
+                          diff[:, :old, r0 + 1 : r1 - 1], d_old, n, y)
+            # rows m' = -j and m' = +j enter at this block
+            cur[:, :old, r0] = diff[:, :old, r0] = b[:, (n - d_old) // 2]
+            sign = 1.0 - 2.0 * ((n - d_old) // 2 % 2)
+            cur[:, :old, r1 - 1] = diff[:, :old, r1 - 1] = sign * b[:, (n + d_old) // 2]
+        for i in range(old, hi):  # columns m = +-j start at this block
+            col = b if d[i] >= 0 else b[:, ::-1] * (1.0 - 2.0 * (np.arange(n + 1) % 2))
+            cur[:, i, r0:r1] = diff[:, i, r0:r1] = col
+        ka = (n + d[:hi]) // 2
+        inside = (ka <= cut) & (n - ka <= cut)
+        ka, kb = np.minimum(ka, cut), np.minimum(n - ka, cut)
+        psi = amps[:, ka, kb] * inside
+        if not psi.any():
+            continue
+        phi = phase_in[:, None, ka] * psi[None]
+        res = np.concatenate([phi.real, phi.imag], axis=1) @ cur[:, :hi, r0:r1]
+        out = res[:, :n_c] + 1j * res[:, n_c:]
+        out *= np.exp(1j * ((arg_t + arg_r) * np.arange(n + 1) - n * arg_t))[:, None, :]
+        yield n, out
+
+
+def _rotated_blocks(amps: np.ndarray, T: np.ndarray, R: np.ndarray):
+    """Batched block rotation of pure amplitude grids, R != 0 everywhere.
+
+    Yields (idx, N, out) with out[i, c, k'] = <k', N-k'| U |amps[c]> behind
+    the splitter (T[idx[i]], R[idx[i]]), for k' = 0..N including the rows
+    that leave the square box.
+    """
+    for swap in (False, True):
+        sel = np.flatnonzero((np.abs(R) > np.abs(T)) == swap)
+        if not sel.size:
+            continue
+        src, t, r = amps, T[sel], R[sel]
+        if swap:
+            # U(T, R) = U(R, -T) U(0, 1), and U(0, 1)|k, l> = (-1)^k |l, k>
+            sign = 1.0 - 2.0 * (np.arange(amps.shape[-1]) % 2)
+            src, t, r = np.swapaxes(amps * sign[:, None], 1, 2), r, -t
+        chains = _offset_chains(src)
+        if not any(d.size for d, _ in chains):
+            return
+        per_dir = max(d.size * (int(live[0]) + 1) for d, live in chains if d.size)
+        step = max(1, _BUFFER_DOUBLES // per_dir)
+        for lo in range(0, sel.size, step):
+            idx = sel[lo : lo + step]
+            for n, out in _wigner_blocks(src, chains, t[lo : lo + step],
+                                         r[lo : lo + step]):
+                yield idx, n, out
+
+
+def _box_rows(n: int, cutoff: int) -> np.ndarray:
+    """Output photon numbers n_a of block n that fit the square box."""
+    return np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+
+
+def _outside(prob: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mass of the rows of a block that fall outside the box rows k."""
+    return prob[:, : k[0]].sum(axis=1) + prob[:, k[-1] + 1 :].sum(axis=1)
+
+
+def _check_norm(trace: float, kept, clipped) -> None:
+    """Rotated mass kept plus clipped must reproduce the trace."""
+    defect = np.max(np.abs(np.asarray(kept) + clipped - trace), initial=0.0)
+    if defect > TOL.trace_window:
+        raise NumericalError(
+            f"splitter changed the norm by {defect:.3e} "
+            f"(window {TOL.trace_window:.0e})"
+        )
 
 
 def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
@@ -472,26 +608,63 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
 
     Exactly unitary on every total-photon-number block that fits the
     cutoff; blocks that spill past it lose the spilled mass to leakage.
+    Raises NumericalError if the rotated mass misses the trace by more
+    than TOL.trace_window.
     """
     if abs(abs(T) ** 2 + abs(R) ** 2 - 1.0) > TOL.splitter_unitarity:
         raise ValueError("|T|^2 + |R|^2 must equal 1 within 1e-10")
-    comps = []
-    clipped = 0.0
-    for w, amp in state.components:
-        if R == 0:
-            # pure per-mode phases a -> T a, b -> T* b; nothing leaves the box
-            n1 = amp.shape[0] - 1
-            new_amp = amp * np.outer(_powers(T, n1), _powers(np.conj(T), n1))
-            c = 0.0
-        else:
-            new_amp, c = _apply_splitter(amp, T, R)
-        comps.append((w, new_amp))
-        clipped += w * c
-    return TwoModeState(
-        cutoff=state.cutoff,
-        components=tuple(comps),
-        leakage=min(1.0, state.leakage + clipped),
+    c = state.cutoff
+    weights = np.array([w for w, _ in state.components])
+    amps = np.stack([amp for _, amp in state.components])
+    clipped = np.zeros(len(weights))
+    if R == 0:
+        # pure per-mode phases a -> u a, b -> u* b with u = T/|T|; nothing
+        # leaves the box
+        u = T / abs(T)
+        out = amps * np.outer(_powers(u, c), _powers(np.conj(u), c))
+    else:
+        out = np.zeros_like(amps)
+        for _, n, block in _rotated_blocks(amps, np.array([complex(T)]),
+                                           np.array([complex(R)])):
+            k = _box_rows(n, c)
+            out[:, k, n - k] = block[0][:, k]
+            clipped += _outside(block[0].real ** 2 + block[0].imag ** 2, k)
+    rotated = TwoModeState(
+        cutoff=c,
+        components=tuple(zip(weights, out)),
+        leakage=min(1.0, state.leakage + float(weights @ clipped)),
     )
+    _check_norm(state.trace, rotated.trace, float(weights @ clipped))
+    return rotated
+
+
+def rotate_many(state: TwoModeState, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Joint photon distributions behind many splitters in one batch.
+
+    Returns (p, clipped): p[i] is the (cutoff+1)^2 distribution along
+    directions[i], clipped[i] the mass its blocks pushed out of the
+    square box (leakage on top of the state's own).  Raises
+    NumericalError if sum(p[i]) misses trace - clipped[i] by more than
+    TOL.trace_window.
+    """
+    directions = list(directions)
+    c = state.cutoff
+    T = np.array([d.T for d in directions], dtype=complex)
+    R = np.array([d.R for d in directions], dtype=complex)
+    weights = np.array([w for w, _ in state.components])
+    amps = np.stack([amp for _, amp in state.components])
+    p = np.zeros((len(directions), c + 1, c + 1))
+    # R == 0 only applies per-mode phases, which the counts do not see
+    p[R == 0] = np.einsum("c,cij->ij", weights, amps.real**2 + amps.imag**2)
+    clipped = np.zeros(len(directions))
+    turn = np.flatnonzero(R != 0)
+    for idx, n, block in _rotated_blocks(amps, T[turn], R[turn]):
+        prob = np.einsum("c,dck->dk", weights, block.real**2 + block.imag**2)
+        k = _box_rows(n, c)
+        p[turn[idx, None], k, n - k] = prob[:, k]
+        clipped[turn[idx]] += _outside(prob, k)
+    _check_norm(state.trace, p.sum(axis=(1, 2)), clipped)
+    return p, clipped
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +701,36 @@ def joint_photon_distribution(
     state: TwoModeState, direction: MeasurementDirection
 ) -> JointPhotonDistribution:
     """Photon statistics of the splitter outputs along a Stokes axis."""
-    rotated = beam_splitter(state, direction.T, direction.R)
-    p = np.zeros((state.cutoff + 1, state.cutoff + 1))
-    for w, amp in rotated.components:
-        p += w * (amp.real**2 + amp.imag**2)
-    return JointPhotonDistribution(p=p, direction=direction, leakage=rotated.leakage)
+    p, clipped = rotate_many(state, [direction])
+    return JointPhotonDistribution(
+        p=p[0], direction=direction, leakage=min(1.0, state.leakage + clipped[0])
+    )
 
 
-def _power_sum(p: np.ndarray, z_a: complex, z_b: complex) -> complex:
-    c = p.shape[0] - 1
-    va = _powers(z_a, c)
-    vb = _powers(z_b, c)
-    return complex(va @ (p @ vb))
+def _power_sum(p: np.ndarray, z_a, z_b):
+    """sum z_a^n_a p[n_a, n_b] z_b^n_b, broadcast over leading axes of p, z_a, z_b."""
+    c = p.shape[-1] - 1
+    va, vb = _powers(z_a, c), _powers(z_b, c)
+    return (va[..., None, :] @ (p @ vb[..., :, None]))[..., 0, 0]
 
 
 def power_sum(dist: JointPhotonDistribution, z_a: complex, z_b: complex) -> complex:
     """<z_a^n_a z_b^n_b> over an already-computed joint distribution."""
-    return _power_sum(dist.p, z_a, z_b)
+    return complex(_power_sum(dist.p, z_a, z_b))
+
+
+def _warn_divergent(leakage: float, z_a: complex, z_b: complex) -> None:
+    """ConvergenceWarning for a kernel outside the unit disc on a leaky state."""
+    if (abs(z_a) > 1.0 + 1e-12 or abs(z_b) > 1.0 + 1e-12) and (
+        leakage > TOL.convergence_leakage
+    ):
+        warnings.warn(
+            "kernel lies beyond the guaranteed-existence region and the "
+            f"state has leakage {leakage:.2e}; the truncated sum may "
+            "be inaccurate",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
 
 
 def power_expectation(
@@ -559,18 +745,8 @@ def power_expectation(
     that disc a ConvergenceWarning is attached when the state carries
     non-negligible truncated mass.
     """
-    if (abs(z_a) > 1.0 + 1e-12 or abs(z_b) > 1.0 + 1e-12) and (
-        state.leakage > TOL.convergence_leakage
-    ):
-        warnings.warn(
-            "kernel lies beyond the guaranteed-existence region and the "
-            f"state has leakage {state.leakage:.2e}; the truncated sum may "
-            "be inaccurate",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    dist = joint_photon_distribution(state, direction)
-    return _power_sum(dist.p, z_a, z_b)
+    _warn_divergent(state.leakage, z_a, z_b)
+    return power_sum(joint_photon_distribution(state, direction), z_a, z_b)
 
 
 def factorial_moment(

@@ -34,11 +34,13 @@ from .fock import (
     VacuumSpec,
     _power_sum,
     _powers,
+    _warn_divergent,
     beam_splitter,
     coherent_stokes,
     direction_to_beamsplitter,
     joint_photon_distribution,
     power_expectation,
+    rotate_many,
 )
 
 
@@ -85,7 +87,7 @@ def mgf_from_distribution(
     dist: JointPhotonDistribution, t: complex, tau: float
 ) -> complex:
     """Same kernel sum on a distribution that was already computed."""
-    return _power_sum(dist.p, 1.0 + t - tau, 1.0 - t - tau)
+    return complex(_power_sum(dist.p, 1.0 + t - tau, 1.0 - t - tau))
 
 
 def mgf_closed_form(
@@ -181,14 +183,22 @@ def surface_map(
 ) -> list[SurfaceSample]:
     """Evaluate M(t e; tau) on a set of unit axes and radially map it.
 
-    For real t on a physical state the value is real; its imaginary
-    rounding residue is dropped.  For genuinely complex t the complex
-    value scales the axis.
+    All axes are rotated in one batch.  For real t on a physical state
+    the value is real; its imaginary rounding residue is dropped.  For
+    genuinely complex t the complex value scales the axis.
     """
+    directions = [
+        direction_to_beamsplitter(e) for e in np.asarray(axes, dtype=float).reshape(-1, 3)
+    ]
+    if not directions:
+        return []
+    query = MgfQuery(directions[0], t, tau)
+    for _ in directions:  # one warning per point, as from mgf()
+        _warn_divergent(state.leakage, query.z_a, query.z_b)
+    p, _ = rotate_many(state, directions)
     samples = []
-    for e in np.asarray(axes, dtype=float).reshape(-1, 3):
-        direction = direction_to_beamsplitter(e)
-        value = mgf(state, MgfQuery(direction, t=t, tau=tau))
+    for direction, value in zip(directions, _power_sum(p, query.z_a, query.z_b)):
+        value = complex(value)
         if abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)):
             value = value.real
             mapped = value * direction.e

@@ -65,11 +65,19 @@ def _verdict(value: float, tolerance: float) -> str:
 
 def mgf_matrix(state: TwoModeState, spec: MgfMatrixSpec) -> np.ndarray:
     """Hermitian matrix M[p, q] = M(t_p* + t_q; tau_p + tau_q)."""
-    dist = joint_photon_distribution(state, spec.direction)
-    m = len(spec.points)
+    return mgf_matrix_from_distribution(
+        joint_photon_distribution(state, spec.direction), spec.points
+    )
+
+
+def mgf_matrix_from_distribution(
+    dist: JointPhotonDistribution, points
+) -> np.ndarray:
+    """mgf_matrix on the (t, tau) points of an already computed distribution."""
+    m = len(points)
     out = np.empty((m, m), dtype=complex)
-    for p, (tp, taup) in enumerate(spec.points):
-        for q, (tq, tauq) in enumerate(spec.points):
+    for p, (tp, taup) in enumerate(points):
+        for q, (tq, tauq) in enumerate(points):
             out[p, q] = mgf_from_distribution(dist, np.conj(tp) + tq, taup + tauq)
     return out
 
@@ -96,19 +104,6 @@ def matrix_verdict(
     )
 
 
-def _second_order_entries(
-    dist: JointPhotonDistribution,
-    t: complex,
-    tau: float,
-    t2: complex,
-    tau2: float,
-):
-    m11 = mgf_from_distribution(dist, 2.0 * complex(t).real, 2.0 * tau).real
-    m22 = mgf_from_distribution(dist, 2.0 * complex(t2).real, 2.0 * tau2).real
-    m12 = mgf_from_distribution(dist, np.conj(t) + t2, tau + tau2)
-    return m11, m22, m12
-
-
 def second_order_det(
     state: TwoModeState,
     direction: MeasurementDirection,
@@ -122,8 +117,22 @@ def second_order_det(
     Negative values witness nonclassicality; for classical states the
     Cauchy-Schwarz inequality keeps it >= 0.
     """
-    dist = joint_photon_distribution(state, direction)
-    m11, m22, m12 = _second_order_entries(dist, t, tau, t2, tau2)
+    return second_order_det_from_distribution(
+        joint_photon_distribution(state, direction), t, tau, t2, tau2
+    )
+
+
+def second_order_det_from_distribution(
+    dist: JointPhotonDistribution,
+    t: complex,
+    tau: float,
+    t2: complex,
+    tau2: float,
+) -> float:
+    """second_order_det of an already computed distribution."""
+    m11 = mgf_from_distribution(dist, 2.0 * complex(t).real, 2.0 * tau).real
+    m22 = mgf_from_distribution(dist, 2.0 * complex(t2).real, 2.0 * tau2).real
+    m12 = mgf_from_distribution(dist, np.conj(t) + t2, tau + tau2)
     return float(m11 * m22 - (m12.real**2 + m12.imag**2))
 
 
@@ -140,13 +149,9 @@ def cauchy_schwarz_violation(
     equals -(second_order_det) identically.  The second point must not
     be the trivial (0, 0) kernel (A alone gives no inequality).
     """
-    t, tau = point
-    t2, tau2 = point2
-    if t2 == 0 and tau2 == 0:
+    if point2[0] == 0 and point2[1] == 0:
         raise ValueError("the second point must differ from (0, 0)")
-    dist = joint_photon_distribution(state, direction)
-    m11, m22, m12 = _second_order_entries(dist, t, tau, t2, tau2)
-    return float((m12.real**2 + m12.imag**2) - m11 * m22)
+    return -second_order_det(state, direction, *point, *point2)
 
 
 def char_fn_criterion(
@@ -167,6 +172,27 @@ class VarianceReport(NamedTuple):
     var_number: float  # <: (Delta N)^2 :>
 
 
+class CrossCorrelationReport(NamedTuple):
+    number_stokes: float  # det of the (N, e.S) normally ordered covariance
+    photon_photon: float  # det of the (n_a, n_b) normally ordered covariance
+
+
+def _normal_covariances(dist: JointPhotonDistribution) -> dict[str, float]:
+    """Normally ordered (co)variances of n_a, n_b, N = n_a + n_b and e.S = n_a - n_b."""
+    f10, f01, f20, f02, f11 = (
+        distribution_factorial_moment(dist, p, q)
+        for p, q in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+    )
+    return {
+        "n": f20 + 2.0 * f11 + f02 - (f10 + f01) ** 2,
+        "s": f20 - 2.0 * f11 + f02 - (f10 - f01) ** 2,
+        "ns": f20 - f02 - (f10 + f01) * (f10 - f01),
+        "a": f20 - f10**2,
+        "b": f02 - f01**2,
+        "ab": f11 - f10 * f01,
+    }
+
+
 def variance_criteria(
     state: TwoModeState, direction: MeasurementDirection
 ) -> VarianceReport:
@@ -176,20 +202,15 @@ def variance_criteria(
     number this matches a negative Mandel-type parameter).  Classical
     states keep both >= 0; coherent states sit exactly at 0.
     """
-    dist = joint_photon_distribution(state, direction)
-    f10 = distribution_factorial_moment(dist, 1, 0)
-    f01 = distribution_factorial_moment(dist, 0, 1)
-    f20 = distribution_factorial_moment(dist, 2, 0)
-    f02 = distribution_factorial_moment(dist, 0, 2)
-    f11 = distribution_factorial_moment(dist, 1, 1)
-    var_n = f20 + 2.0 * f11 + f02 - (f10 + f01) ** 2
-    var_s = f20 - 2.0 * f11 + f02 - (f10 - f01) ** 2
-    return VarianceReport(var_stokes=float(var_s), var_number=float(var_n))
+    return variance_criteria_from_distribution(
+        joint_photon_distribution(state, direction)
+    )
 
 
-class CrossCorrelationReport(NamedTuple):
-    number_stokes: float  # det of the (N, e.S) normally ordered covariance
-    photon_photon: float  # det of the (n_a, n_b) normally ordered covariance
+def variance_criteria_from_distribution(dist: JointPhotonDistribution) -> VarianceReport:
+    """variance_criteria of an already computed distribution."""
+    cov = _normal_covariances(dist)
+    return VarianceReport(var_stokes=float(cov["s"]), var_number=float(cov["n"]))
 
 
 def cross_correlation_det(
@@ -201,19 +222,17 @@ def cross_correlation_det(
     pairs the two output photon numbers.  Classical states keep both
     determinants >= 0.
     """
-    dist = joint_photon_distribution(state, direction)
-    f10 = distribution_factorial_moment(dist, 1, 0)
-    f01 = distribution_factorial_moment(dist, 0, 1)
-    f20 = distribution_factorial_moment(dist, 2, 0)
-    f02 = distribution_factorial_moment(dist, 0, 2)
-    f11 = distribution_factorial_moment(dist, 1, 1)
-    var_n = f20 + 2.0 * f11 + f02 - (f10 + f01) ** 2
-    var_s = f20 - 2.0 * f11 + f02 - (f10 - f01) ** 2
-    cov_ns = f20 - f02 - (f10 + f01) * (f10 - f01)
-    var_a = f20 - f10**2
-    var_b = f02 - f01**2
-    cov_ab = f11 - f10 * f01
+    return cross_correlation_det_from_distribution(
+        joint_photon_distribution(state, direction)
+    )
+
+
+def cross_correlation_det_from_distribution(
+    dist: JointPhotonDistribution,
+) -> CrossCorrelationReport:
+    """cross_correlation_det of an already computed distribution."""
+    cov = _normal_covariances(dist)
     return CrossCorrelationReport(
-        number_stokes=float(var_n * var_s - cov_ns**2),
-        photon_photon=float(var_a * var_b - cov_ab**2),
+        number_stokes=float(cov["n"] * cov["s"] - cov["ns"] ** 2),
+        photon_photon=float(cov["a"] * cov["b"] - cov["ab"] ** 2),
     )

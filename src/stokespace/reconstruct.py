@@ -21,10 +21,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import TOL, ConvergenceWarning, NumericalError
-from .fock import TwoModeState, _complex_from_json, direction_to_beamsplitter
-from .mgf import MgfQuery, mgf
+from .fock import (
+    TwoModeState,
+    _complex_from_json,
+    _power_sum,
+    _warn_divergent,
+    direction_to_beamsplitter,
+    rotate_many,
+)
 
 _WINDOWS = ("raised-cosine", "none")
+# photon distributions held at once by the state route of mgf_imaginary_grid
+_BATCH_DOUBLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -250,26 +258,31 @@ def _kernel_from_points(
 def _state_grid_values(
     state: TwoModeState, k_flat: np.ndarray, ns: tuple[int, int, int], tau: float
 ) -> np.ndarray:
-    """One measurement rotation per k direction; conjugate symmetry halves the work."""
-    flat = np.full(k_flat.shape[0], np.nan + 0j)
-    norms = np.linalg.norm(k_flat, axis=1)
-    zero_dir = direction_to_beamsplitter(np.array([0.0, 0.0, 1.0]))
-    idx_grid = np.arange(k_flat.shape[0]).reshape(ns)
-    for flat_idx in range(k_flat.shape[0]):
-        if not np.isnan(flat[flat_idx].real):
-            continue
-        kn = norms[flat_idx]
-        if kn == 0.0:
-            val = mgf(state, MgfQuery(zero_dir, 0.0, tau))
-        else:
-            e = k_flat[flat_idx] / kn
-            val = mgf(state, MgfQuery(direction_to_beamsplitter(e), 1j * kn, tau))
-        flat[flat_idx] = val
-        i, j, l = np.unravel_index(flat_idx, ns)
-        if i >= 1 and j >= 1 and l >= 1:
-            mirror = idx_grid[ns[0] - i, ns[1] - j, ns[2] - l]
-            if np.isnan(flat[mirror].real):
-                flat[mirror] = np.conj(val)
+    """One measurement rotation per k direction, all in batches; conjugate
+    symmetry M(-k) = M(k)* halves the work."""
+    n = k_flat.shape[0]
+    i, j, l = np.unravel_index(np.arange(n), ns)
+    inner = (i >= 1) & (j >= 1) & (l >= 1)
+    mirror = np.arange(n)
+    mirror[inner] = np.arange(n).reshape(ns)[
+        ns[0] - i[inner], ns[1] - j[inner], ns[2] - l[inner]
+    ]
+    todo = np.flatnonzero(mirror >= np.arange(n))
+    norms = np.linalg.norm(k_flat[todo], axis=1)
+    axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
+    for za, zb in zip(z_a, z_b):
+        _warn_divergent(state.leakage, za, zb)
+    vals = np.empty(todo.size, dtype=complex)
+    step = max(1, _BATCH_DOUBLES // (state.cutoff + 1) ** 2)
+    for lo in range(0, todo.size, step):
+        part = slice(lo, lo + step)
+        p, _ = rotate_many(state, [direction_to_beamsplitter(e) for e in axes[part]])
+        vals[part] = _power_sum(p, z_a[part], z_b[part])
+    flat = np.empty(n, dtype=complex)
+    flat[mirror[todo]] = np.conj(vals)
+    flat[todo] = vals  # points that are their own mirror keep M, not M*
     return flat
 
 

@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stokespace
 from stokespace import load_pess
 from stokespace.cli import main
 
@@ -24,8 +27,12 @@ def read_csv(path):
 
 
 def test_console_entry_point():
+    # the child imports the same stokespace as this process, installed or not
+    src = str(Path(stokespace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-m", "stokespace.cli", "--help"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
     assert r.returncode == 0
     for name in ("mgf", "surface", "hom-scan", "tmsv-scan", "nctest",
                  "clicks", "reconstruct"):
@@ -204,3 +211,31 @@ def test_state_file_input(tmp_path):
     _, body = read_csv(tmp_path / "mgf.csv")
     # coherent pair (0.5, 0): M = exp(t S_z - tau S_0) with S_z = S_0 = 0.25
     assert body[0][6] == pytest.approx(math.exp(0.25 * 0.1 - 0.25 * 0.1), abs=1e-9)
+
+
+def test_oracle_without_ensemble_fails_before_the_inversion(tmp_path):
+    assert main(["reconstruct", "--out", str(tmp_path), "--mc-oracle", "20000",
+                 "--state", VAC]) == 2
+    assert not (tmp_path / "pess.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nctest", "--state", TMSV, "--direction", "0.6,0,0.8", "--cutoff", "20"],
+    ["clicks", "--state", TMSV, "--direction", "0.6,0,0.8", "--cutoff", "20",
+     "--apds-a", "3", "--apds-b", "3"],
+    ["mgf", "--state", TMSV, "--direction", "0.6,0,0.8", "--cutoff", "20",
+     "--t", "0.1", "--t", "-0.1", "--tau", "0.2", "--tau", "0.3"],
+])
+def test_single_axis_commands_rotate_once(tmp_path, monkeypatch, argv):
+    import stokespace.cli as cli
+
+    calls = []
+    rotate = cli.joint_photon_distribution
+
+    def counting(state, direction):
+        calls.append(direction)
+        return rotate(state, direction)
+
+    monkeypatch.setattr(cli, "joint_photon_distribution", counting)
+    assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert len(calls) == 1
