@@ -37,16 +37,16 @@ from .mgf import MgfQuery, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
     _verdict,
-    cross_correlation_det_from_distribution,
+    cross_correlation_det,
     matrix_verdict,
-    mgf_matrix_from_distribution,
-    second_order_det_from_distribution,
-    variance_criteria_from_distribution,
+    mgf_matrix,
+    second_order_det,
+    variance_criteria,
 )
 from .detector import (
     ClickDetectorConfig,
+    click_distribution,
     click_moment_to_mgf_point,
-    clicks_from_distribution,
     clicks_to_json,
     estimate_mgf_from_samples,
     moments_from_clicks,
@@ -217,7 +217,7 @@ def cmd_hom_scan(args) -> int:
     for trans, d, p_d, c_d in zip(t2_grid, directions, p, clipped):
         dist = JointPhotonDistribution(p_d, d, min(1.0, state.leakage + c_d))
         for t in ts:
-            det = second_order_det_from_distribution(dist, t, 0.0, 0.0, 0.0)
+            det = second_order_det(dist, d, t, 0.0, 0.0, 0.0)
             rows.append((trans, t, det))
     path = cfg.out / "hom_scan.csv"
     _write_csv(path, ["T2", "t", "determinant"], rows, cfg.timestamp)
@@ -238,7 +238,7 @@ def cmd_tmsv_scan(args) -> int:
         cutoff = cfg.cutoff if cfg.cutoff is not None else auto_cutoff(spec)
         dist = joint_photon_distribution(make_state(spec, cutoff), d)
         for tau in taus:
-            det = second_order_det_from_distribution(dist, -tau, tau, tau, tau)
+            det = second_order_det(dist, d, -tau, tau, tau, tau)
             rows.append((kappa, tau, det))
     path = cfg.out / "tmsv_scan.csv"
     _write_csv(path, ["tanh_xi", "tau", "determinant"], rows, cfg.timestamp)
@@ -262,11 +262,9 @@ def cmd_nctest(args) -> int:
     blank = ("",) * 6
     rows = []
 
-    det = second_order_det_from_distribution(dist, t, tau, t2, tau2)
+    det = second_order_det(dist, d, t, tau, t2, tau2)
     rows.append(("second_order_det", *d.e, *pair, det, _verdict(det, tol)))
-    report = matrix_verdict(
-        mgf_matrix_from_distribution(dist, spec.points), tolerance=tol
-    )
+    report = matrix_verdict(mgf_matrix(dist, spec), tolerance=tol)
     rows.append(("matrix_min_eigenvalue", *d.e, *pair, report.value, report.verdict))
     phi = 1.0
     if args.k_norm != 0.0:
@@ -275,10 +273,10 @@ def cmd_nctest(args) -> int:
         phi = mgf_from_distribution(dist, z, 0.0)
     cf = 1.0 - abs(phi)
     rows.append(("char_fn", *d.e, *blank, cf, _verdict(cf, tol)))
-    var_s, var_n = variance_criteria_from_distribution(dist)
+    var_s, var_n = variance_criteria(dist, d)
     rows.append(("variance_stokes", *d.e, *blank, var_s, _verdict(var_s, tol)))
     rows.append(("variance_number", *d.e, *blank, var_n, _verdict(var_n, tol)))
-    cross = cross_correlation_det_from_distribution(dist)
+    cross = cross_correlation_det(dist, d)
     rows.append(("cross_number_stokes", *d.e, *blank, cross.number_stokes,
                  _verdict(cross.number_stokes, tol)))
     rows.append(("cross_photon_photon", *d.e, *blank, cross.photon_photon,
@@ -308,7 +306,7 @@ def cmd_clicks(args) -> int:
     )
     # the click table and the direct M column share one distribution
     dist = joint_photon_distribution(state, d)
-    clicks = clicks_from_distribution(dist, cfg_a, cfg_b)
+    clicks = click_distribution(dist, d, cfg_a, cfg_b)
 
     dist_rows = [
         (i, j, clicks.c[i, j])

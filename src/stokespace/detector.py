@@ -20,7 +20,7 @@ from .fock import (
     JointPhotonDistribution,
     MeasurementDirection,
     TwoModeState,
-    joint_photon_distribution,
+    _distribution_along,
     power_sum,
 )
 
@@ -93,36 +93,22 @@ def _silent_prob_grid(
 
 
 def click_distribution(
-    state: TwoModeState,
+    source: TwoModeState | JointPhotonDistribution,
     direction: MeasurementDirection,
     config_a: ClickDetectorConfig,
     config_b: ClickDetectorConfig,
 ) -> ClickDistribution:
     """Exact joint click statistics after the measurement beam splitter.
 
-    Uses inclusion-exclusion over silent-diode patterns; diode counts
-    above 8 are rejected because the alternating sums become numerically
-    unstable.
+    source is a TwoModeState, or its JointPhotonDistribution along
+    direction.  Uses inclusion-exclusion over silent-diode patterns;
+    diode counts above 8 are rejected because the alternating sums
+    become numerically unstable.
     """
-    _check_apds(config_a, config_b)
-    return clicks_from_distribution(
-        joint_photon_distribution(state, direction), config_a, config_b
-    )
-
-
-def _check_apds(config_a: ClickDetectorConfig, config_b: ClickDetectorConfig) -> None:
-    if config_a.apds > _MAX_APDS or config_b.apds > _MAX_APDS:
-        raise NumericalError(f"diode counts above {_MAX_APDS} are not supported")
-
-
-def clicks_from_distribution(
-    dist: JointPhotonDistribution,
-    config_a: ClickDetectorConfig,
-    config_b: ClickDetectorConfig,
-) -> ClickDistribution:
-    """click_distribution behind an already computed photon distribution."""
-    _check_apds(config_a, config_b)
     da, db = config_a.apds, config_b.apds
+    if da > _MAX_APDS or db > _MAX_APDS:
+        raise NumericalError(f"diode counts above {_MAX_APDS} are not supported")
+    dist = _distribution_along(source, direction)
     grid = _silent_prob_grid(dist, config_a, config_b)
     signed_a = [
         np.array([math.comb(i, r) * (-1.0) ** r for r in range(i + 1)])
@@ -146,7 +132,7 @@ def clicks_from_distribution(
             f"click probabilities sum to {total:.12f}, expected {grid[0, 0]:.12f}"
         )
     return ClickDistribution(
-        c=c, direction=dist.direction, config_a=config_a, config_b=config_b
+        c=c, direction=direction, config_a=config_a, config_b=config_b
     )
 
 

@@ -707,6 +707,22 @@ def joint_photon_distribution(
     )
 
 
+def _distribution_along(
+    source: TwoModeState | JointPhotonDistribution, direction: MeasurementDirection
+) -> JointPhotonDistribution:
+    """Photon distribution of source along direction.
+
+    A state is rotated; a distribution already taken along direction is
+    returned as it is, so a caller that reads one axis many times
+    rotates once.
+    """
+    if isinstance(source, JointPhotonDistribution):
+        if not np.array_equal(source.direction.e, direction.e):
+            raise ValueError("the distribution was taken along another axis")
+        return source
+    return joint_photon_distribution(source, direction)
+
+
 def _power_sum(p: np.ndarray, z_a, z_b):
     """sum z_a^n_a p[n_a, n_b] z_b^n_b, broadcast over leading axes of p, z_a, z_b."""
     c = p.shape[-1] - 1

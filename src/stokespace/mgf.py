@@ -187,9 +187,8 @@ def surface_map(
     the value is real; its imaginary rounding residue is dropped.  For
     genuinely complex t the complex value scales the axis.
     """
-    directions = [
-        direction_to_beamsplitter(e) for e in np.asarray(axes, dtype=float).reshape(-1, 3)
-    ]
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    directions = [direction_to_beamsplitter(e) for e in axes]
     if not directions:
         return []
     query = MgfQuery(directions[0], t, tau)

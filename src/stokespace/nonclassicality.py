@@ -24,8 +24,8 @@ from .fock import (
     JointPhotonDistribution,
     MeasurementDirection,
     TwoModeState,
+    _distribution_along,
     distribution_factorial_moment,
-    joint_photon_distribution,
 )
 from .mgf import mgf_from_distribution, char_fn
 
@@ -63,21 +63,19 @@ def _verdict(value: float, tolerance: float) -> str:
     return NONCLASSICAL if value < -tolerance else INCONCLUSIVE
 
 
-def mgf_matrix(state: TwoModeState, spec: MgfMatrixSpec) -> np.ndarray:
-    """Hermitian matrix M[p, q] = M(t_p* + t_q; tau_p + tau_q)."""
-    return mgf_matrix_from_distribution(
-        joint_photon_distribution(state, spec.direction), spec.points
-    )
-
-
-def mgf_matrix_from_distribution(
-    dist: JointPhotonDistribution, points
+def mgf_matrix(
+    source: TwoModeState | JointPhotonDistribution, spec: MgfMatrixSpec
 ) -> np.ndarray:
-    """mgf_matrix on the (t, tau) points of an already computed distribution."""
-    m = len(points)
+    """Hermitian matrix M[p, q] = M(t_p* + t_q; tau_p + tau_q).
+
+    source is a TwoModeState, or its JointPhotonDistribution along
+    spec.direction when the caller already has one.
+    """
+    dist = _distribution_along(source, spec.direction)
+    m = len(spec.points)
     out = np.empty((m, m), dtype=complex)
-    for p, (tp, taup) in enumerate(points):
-        for q, (tq, tauq) in enumerate(points):
+    for p, (tp, taup) in enumerate(spec.points):
+        for q, (tq, tauq) in enumerate(spec.points):
             out[p, q] = mgf_from_distribution(dist, np.conj(tp) + tq, taup + tauq)
     return out
 
@@ -105,7 +103,7 @@ def matrix_verdict(
 
 
 def second_order_det(
-    state: TwoModeState,
+    source: TwoModeState | JointPhotonDistribution,
     direction: MeasurementDirection,
     t: complex,
     tau: float,
@@ -115,21 +113,10 @@ def second_order_det(
     """Determinant of the 2x2 moment matrix on points {(t,tau), (t2,tau2)}.
 
     Negative values witness nonclassicality; for classical states the
-    Cauchy-Schwarz inequality keeps it >= 0.
+    Cauchy-Schwarz inequality keeps it >= 0.  source is a TwoModeState,
+    or its JointPhotonDistribution along direction.
     """
-    return second_order_det_from_distribution(
-        joint_photon_distribution(state, direction), t, tau, t2, tau2
-    )
-
-
-def second_order_det_from_distribution(
-    dist: JointPhotonDistribution,
-    t: complex,
-    tau: float,
-    t2: complex,
-    tau2: float,
-) -> float:
-    """second_order_det of an already computed distribution."""
+    dist = _distribution_along(source, direction)
     m11 = mgf_from_distribution(dist, 2.0 * complex(t).real, 2.0 * tau).real
     m22 = mgf_from_distribution(dist, 2.0 * complex(t2).real, 2.0 * tau2).real
     m12 = mgf_from_distribution(dist, np.conj(t) + t2, tau + tau2)
@@ -172,11 +159,6 @@ class VarianceReport(NamedTuple):
     var_number: float  # <: (Delta N)^2 :>
 
 
-class CrossCorrelationReport(NamedTuple):
-    number_stokes: float  # det of the (N, e.S) normally ordered covariance
-    photon_photon: float  # det of the (n_a, n_b) normally ordered covariance
-
-
 def _normal_covariances(dist: JointPhotonDistribution) -> dict[str, float]:
     """Normally ordered (co)variances of n_a, n_b, N = n_a + n_b and e.S = n_a - n_b."""
     f10, f01, f20, f02, f11 = (
@@ -194,44 +176,35 @@ def _normal_covariances(dist: JointPhotonDistribution) -> dict[str, float]:
 
 
 def variance_criteria(
-    state: TwoModeState, direction: MeasurementDirection
+    source: TwoModeState | JointPhotonDistribution, direction: MeasurementDirection
 ) -> VarianceReport:
     """Normally ordered variances of e.S and of the total photon number.
 
     Negative values certify sub-shot-noise statistics (for the total
     number this matches a negative Mandel-type parameter).  Classical
-    states keep both >= 0; coherent states sit exactly at 0.
+    states keep both >= 0; coherent states sit exactly at 0.  source is
+    a TwoModeState, or its JointPhotonDistribution along direction.
     """
-    return variance_criteria_from_distribution(
-        joint_photon_distribution(state, direction)
-    )
-
-
-def variance_criteria_from_distribution(dist: JointPhotonDistribution) -> VarianceReport:
-    """variance_criteria of an already computed distribution."""
-    cov = _normal_covariances(dist)
+    cov = _normal_covariances(_distribution_along(source, direction))
     return VarianceReport(var_stokes=float(cov["s"]), var_number=float(cov["n"]))
 
 
+class CrossCorrelationReport(NamedTuple):
+    number_stokes: float  # det of the (N, e.S) normally ordered covariance
+    photon_photon: float  # det of the (n_a, n_b) normally ordered covariance
+
+
 def cross_correlation_det(
-    state: TwoModeState, direction: MeasurementDirection
+    source: TwoModeState | JointPhotonDistribution, direction: MeasurementDirection
 ) -> CrossCorrelationReport:
     """Determinants of two normally ordered covariance matrices.
 
     number_stokes pairs the total photon number with e.S; photon_photon
     pairs the two output photon numbers.  Classical states keep both
-    determinants >= 0.
+    determinants >= 0.  source is a TwoModeState, or its
+    JointPhotonDistribution along direction.
     """
-    return cross_correlation_det_from_distribution(
-        joint_photon_distribution(state, direction)
-    )
-
-
-def cross_correlation_det_from_distribution(
-    dist: JointPhotonDistribution,
-) -> CrossCorrelationReport:
-    """cross_correlation_det of an already computed distribution."""
-    cov = _normal_covariances(dist)
+    cov = _normal_covariances(_distribution_along(source, direction))
     return CrossCorrelationReport(
         number_stokes=float(cov["n"] * cov["s"] - cov["ns"] ** 2),
         photon_photon=float(cov["a"] * cov["b"] - cov["ab"] ** 2),

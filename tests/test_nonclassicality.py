@@ -15,6 +15,7 @@ from stokespace import (
     char_fn_criterion,
     cross_correlation_det,
     direction_to_beamsplitter,
+    joint_photon_distribution,
     make_state,
     matrix_verdict,
     mgf_matrix,
@@ -199,3 +200,21 @@ class TestMomentCriteria:
         c = cross_correlation_det(state, d)
         assert c.number_stokes > -1e-9
         assert c.photon_photon > -1e-9
+
+
+class TestDistributionInput:
+    def test_criteria_accept_the_distribution_of_their_axis(self, rng):
+        state = make_state(TmsvSpec(0.6), cutoff=30)
+        d = random_direction(rng)
+        dist = joint_photon_distribution(state, d)
+        spec = MgfMatrixSpec(d, ((0.1, 0.3), (-0.2 + 0.1j, 0.25)))
+        assert np.array_equal(mgf_matrix(dist, spec), mgf_matrix(state, spec))
+        args = (0.1, 0.3, -0.2, 0.25)
+        assert second_order_det(dist, d, *args) == second_order_det(state, d, *args)
+        assert variance_criteria(dist, d) == variance_criteria(state, d)
+        assert cross_correlation_det(dist, d) == cross_correlation_det(state, d)
+
+    def test_distribution_of_another_axis_rejected(self):
+        dist = joint_photon_distribution(make_state(HomInputSpec(), cutoff=2), D_X)
+        with pytest.raises(ValueError):
+            variance_criteria(dist, D_Z)
