@@ -93,18 +93,49 @@ def _parse_direction(text: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
+# rows formatted, joined and written at once by _write_csv
+_CSV_CHUNK_ROWS = 1 << 15
+
+
+def _column_text(col) -> np.ndarray:
+    """Fixed-width byte cells of a column chunk, every number as .17g text.
+    A float array is formatted once per distinct bit pattern (so -0.0, 0.0
+    and every NaN keep their own text), any other column cell by cell."""
+    if isinstance(col, np.ndarray):
+        bits = col.astype(float).view(np.uint64)
+        bits, inverse = np.unique(bits, return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        text = ("%.17g\n" * len(values) % tuple(values)).encode().split(b"\n")
+        return np.array(text[:-1], dtype=bytes)[inverse]
+    return np.array(
+        [(v if isinstance(v, str) else format(float(v), ".17g")).encode() for v in col],
+        dtype=bytes,
+    )
 
 
 def _write_csv(path: Path, columns, rows, timestamp: bool) -> None:
-    lines = []
-    if timestamp:
-        lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write a table given as an (n, len(columns)) float array or as row
+    tuples of numbers and strings; see the CSV contract in the README."""
+    if isinstance(rows, np.ndarray):
+        cells = rows.reshape(len(rows), len(columns)).T
+    else:
+        cells = list(zip(*rows))
+    with open(path, "wb") as fh:
+        if timestamp:
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode())
+        fh.write((",".join(columns) + "\n").encode())
+        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            # one byte row per table row: each cell NUL-padded to its
+            # column width, then a separator; dropping the NULs joins the row
+            n = min(_CSV_CHUNK_ROWS, len(rows) - lo)
+            block = [
+                _column_text(col[lo:lo + n]).view(np.uint8).reshape(n, -1)
+                for col in cells
+            ]
+            sep = np.full((n, 1), ord(","), dtype=np.uint8)
+            buf = np.hstack([a for c in block for a in (c, sep)])
+            buf[:, -1] = ord("\n")
+            fh.write(buf[buf != 0].tobytes())
 
 
 def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
@@ -157,14 +188,12 @@ def cmd_mgf(args) -> int:
         for q in queries:
             _warn_divergent(state.leakage, q.z_a, q.z_b)
             v = mgf_from_distribution(dist, q.t, q.tau)
-            rows.append(
-                (d.e[0], d.e[1], d.e[2], q.t.real, q.t.imag, q.tau, v.real, v.imag)
-            )
+            rows.append((*d.e, q.t.real, q.t.imag, q.tau, v.real, v.imag))
     path = cfg.out / "mgf.csv"
     _write_csv(
         path,
         ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"],
-        rows,
+        np.array(rows, dtype=float),
         cfg.timestamp,
     )
     print(path)
@@ -176,24 +205,14 @@ def cmd_surface(args) -> int:
     state, _, _ = _build_state(cfg)
     axes = sphere_grid(args.n_theta, args.n_phi)
     samples = surface_map(state, args.t, args.tau, axes)
-    rows = [
-        (
-            s.e[0],
-            s.e[1],
-            s.e[2],
-            args.t.real,
-            args.t.imag,
-            args.tau,
-            np.real(s.value),
-            np.imag(s.value),
-        )
-        for s in samples
-    ]
+    e = np.array([s.e for s in samples]).reshape(-1, 3)
+    value = np.array([complex(s.value) for s in samples])
+    query = np.broadcast_to((args.t.real, args.t.imag, args.tau), (len(samples), 3))
     path = cfg.out / "surface.csv"
     _write_csv(
         path,
         ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"],
-        rows,
+        np.column_stack([e, query, value.real, value.imag]),
         cfg.timestamp,
     )
     print(path)
@@ -207,20 +226,21 @@ def cmd_hom_scan(args) -> int:
     state = make_state(HomInputSpec(), cutoff)
     ts = args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0]
     t2_grid = np.linspace(args.t2_min, args.t2_max, args.t2_steps)
-    directions = []
-    for trans in t2_grid:
-        e_z = 2.0 * trans - 1.0
-        e = np.array([math.sqrt(max(0.0, 1.0 - e_z**2)), 0.0, e_z])
-        directions.append(direction_to_beamsplitter(e))
+    e_z = 2.0 * t2_grid - 1.0
+    axes = np.column_stack(
+        [np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z]
+    )
+    directions = [direction_to_beamsplitter(e) for e in axes]
     p, clipped = rotate_many(state, directions)
-    rows = []
-    for trans, d, p_d, c_d in zip(t2_grid, directions, p, clipped):
+    dets = []
+    for d, p_d, c_d in zip(directions, p, clipped):
         dist = JointPhotonDistribution(p_d, d, min(1.0, state.leakage + c_d))
-        for t in ts:
-            det = second_order_det(dist, d, t, 0.0, 0.0, 0.0)
-            rows.append((trans, t, det))
+        dets.extend(second_order_det(dist, d, t, 0.0, 0.0, 0.0) for t in ts)
+    table = np.column_stack(
+        [np.repeat(t2_grid, len(ts)), np.tile(ts, len(t2_grid)), dets]
+    )
     path = cfg.out / "hom_scan.csv"
-    _write_csv(path, ["T2", "t", "determinant"], rows, cfg.timestamp)
+    _write_csv(path, ["T2", "t", "determinant"], table, cfg.timestamp)
     print(path)
     return 0
 
@@ -230,18 +250,19 @@ def cmd_tmsv_scan(args) -> int:
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     d = direction_to_beamsplitter(np.array([0.0, 0.0, 1.0]))
-    rows = []
+    dets = []
     for kappa in kappas:
         if not 0.0 <= kappa < 1.0:
             raise ValueError("tanh xi must lie in [0, 1)")
         spec = TmsvSpec(xi=math.atanh(kappa))
         cutoff = cfg.cutoff if cfg.cutoff is not None else auto_cutoff(spec)
         dist = joint_photon_distribution(make_state(spec, cutoff), d)
-        for tau in taus:
-            det = second_order_det(dist, d, -tau, tau, tau, tau)
-            rows.append((kappa, tau, det))
+        dets.extend(second_order_det(dist, d, -tau, tau, tau, tau) for tau in taus)
+    table = np.column_stack(
+        [np.repeat(kappas, len(taus)), np.tile(taus, len(kappas)), dets]
+    )
     path = cfg.out / "tmsv_scan.csv"
-    _write_csv(path, ["tanh_xi", "tau", "determinant"], rows, cfg.timestamp)
+    _write_csv(path, ["tanh_xi", "tau", "determinant"], table, cfg.timestamp)
     print(path)
     return 0
 
@@ -308,13 +329,12 @@ def cmd_clicks(args) -> int:
     dist = joint_photon_distribution(state, d)
     clicks = click_distribution(dist, d, cfg_a, cfg_b)
 
-    dist_rows = [
-        (i, j, clicks.c[i, j])
-        for i in range(cfg_a.apds + 1)
-        for j in range(cfg_b.apds + 1)
-    ]
+    i, j = np.indices(clicks.c.shape)
     _write_csv(
-        cfg.out / "clicks.csv", ["i", "j", "probability"], dist_rows, cfg.timestamp
+        cfg.out / "clicks.csv",
+        ["i", "j", "probability"],
+        np.column_stack([i.ravel(), j.ravel(), clicks.c.ravel()]),
+        cfg.timestamp,
     )
 
     samples = None
@@ -382,14 +402,12 @@ def cmd_reconstruct(args) -> int:
     pess = invert_to_pess(values, grid, tau, window=args.window)
     save_pess(pess, cfg.out / "pess.bin")
 
-    ax, ay, az = grid.axes()
-    rows = []
-    for i in range(grid.ns[0]):
-        for j in range(grid.ns[1]):
-            for k in range(grid.ns[2]):
-                rows.append((ax[i], ay[j], az[k], pess.values[i, j, k]))
+    coords = [c.reshape(-1) for c in np.meshgrid(*grid.axes(), indexing="ij")]
     _write_csv(
-        cfg.out / "pess.csv", ["S_x", "S_y", "S_z", "value"], rows, cfg.timestamp
+        cfg.out / "pess.csv",
+        ["S_x", "S_y", "S_z", "value"],
+        np.column_stack([*coords, pess.values.reshape(-1)]),
+        cfg.timestamp,
     )
 
     report = classicality_check(pess)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    hermiticity: float = 1e-10          # max |rho - rho^dag| elementwise
     trace_window: float = 1e-10         # rotated mass kept + clipped vs trace(rho)
     eigenvalue_floor: float = -1e-9     # smallest admissible rho eigenvalue
     unit_vector: float = 1e-12          # | ||e|| - 1 | on a stored direction
@@ -18,7 +17,6 @@ class Tolerances:
     distribution_floor: float = -1e-12  # photon probabilities may dip this low
     leakage_bound: float = 1e-10        # default acceptable truncated mass
     convergence_leakage: float = 1e-12  # leakage above which |z| > 1 warns
-    mgf_symmetry: float = 1e-12         # M(t*) vs M(t)* agreement
     matrix_hermiticity: float = 1e-8    # input gate for eigenvalue verdicts
     verdict: float = 1e-9               # default criterion negativity threshold
     click_floor: float = -1e-10         # click probabilities below this raise

@@ -166,16 +166,13 @@ def sphere_grid(n_theta: int, n_phi: int) -> np.ndarray:
     """(n_theta * n_phi, 3) axes with poles included on the theta rows."""
     if n_theta < 2 or n_phi < 1:
         raise ValueError("need n_theta >= 2 and n_phi >= 1")
-    thetas = np.linspace(0.0, np.pi, n_theta)
+    thetas = np.linspace(0.0, np.pi, n_theta)[:, None]
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    out = np.empty((n_theta * n_phi, 3))
-    i = 0
-    for th in thetas:
-        st, ct = math.sin(th), math.cos(th)
-        for ph in phis:
-            out[i] = (st * math.cos(ph), st * math.sin(ph), ct)
-            i += 1
-    return out
+    st, ct = np.sin(thetas), np.cos(thetas)
+    out = np.stack(
+        np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), ct), axis=-1
+    )
+    return out.reshape(n_theta * n_phi, 3)
 
 
 def surface_map(

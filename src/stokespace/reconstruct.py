@@ -33,6 +33,8 @@ from .fock import (
 _WINDOWS = ("raised-cosine", "none")
 # photon distributions held at once by the state route of mgf_imaginary_grid
 _BATCH_DOUBLES = 1 << 18
+# complex entries of one point chunk's phase table in _kernel_from_points (32 MB)
+_POINT_CHUNK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -240,19 +242,28 @@ def gaussian_pess_exact(sigma: float, grid: Grid3) -> PessGrid:
 
 
 def _kernel_from_points(
-    k_flat: np.ndarray, pts: np.ndarray, weights: np.ndarray | None, tau: float
+    k_axes, pts: np.ndarray, weights: np.ndarray | None, tau: float
 ) -> np.ndarray:
+    """sum_p w_p exp(i k.S_p - tau |S_p|) on the Cartesian grid of k_axes.
+
+    exp(i k.S) = e^{i kx Sx} e^{i ky Sy} e^{i kz Sz}, so the sum is one
+    complex GEMM (nx, m) @ (m, ny nz) over three 1-D phase tables, run
+    over chunks of points to bound the (m, ny nz) operand.
+    """
+    kx, ky, kz = k_axes
     svec = stokes_points(pts)
     m = svec.shape[0]
     w = np.full(m, 1.0 / m) if weights is None else weights
     damp = w * np.exp(-tau * np.linalg.norm(svec, axis=1))
-    out = np.zeros(k_flat.shape[0], dtype=complex)
-    k_chunk = max(1, int(2**22 // max(m, 1)))
-    for lo in range(0, k_flat.shape[0], k_chunk):
-        hi = min(lo + k_chunk, k_flat.shape[0])
-        phase = k_flat[lo:hi] @ svec.T
-        out[lo:hi] = np.exp(1j * phase) @ damp
-    return out
+    out = np.zeros((kx.size, ky.size * kz.size), dtype=complex)
+    step = max(1, _POINT_CHUNK_ENTRIES // (ky.size * kz.size))
+    for lo in range(0, m, step):
+        sx, sy, sz = svec[lo:lo + step].T
+        ex = np.exp(1j * np.multiply.outer(kx, sx)) * damp[lo:lo + step]
+        ey = np.exp(1j * np.multiply.outer(sy, ky))
+        ez = np.exp(1j * np.multiply.outer(sz, kz))
+        out += ex @ (ey[:, :, None] * ez[:, None, :]).reshape(sx.size, -1)
+    return out.reshape(kx.size, ky.size, kz.size)
 
 
 def _state_grid_values(
@@ -323,22 +334,14 @@ def mgf_imaginary_grid(
     ):
         raise ValueError("tau must be > 0 for ensembles with unbounded support")
     kg = k_grid
-    kx, ky, kz = kg.axes()
-    k_flat = np.stack(
-        [
-            np.repeat(kx, kg.ns[1] * kg.ns[2]),
-            np.tile(np.repeat(ky, kg.ns[2]), kg.ns[0]),
-            np.tile(kz, kg.ns[0] * kg.ns[1]),
-        ],
-        axis=1,
-    )
+    k_flat = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
     if isinstance(source, TwoModeState):
         flat = _state_grid_values(source, k_flat, kg.ns, tau)
     elif isinstance(source, CoherentEnsemble):
         if source.char_kernel is not None:
             flat = np.asarray(source.char_kernel(k_flat, tau), dtype=complex)
         elif source.points is not None:
-            flat = _kernel_from_points(k_flat, source.points, source.weights, tau)
+            flat = _kernel_from_points(kg.axes(), source.points, source.weights, tau)
         else:
             warnings.warn(
                 f"sampling {n_samples} ensemble points; grid values carry "
@@ -348,7 +351,7 @@ def mgf_imaginary_grid(
             )
             rng = np.random.Generator(np.random.Philox(key=seed))
             pts = np.asarray(source.sampler(rng, n_samples), dtype=complex)
-            flat = _kernel_from_points(k_flat, pts, None, tau)
+            flat = _kernel_from_points(kg.axes(), pts, None, tau)
     else:
         raise TypeError("source must be a TwoModeState or a CoherentEnsemble")
     return flat.reshape(kg.ns)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import stokespace
-from stokespace import load_pess
-from stokespace.cli import main
+from stokespace import Grid3, load_pess
+from stokespace.cli import _CSV_CHUNK_ROWS, _write_csv, main
 
 VAC = '{"kind": "vacuum"}'
 HOM = '{"kind": "hom_input"}'
@@ -158,6 +158,71 @@ def test_reconstruct_with_oracle(tmp_path):
     header, body = read_csv(tmp_path / "pess.csv")
     assert header == ["S_x", "S_y", "S_z", "value"]
     assert len(body) == 16**3
+
+
+def test_reconstruct_csv_parses_back_to_the_binary_grid(tmp_path):
+    ens = ('{"points": [[{"re": 0.9, "im": 0.2}, 0.3], [0.1, {"re": 0, "im": -0.7}]],'
+           ' "weights": [0.25, 0.75]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # point densities ring to the edge
+        assert main(["reconstruct", "--out", str(tmp_path), "--ensemble", ens,
+                     "--s-min=-2,-3,-1", "--s-max=2,1,3", "--n-points", "10",
+                     "--no-timestamp"]) == 0
+    pess = load_pess(tmp_path / "pess.bin")
+    table = np.loadtxt(tmp_path / "pess.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 3], pess.values.reshape(-1))
+    grid = Grid3((-2, -3, -1), (2, 1, 3), (10, 10, 10))
+    coords = np.meshgrid(*grid.axes(), indexing="ij")
+    for col, c in zip(table[:, :3].T, coords):
+        assert np.array_equal(col, c.reshape(-1))
+
+
+def reference_csv(columns, rows) -> str:
+    """The per-cell row formatter the columnar writer must reproduce."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(
+            v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+           -5e-324, 1e308, 3.0, -7.0, 2.0**53, 0.1, 1.0 / 3.0]
+
+
+def float_table(n):
+    values = np.resize(np.array(SPECIAL), (n, 3))
+    return np.column_stack([values, np.arange(n), values[::-1, 0]])
+
+
+def mixed_rows(n):
+    k = len(SPECIAL)
+    return [
+        (f"row{i}", SPECIAL[i % k], "" if i % 3 else SPECIAL[-i % k], i,
+         "nonclassical" if i % 2 else "inconclusive")
+        for i in range(n)
+    ]
+
+
+def written(path, timestamp):
+    text = path.read_text()
+    if timestamp:
+        first, text = text.split("\n", 1)
+        assert first.startswith("# generated ")
+    return text
+
+
+@pytest.mark.parametrize("n, timestamp", [
+    (0, False), (1, False), (_CSV_CHUNK_ROWS - 1, False),
+    (_CSV_CHUNK_ROWS + 1, False), (0, True), (_CSV_CHUNK_ROWS + 1, True)])
+def test_columnar_writer_matches_row_formatter(tmp_path, n, timestamp):
+    cols = ["a", "b", "c", "d", "e"]
+    table = float_table(n)
+    _write_csv(tmp_path / "f.csv", cols, table, timestamp)
+    assert written(tmp_path / "f.csv", timestamp) == reference_csv(cols, table)
+    rows = mixed_rows(n)
+    _write_csv(tmp_path / "m.csv", cols, rows, timestamp)
+    assert written(tmp_path / "m.csv", timestamp) == reference_csv(cols, rows)
 
 
 def test_reconstruct_from_state(tmp_path):

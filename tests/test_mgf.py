@@ -176,6 +176,17 @@ class TestSurfaceMap:
         assert np.max(np.abs(axes[:8] - [0.0, 0.0, 1.0])) < 1e-12  # north rows
         assert np.max(np.abs(axes[-8:] - [0.0, 0.0, -1.0])) < 1e-12
 
+    def test_sphere_grid_matches_scalar_loop(self):
+        for n_theta in (2, 3, 5, 8, 17, 39):
+            for n_phi in (1, 2, 3, 7, 16, 69):
+                ref = []
+                for th in np.linspace(0.0, np.pi, n_theta):
+                    st, ct = math.sin(th), math.cos(th)
+                    for ph in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False):
+                        ref.append((st * math.cos(ph), st * math.sin(ph), ct))
+                grid = sphere_grid(n_theta, n_phi)
+                assert np.max(np.abs(grid - ref)) <= 2e-16, (n_theta, n_phi)
+
     def test_real_t_maps_radially(self):
         state = make_state(HomInputSpec(), cutoff=3)
         samples = surface_map(state, t=math.sqrt(2.0), tau=0.0, axes=sphere_grid(3, 4))

@@ -158,6 +158,54 @@ class TestMgfGrid:
         mgf_imaginary_grid(point, kg, 0.0)
 
 
+def dense_point_kernel(k_grid, pts, weights, tau):
+    """Reference: exp(i k.S - tau |S|) summed directly over every (k, S) pair."""
+    k_flat = np.stack(np.meshgrid(*k_grid.axes(), indexing="ij"), axis=-1)
+    svec = stokes_points(pts)
+    w = np.full(len(svec), 1.0 / len(svec)) if weights is None else weights
+    damp = w * np.exp(-tau * np.linalg.norm(svec, axis=1))
+    return np.exp(1j * (k_flat.reshape(-1, 3) @ svec.T)) @ damp
+
+
+class TestPointKernel:
+    # an uneven grid, so that a mix-up of the three axes shows
+    K_GRID = dual_grid(Grid3((-3.0, -2.0, -4.0), (3.0, 2.5, 4.0), (8, 10, 12)))
+
+    def random_pairs(self, rng, m):
+        return rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+
+    def test_uniform_points_match_dense_sum(self):
+        pts = self.random_pairs(rng_for(11), 24)
+        got = mgf_imaginary_grid(CoherentEnsemble(points=pts), self.K_GRID, 0.15)
+        ref = dense_point_kernel(self.K_GRID, pts, None, 0.15)
+        assert np.max(np.abs(got.reshape(-1) - ref)) <= 1e-14
+
+    def test_weighted_points_match_dense_sum(self):
+        rng = rng_for(12)
+        pts = self.random_pairs(rng, 17)
+        w = rng.uniform(size=17)
+        w /= w.sum()
+        ens = CoherentEnsemble(points=pts, weights=w)
+        got = mgf_imaginary_grid(ens, self.K_GRID, 0.0)
+        ref = dense_point_kernel(self.K_GRID, pts, w, 0.0)
+        assert np.max(np.abs(got.reshape(-1) - ref)) <= 1e-14
+
+    def test_sampler_draw_over_several_chunks_matches_dense_sum(self, monkeypatch):
+        import stokespace.reconstruct as rec
+
+        # 37 points per chunk: 1000 draws fill 27 chunks and a partial one
+        monkeypatch.setattr(rec, "_POINT_CHUNK_ENTRIES", 37 * 10 * 12)
+        sampler = gaussian_ensemble(0.5, 0.8, -0.3j).sampler
+        with pytest.warns(UserWarning):
+            got = mgf_imaginary_grid(
+                CoherentEnsemble(sampler=sampler), self.K_GRID, 0.1,
+                n_samples=1000, seed=3,
+            )
+        pts = sampler(rng_for(3), 1000)
+        ref = dense_point_kernel(self.K_GRID, pts, None, 0.1)
+        assert np.max(np.abs(got.reshape(-1) - ref)) <= 1e-14
+
+
 class TestInversion:
     def test_vacuum_peaks_at_origin(self):
         state = make_state(VacuumSpec(), cutoff=2)
