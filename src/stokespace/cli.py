@@ -249,11 +249,11 @@ def cmd_tmsv_scan(args) -> int:
     cfg = _resolve_config(args)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
+    if not np.all((kappas >= 0.0) & (kappas < 1.0)):
+        raise ValueError("tanh xi must lie in [0, 1)")
     d = direction_to_beamsplitter(np.array([0.0, 0.0, 1.0]))
     dets = []
     for kappa in kappas:
-        if not 0.0 <= kappa < 1.0:
-            raise ValueError("tanh xi must lie in [0, 1)")
         spec = TmsvSpec(xi=math.atanh(kappa))
         cutoff = cfg.cutoff if cfg.cutoff is not None else auto_cutoff(spec)
         dist = joint_photon_distribution(make_state(spec, cutoff), d)

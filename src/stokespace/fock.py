@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .config import TOL, ConvergenceWarning, NumericalError, TruncationWarning
 
@@ -320,18 +319,51 @@ class TwoModeState:
         return cls(cutoff=cutoff, components=comps, leakage=leakage)
 
 
+def _log_factorials(cutoff: int) -> np.ndarray:
+    """ln n! for n = 0..cutoff."""
+    return np.array([math.lgamma(n + 1.0) for n in range(cutoff + 1)])
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated single-mode coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!)."""
-    n = np.arange(cutoff + 1)
-    mag = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * gammaln(n + 1.0))
-    return _powers(alpha, cutoff) * mag
+    r = abs(alpha)
+    if r == 0.0:
+        return (np.arange(cutoff + 1) == 0).astype(complex)
+    # magnitudes from logs: |a|^n alone overflows once n ln|a| > 709, which
+    # |a| = 14 reaches at its auto cutoff
+    log_mag = np.arange(cutoff + 1) * math.log(r) - 0.5 * r * r
+    return _powers(alpha / r, cutoff) * np.exp(log_mag - 0.5 * _log_factorials(cutoff))
+
+
+def _poisson_tails(mu: float, top: int) -> np.ndarray:
+    """P(N > c) for c = 0..top, N Poisson with mean mu.
+
+    Each tail is the sum of the pmf terms above c, taken from their logs
+    and added smallest first, so a tiny tail keeps its relative
+    precision.  Terms past max(top, mu) + 10 sqrt(mu) + 40 are below
+    1e-20 of the smallest tail returned and are left out.
+    """
+    if mu == 0.0:
+        return np.zeros(top + 1)
+    end = int(max(top, mu) + 10.0 * math.sqrt(mu)) + 40
+    n = np.arange(end + 1)
+    terms = np.exp(n * math.log(mu) - mu - _log_factorials(end))
+    return np.cumsum(terms[::-1])[::-1][1 : top + 2]
+
+
+def _coherent_leakages(alpha: complex, beta: complex, top: int) -> np.ndarray:
+    """Mass a coherent pair leaves outside the box, for cutoffs 0..top.
+
+    1 - (1 - ta)(1 - tb) is taken as ta + tb - ta tb, which keeps its
+    precision when both tails are tiny.
+    """
+    ta = _poisson_tails(abs(alpha) ** 2, top)
+    tb = _poisson_tails(abs(beta) ** 2, top)
+    return ta + tb - ta * tb
 
 
 def _coherent_leakage(alpha: complex, beta: complex, cutoff: int) -> float:
-    # gammaincc(C+1, mu) is the Poisson CDF P(n <= C) at mean mu
-    qa = gammaincc(cutoff + 1, abs(alpha) ** 2)
-    qb = gammaincc(cutoff + 1, abs(beta) ** 2)
-    return float(max(0.0, 1.0 - qa * qb))
+    return float(_coherent_leakages(alpha, beta, cutoff)[cutoff])
 
 
 def make_state(
@@ -403,10 +435,9 @@ def auto_cutoff(
         c = int(math.ceil(math.log(bound) / (2.0 * math.log(kappa)) - 1.0))
         return min(max(2, c), max_cutoff)
     if isinstance(spec, CoherentSpec):
-        for c in range(2, max_cutoff + 1):
-            if _coherent_leakage(spec.alpha, spec.beta, c) < bound:
-                return c
-        return max_cutoff
+        leak = _coherent_leakages(spec.alpha, spec.beta, max_cutoff)
+        below = np.flatnonzero(leak[2:] < bound)
+        return 2 + int(below[0]) if below.size else max_cutoff
     if isinstance(spec, MixtureSpec):
         return max(
             auto_cutoff(CoherentSpec(a, b), bound, max_cutoff)

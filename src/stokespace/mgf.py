@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.optimize import brentq
 
 from .config import TOL, QuadratureError
 from .fock import (
@@ -32,10 +30,11 @@ from .fock import (
     TmsvSpec,
     TwoModeState,
     VacuumSpec,
+    _log_factorials,
     _power_sum,
-    _powers,
     _warn_divergent,
     beam_splitter,
+    coherent_amplitudes,
     coherent_stokes,
     direction_to_beamsplitter,
     joint_photon_distribution,
@@ -210,12 +209,8 @@ def surface_map(
 
 def husimi_q(state: TwoModeState, alpha: complex, beta: complex) -> float:
     """Husimi function Q(alpha, beta) = <alpha, beta|rho|alpha, beta> / pi^2."""
-    c = state.cutoff
-    n = np.arange(c + 1)
-    mag_a = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * gammaln(n + 1.0))
-    mag_b = np.exp(-0.5 * abs(beta) ** 2 - 0.5 * gammaln(n + 1.0))
-    bra_a = _powers(np.conj(alpha), c) * mag_a
-    bra_b = _powers(np.conj(beta), c) * mag_b
+    bra_a = np.conj(coherent_amplitudes(alpha, state.cutoff))
+    bra_b = np.conj(coherent_amplitudes(beta, state.cutoff))
     total = 0.0
     for w, amp in state.components:
         ov = bra_a @ (amp @ bra_b)
@@ -264,7 +259,7 @@ def _mode_nodes(lam: float, cutoff: int, n_radial: int, n_phi: int):
 def _husimi_quadrature_value(rotated, lam_a, lam_b, n_radial, n_phi) -> float:
     c = rotated.cutoff
     n = np.arange(c + 1)
-    log_fact = 0.5 * gammaln(n + 1.0)
+    log_fact = 0.5 * _log_factorials(c)
     pts_a, w_a = _mode_nodes(lam_a, c, n_radial, n_phi)
     pts_b, w_b = _mode_nodes(lam_b, c, n_radial, n_phi)
 
@@ -330,8 +325,10 @@ def find_node(
 ) -> float | None:
     """First sign-change root of t -> M(t e; tau) on a real interval.
 
-    Pre-scans a uniform grid (512 points) and refines each bracket to
-    1e-10.  Returns None when M does not change sign.
+    Pre-scans a uniform grid (TOL.node_scan_points points) and bisects
+    the first bracket whose ends differ in sign until it is no wider than
+    TOL.node_xtol; its midpoint is returned.  Returns None when M does
+    not change sign on the grid.
     """
     a, b = float(t_interval[0]), float(t_interval[1])
     if not b > a:
@@ -344,14 +341,23 @@ def find_node(
     zb = (1.0 - ts - tau)[:, None] ** n[None, :]
     vals = np.einsum("ti,ij,tj->t", za, dist.p, zb)
 
-    def f(t):
-        return mgf_from_distribution(dist, t, tau).real
-
     for i in range(len(ts) - 1):
         if vals[i] == 0.0:
             return float(ts[i])
         if vals[i] * vals[i + 1] < 0.0:
-            return float(brentq(f, ts[i], ts[i + 1], xtol=TOL.node_xtol))
+            lo, hi, negative = float(ts[i]), float(ts[i + 1]), vals[i] < 0.0
+            while hi - lo > TOL.node_xtol:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):  # no double left between the ends
+                    break
+                val = mgf_from_distribution(dist, mid, tau).real
+                if val == 0.0:
+                    return mid
+                if (val < 0.0) == negative:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
     if vals[-1] == 0.0:
         return float(ts[-1])
     return None

@@ -39,6 +39,17 @@ def test_console_entry_point():
         assert name in r.stdout
 
 
+def test_import_pulls_in_no_scipy():
+    src = str(Path(stokespace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, stokespace, stokespace.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_mgf_vacuum(tmp_path):
     assert main(["mgf", "--state", VAC, "--out", str(tmp_path),
                  "--direction", "0,0,1", "--t", "0.1", "--tau", "0.2",
@@ -85,6 +96,23 @@ def test_tmsv_scan_spot_value(tmp_path):
     assert header == ["tanh_xi", "tau", "determinant"]
     ((kappa, tau, det),) = body
     assert det == pytest.approx(0.5625 - 0.64, abs=1e-12)
+
+
+def test_tmsv_scan_checks_the_whole_range_first(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+
+    calls = []
+    rotate = cli.joint_photon_distribution
+
+    def counting(state, direction):
+        calls.append(direction)
+        return rotate(state, direction)
+
+    monkeypatch.setattr(cli, "joint_photon_distribution", counting)
+    assert main(["tmsv-scan", "--out", str(tmp_path), "--kappa-max", "1.0",
+                 "--no-timestamp"]) == 2
+    assert calls == []
+    assert not (tmp_path / "tmsv_scan.csv").exists()
 
 
 def test_nctest_battery(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc, gammaln
 
 from stokespace import (
     CoherentSpec,
@@ -25,6 +26,7 @@ from stokespace import (
     spec_to_json,
     stokes_mean,
 )
+from stokespace.fock import _poisson_tails
 from conftest import random_direction, random_low_state, rng_for, splitter_oracle
 
 
@@ -241,6 +243,37 @@ class TestSpecs:
         with pytest.warns(TruncationWarning):
             make_state(spec, cutoff=c - 1)
 
+    def test_auto_cutoff_matches_the_gammaincc_loop(self):
+        def reference(alpha, beta, bound=1e-10, max_cutoff=512):
+            for c in range(2, max_cutoff + 1):
+                qa = gammaincc(c + 1, abs(alpha) ** 2)
+                qb = gammaincc(c + 1, abs(beta) ** 2)
+                if max(0.0, 1.0 - qa * qb) < bound:
+                    return c
+            return max_cutoff
+
+        for alpha in np.linspace(0.0, 12.0, 241):
+            for beta in (0.0, 0.5, 3.0):
+                assert auto_cutoff(CoherentSpec(alpha, beta)) == reference(alpha, beta)
+
+    def test_poisson_tail_matches_regularized_gamma(self):
+        c = np.arange(601)
+        for mu in np.geomspace(1e-6, 300.0, 60):
+            ref = gammainc(c + 1, mu)  # P(N >= C + 1)
+            keep = ref >= 1e-300
+            got = _poisson_tails(mu, 600)
+            assert np.all(np.abs(got[keep] - ref[keep]) <= 1e-11 * ref[keep])
+
+    def test_coherent_leakage_keeps_tiny_tails(self):
+        # 1 - P(N_a <= C) P(N_b <= C) cancels to rounding noise down here
+        alpha, beta = 1.5, 0.9j
+        for cutoff in (25, 40, 60):
+            ta = gammainc(cutoff + 1, abs(alpha) ** 2)
+            tb = gammainc(cutoff + 1, abs(beta) ** 2)
+            ref = ta + tb - ta * tb
+            leak = make_state(CoherentSpec(alpha, beta), cutoff).leakage
+            assert abs(leak - ref) <= 1e-11 * ref
+
     def test_auto_cutoff_tmsv(self):
         spec = TmsvSpec(0.55)
         c = auto_cutoff(spec, bound=1e-10)
@@ -252,6 +285,27 @@ class TestSpecs:
             state = make_state(CoherentSpec(2.0, 0.0), cutoff=4)
         assert state.leakage > 1e-3
         assert abs(state.trace + state.leakage - 1.0) < 1e-6
+
+
+class TestCoherentAmplitudes:
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3, 1 + 2j, 5.0, 10 - 3j, -14.9, 15j])
+    def test_match_the_gammaln_formula(self, alpha):
+        r = abs(alpha)
+        for cutoff in (0, 1, 10, 100, 200, 300, 400):
+            n = np.arange(cutoff + 1)
+            log_mag = n * math.log(r) - 0.5 * r * r - 0.5 * gammaln(n + 1.0)
+            ref = np.exp(log_mag + 1j * n * np.angle(alpha))
+            got = coherent_amplitudes(alpha, cutoff)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-300)
+
+    def test_vacuum_amplitudes(self):
+        assert np.array_equal(coherent_amplitudes(0.0, 5), np.eye(6)[0])
+
+    def test_large_amplitude_at_its_auto_cutoff_stays_finite(self):
+        # |alpha|^n overflows at this cutoff; the amplitudes do not
+        spec = CoherentSpec(15.0, 0.0)
+        state = make_state(spec, auto_cutoff(spec))
+        assert abs(state.trace + state.leakage - 1.0) < 1e-12
 
 
 class TestDensityMatrix:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from stokespace import (
     CoherentSpec,
@@ -10,9 +11,12 @@ from stokespace import (
     MixtureSpec,
     QuadratureConfig,
     QuadratureError,
+    TOL,
     TmsvSpec,
+    TwoModeState,
     VacuumSpec,
     char_fn,
+    coherent_amplitudes,
     coherent_stokes,
     direction_to_beamsplitter,
     find_node,
@@ -257,6 +261,32 @@ class TestFindNode:
         d = direction_to_beamsplitter([0.0, 0.0, 1.0])
         node = find_node(state, d, tau=0.0, t_interval=(0.2, 2.0))
         assert node == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("source, axis, tau", [
+        ("hom", [0.0, 0.0, 1.0], 0.3),
+        ("superposition", [0.0, 1.0, 0.0], 0.2),
+    ])
+    def test_bisection_agrees_with_brentq(self, source, axis, tau):
+        if source == "hom":
+            state = make_state(HomInputSpec(), cutoff=3)
+        else:
+            # |1.2, 0> - |0, 0.8i>, which has a sign change near t = 0.87
+            vac = coherent_amplitudes(0.0, 30)
+            amp = (np.outer(coherent_amplitudes(1.2, 30), vac)
+                   - np.outer(vac, coherent_amplitudes(0.8j, 30)))
+            state = TwoModeState(30, ((1.0, amp / np.linalg.norm(amp)),))
+        d = direction_to_beamsplitter(axis)
+        dist = joint_photon_distribution(state, d)
+
+        def f(t):
+            return mgf_from_distribution(dist, t, tau).real
+
+        ts = np.linspace(-3.0, 3.0, TOL.node_scan_points)
+        vals = [f(t) for t in ts]
+        i = next(i for i in range(len(ts) - 1) if vals[i] * vals[i + 1] < 0.0)
+        ref = brentq(f, ts[i], ts[i + 1], xtol=TOL.node_xtol)
+        node = find_node(state, d, tau=tau, t_interval=(-3.0, 3.0))
+        assert abs(node - ref) <= TOL.node_xtol
 
     def test_hom_no_node_along_x(self):
         state = make_state(HomInputSpec(), cutoff=3)
