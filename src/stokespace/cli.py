@@ -33,7 +33,7 @@ from .fock import (
     spec_from_json,
     spec_to_json,
 )
-from .mgf import MgfQuery, mgf_from_distribution, sphere_grid, surface_map
+from .mgf import mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
     _verdict,
@@ -178,22 +178,24 @@ def cmd_mgf(args) -> int:
     cfg = _resolve_config(args)
     state, _, _ = _build_state(cfg)
     directions = args.direction or [np.array([0.0, 0.0, 1.0])]
-    ts = args.t or [complex(1.0)]
-    taus = args.tau or [0.0]
-    rows = []
+    t, tau = (
+        g.ravel()
+        for g in np.meshgrid(args.t or [1.0], args.tau or [0.0], indexing="ij")
+    )
+    t = t.astype(complex)
+    _warn_divergent(state.leakage, 1.0 + t - tau, 1.0 - t - tau)
+    blocks = []
     for e in directions:
         d = direction_to_beamsplitter(e)
-        queries = [MgfQuery(d, t, tau) for t in ts for tau in taus]
-        dist = joint_photon_distribution(state, d)
-        for q in queries:
-            _warn_divergent(state.leakage, q.z_a, q.z_b)
-            v = mgf_from_distribution(dist, q.t, q.tau)
-            rows.append((*d.e, q.t.real, q.t.imag, q.tau, v.real, v.imag))
+        v = mgf_from_distribution(joint_photon_distribution(state, d), t, tau)
+        blocks.append(np.column_stack(
+            [np.tile(d.e, (t.size, 1)), t.real, t.imag, tau, v.real, v.imag]
+        ))
     path = cfg.out / "mgf.csv"
     _write_csv(
         path,
         ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"],
-        np.array(rows, dtype=float),
+        np.vstack(blocks),
         cfg.timestamp,
     )
     print(path)
@@ -251,6 +253,8 @@ def cmd_tmsv_scan(args) -> int:
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     if not np.all((kappas >= 0.0) & (kappas < 1.0)):
         raise ValueError("tanh xi must lie in [0, 1)")
+    if np.any(taus < 0.0):
+        raise ValueError("tau must be >= 0")
     d = direction_to_beamsplitter(np.array([0.0, 0.0, 1.0]))
     dets = []
     for kappa in kappas:
@@ -315,6 +319,8 @@ def cmd_nctest(args) -> int:
 
 
 def cmd_clicks(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     cfg = _resolve_config(args)
     state, spec, cutoff = _build_state(cfg)
     e = args.direction if args.direction is not None else np.array([0.0, 0.0, 1.0])
@@ -341,21 +347,18 @@ def cmd_clicks(args) -> int:
     if args.samples:
         samples = sample_clicks(clicks, args.samples, cfg.seed)
 
-    moment_rows = []
-    for k in range(cfg_a.apds + 1):
-        for l in range(cfg_b.apds + 1):
-            t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
-            mu = moments_from_clicks(clicks, k, l)
-            direct = mgf_from_distribution(dist, t, tau).real
-            if samples is not None:
-                est, err = estimate_mgf_from_samples(samples, k, l, cfg_a, cfg_b)
-                moment_rows.append((k, l, t, tau, mu, direct, est, err))
-            else:
-                moment_rows.append((k, l, t, tau, mu, direct, "", ""))
+    k, l = i.ravel(), j.ravel()
+    t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
+    mu = moments_from_clicks(clicks, k, l)
+    direct = mgf_from_distribution(dist, t, tau).real
+    if samples is not None:
+        est, err = estimate_mgf_from_samples(samples, k, l, cfg_a, cfg_b)
+    else:
+        est = err = ("",) * k.size
     _write_csv(
         cfg.out / "moments.csv",
         ["k", "l", "t", "tau", "mu", "mgf", "estimate", "std_error"],
-        moment_rows,
+        list(zip(k, l, t, tau, mu, direct, est, err)),
         cfg.timestamp,
     )
 

@@ -3,9 +3,10 @@
 Each output mode feeds a balanced array of D avalanche photodiodes with
 quantum efficiency eta, dark-count parameter nu per diode, and an
 attenuation factor eps applied before the split.  Click statistics are
-computed exactly from the joint photon-number distribution; normalized
-"silent diode" moments of the click counts reconstruct the generating
-function on a lattice of (t, tau) points inside its existence wedge.
+computed exactly from the joint photon-number distribution for any D,
+as sums of nonnegative terms only; normalized "silent diode" moments of
+the click counts reconstruct the generating function on a lattice of
+(t, tau) points inside its existence wedge.
 """
 
 from __future__ import annotations
@@ -21,11 +22,7 @@ from .fock import (
     MeasurementDirection,
     TwoModeState,
     _distribution_along,
-    power_sum,
 )
-
-# Alternating-sum inversion loses precision quickly with diode count.
-_MAX_APDS = 8
 
 
 @dataclass(frozen=True)
@@ -73,23 +70,29 @@ class ClickDistribution:
         return np.clip(self.c, 0.0, None)
 
 
-def _silent_prob_grid(
-    dist: JointPhotonDistribution,
-    cfg_a: ClickDetectorConfig,
-    cfg_b: ClickDetectorConfig,
-) -> np.ndarray:
-    """P[m, n]: probability that m chosen diodes of arm a and n of arm b are silent."""
-    da, db = cfg_a.apds, cfg_b.apds
-    grid = np.empty((da + 1, db + 1))
-    za = 1.0 - np.arange(da + 1) * (cfg_a.eps * cfg_a.eta / da)
-    zb = 1.0 - np.arange(db + 1) * (cfg_b.eps * cfg_b.eta / db)
-    for m in range(da + 1):
-        for n in range(db + 1):
-            grid[m, n] = power_sum(dist, za[m], zb[n]).real
-    dark = np.exp(-np.arange(da + 1) * cfg_a.nu)[:, None] * np.exp(
-        -np.arange(db + 1) * cfg_b.nu
-    )
-    return grid * dark
+def _click_matrix(cfg: ClickDetectorConfig, cutoff: int) -> np.ndarray:
+    """Q[i, n]: probability that n photons in one arm give i clicks.
+
+    Dark counts come first: each of the D diodes fires with probability
+    1 - exp(-nu), so column n = 0 is their binomial, built diode by diode.
+    Then photon by photon: with q = eps eta, a photon lights one of the
+    D - i diodes still dark with probability q (D - i) / D; otherwise it
+    is lost or lands on a lit diode and the count stays.  Every entry is
+    a sum of products of probabilities, so nothing cancels at any D (the
+    on-off model of Sperling, Vogel & Agarwal, PRA 85, 023820 (2012)).
+    """
+    d = cfg.apds
+    dark = -math.expm1(-cfg.nu)
+    light = cfg.eps * cfg.eta * (d - np.arange(d + 1)) / d
+    rows = np.zeros((cutoff + 1, d + 1))  # row n: clicks of n photons
+    rows[0, 0] = 1.0
+    for _ in range(d):
+        rows[0, 1:] = rows[0, 1:] * (1.0 - dark) + rows[0, :-1] * dark
+        rows[0, 0] *= 1.0 - dark
+    for n in range(cutoff):
+        rows[n + 1] = rows[n] * (1.0 - light)
+        rows[n + 1, 1:] += rows[n, :-1] * light[:-1]
+    return rows.T
 
 
 def click_distribution(
@@ -101,81 +104,71 @@ def click_distribution(
     """Exact joint click statistics after the measurement beam splitter.
 
     source is a TwoModeState, or its JointPhotonDistribution along
-    direction.  Uses inclusion-exclusion over silent-diode patterns;
-    diode counts above 8 are rejected because the alternating sums
-    become numerically unstable.
+    direction.  c = Q_a p Q_b^T with the per-arm click matrices of
+    _click_matrix, for any number of diodes.
     """
-    da, db = config_a.apds, config_b.apds
-    if da > _MAX_APDS or db > _MAX_APDS:
-        raise NumericalError(f"diode counts above {_MAX_APDS} are not supported")
     dist = _distribution_along(source, direction)
-    grid = _silent_prob_grid(dist, config_a, config_b)
-    signed_a = [
-        np.array([math.comb(i, r) * (-1.0) ** r for r in range(i + 1)])
-        for i in range(da + 1)
-    ]
-    signed_b = [
-        np.array([math.comb(j, s) * (-1.0) ** s for s in range(j + 1)])
-        for j in range(db + 1)
-    ]
-    c = np.zeros((da + 1, db + 1))
-    for i in range(da + 1):
-        for j in range(db + 1):
-            # pairwise summation keeps the alternating cancellation benign
-            block = grid[da - i : da + 1, db - j : db + 1]
-            terms = np.outer(signed_a[i], signed_b[j]) * block
-            c[i, j] = math.comb(da, i) * math.comb(db, j) * np.sum(terms)
-    total = float(c.sum())
-    # inclusion-exclusion telescopes back to the box trace
-    if abs(total - float(grid[0, 0])) > TOL.click_norm:
+    qa, qb = (_click_matrix(cfg, dist.cutoff) for cfg in (config_a, config_b))
+    c = qa @ dist.p @ qb.T
+    # every column of Q sums to one, so the clicks keep the box trace
+    total, trace = float(c.sum()), float(dist.p.sum())
+    if abs(total - trace) > TOL.click_norm:
         raise NumericalError(
-            f"click probabilities sum to {total:.12f}, expected {grid[0, 0]:.12f}"
+            f"click probabilities sum to {total:.12f}, expected {trace:.12f}"
         )
     return ClickDistribution(
         c=c, direction=direction, config_a=config_a, config_b=config_b
     )
 
 
-def _moment_weights(da: int, db: int, k: int, l: int) -> np.ndarray:
-    """w[i, j] = C(da-i, k) C(db-j, l) / (C(da, k) C(db, l))."""
-    if not 0 <= k <= da:
+def _moment_weights(d: int) -> np.ndarray:
+    """W[i, k] = C(d - i, k) / C(d, k): the order-k silent-diode weight of i clicks."""
+    return np.array(
+        [[math.comb(d - i, k) / math.comb(d, k) for k in range(d + 1)]
+         for i in range(d + 1)]
+    )
+
+
+def _moment_orders(
+    k, l, config_a: ClickDetectorConfig, config_b: ClickDetectorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """k and l as arrays, checked against the diode counts."""
+    k, l = np.asarray(k), np.asarray(l)
+    if np.any((k < 0) | (k > config_a.apds)):
         raise ValueError("k must lie in 0..D_a")
-    if not 0 <= l <= db:
+    if np.any((l < 0) | (l > config_b.apds)):
         raise ValueError("l must lie in 0..D_b")
-    wa = np.array([math.comb(da - i, k) for i in range(da + 1)], dtype=float)
-    wb = np.array([math.comb(db - j, l) for j in range(db + 1)], dtype=float)
-    return np.outer(wa / math.comb(da, k), wb / math.comb(db, l))
+    return k, l
 
 
 def moments_from_clicks(
-    clicks: ClickDistribution, k: int, l: int, correct_dark: bool = True
-) -> float:
+    clicks: ClickDistribution, k, l, correct_dark: bool = True
+) -> float | np.ndarray:
     """Normalized silent-diode moment mu_{k,l} of a click distribution.
 
-    With dark correction the result equals the generating function at
-    the lattice point given by click_moment_to_mgf_point exactly (up to
+    k and l broadcast; the whole table of moments is W_a^T c W_b.  With
+    dark correction the result equals the generating function at the
+    lattice point given by click_moment_to_mgf_point exactly (up to
     truncation of the underlying state).
     """
     cfg_a, cfg_b = clicks.config_a, clicks.config_b
-    w = _moment_weights(cfg_a.apds, cfg_b.apds, k, l)
-    mu = float(np.sum(w * clicks.c))
+    k, l = _moment_orders(k, l, cfg_a, cfg_b)
+    table = _moment_weights(cfg_a.apds).T @ clicks.c @ _moment_weights(cfg_b.apds)
+    mu = table[k, l]
     if correct_dark:
-        mu *= math.exp(k * cfg_a.nu + l * cfg_b.nu)
+        mu = mu * np.exp(k * cfg_a.nu + l * cfg_b.nu)
     return mu
 
 
 def click_moment_to_mgf_point(
-    k: int, l: int, config_a: ClickDetectorConfig, config_b: ClickDetectorConfig
-) -> tuple[float, float]:
-    """(t, tau) probed by the dark-corrected moment mu_{k,l}.
+    k, l, config_a: ClickDetectorConfig, config_b: ClickDetectorConfig
+) -> tuple:
+    """(t, tau) probed by the dark-corrected moment mu_{k,l}; k and l broadcast.
 
     The lattice always satisfies |t| <= tau, so every accessible point
     lies inside the existence wedge of the generating function.
     """
-    if not 0 <= k <= config_a.apds:
-        raise ValueError("k must lie in 0..D_a")
-    if not 0 <= l <= config_b.apds:
-        raise ValueError("l must lie in 0..D_b")
+    k, l = _moment_orders(k, l, config_a, config_b)
     u = k * config_a.eps * config_a.eta / (2.0 * config_a.apds)
     v = l * config_b.eps * config_b.eta / (2.0 * config_b.apds)
     return v - u, u + v
@@ -265,13 +258,13 @@ def sample_clicks(clicks: ClickDistribution, n: int, seed: int) -> ClickSampleSe
 
 def estimate_mgf_from_samples(
     samples: ClickSampleSet,
-    k: int,
-    l: int,
+    k,
+    l,
     config_a: ClickDetectorConfig,
     config_b: ClickDetectorConfig,
-    correct_dark: bool = True,
-) -> tuple[float, float]:
-    """(estimate, standard error) of mu_{k,l} from finite click counts.
+) -> tuple:
+    """(estimate, standard error) of the dark-corrected mu_{k,l} from finite
+    click counts; k and l broadcast.
 
     The estimate is the sample mean of the silent-diode weight; the
     error is the sample standard deviation over sqrt(n), both scaled by
@@ -279,16 +272,19 @@ def estimate_mgf_from_samples(
     """
     if samples.counts.shape != (config_a.apds + 1, config_b.apds + 1):
         raise ValueError("sample shape does not match detector configuration")
-    w = _moment_weights(config_a.apds, config_b.apds, k, l)
+    k, l = _moment_orders(k, l, config_a, config_b)
+    wa, wb = _moment_weights(config_a.apds), _moment_weights(config_b.apds)
     n = samples.n_total
     counts = samples.counts.astype(float)
-    mean = float(np.sum(counts * w)) / n
+    mean = (wa.T @ counts @ wb)[k, l] / n
     if n > 1:
-        var = float(np.sum(counts * (w - mean) ** 2)) / (n - 1)
+        # the weight of one run factorizes, so its square does too
+        square = ((wa**2).T @ counts @ wb**2)[k, l]
+        var = np.maximum(square - n * mean**2, 0.0) / (n - 1)
     else:
-        var = 0.0
-    scale = math.exp(k * config_a.nu + l * config_b.nu) if correct_dark else 1.0
-    return mean * scale, math.sqrt(var / n) * scale
+        var = np.zeros_like(mean)
+    scale = np.exp(k * config_a.nu + l * config_b.nu)
+    return mean * scale, np.sqrt(var / n) * scale
 
 
 def _config_to_json(cfg: ClickDetectorConfig) -> dict:

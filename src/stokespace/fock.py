@@ -366,13 +366,11 @@ def _coherent_leakage(alpha: complex, beta: complex, cutoff: int) -> float:
     return float(_coherent_leakages(alpha, beta, cutoff)[cutoff])
 
 
-def make_state(
-    spec: StateSpec, cutoff: int, leakage_bound: float = TOL.leakage_bound
-) -> TwoModeState:
+def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     """Build the truncated state a StateSpec describes.
 
     Emits a TruncationWarning when the analytic leakage estimate exceeds
-    leakage_bound (default 1e-10).
+    TOL.leakage_bound.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -409,20 +407,23 @@ def make_state(
         comps = tuple(comps)
     else:
         raise ValueError(f"unknown state spec {spec!r}")
-    if leak > leakage_bound:
+    if leak > TOL.leakage_bound:
         warnings.warn(
             f"cutoff {cutoff} leaves {leak:.3e} probability mass behind "
-            f"(requested bound {leakage_bound:.1e})",
+            f"(requested bound {TOL.leakage_bound:.1e})",
             TruncationWarning,
             stacklevel=2,
         )
     return TwoModeState(cutoff=cutoff, components=comps, leakage=leak)
 
 
-def auto_cutoff(
-    spec: StateSpec, bound: float = TOL.leakage_bound, max_cutoff: int = 512
-) -> int:
-    """Smallest cutoff whose analytic leakage estimate stays below bound."""
+# largest cutoff auto_cutoff returns
+_MAX_AUTO_CUTOFF = 512
+
+
+def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
+    """Smallest cutoff whose analytic leakage estimate stays below bound,
+    at most _MAX_AUTO_CUTOFF."""
     if isinstance(spec, VacuumSpec):
         return 2
     if isinstance(spec, HomInputSpec):
@@ -433,15 +434,14 @@ def auto_cutoff(
             return 2
         # smallest c with kappa^(2 (c + 1)) < bound
         c = int(math.ceil(math.log(bound) / (2.0 * math.log(kappa)) - 1.0))
-        return min(max(2, c), max_cutoff)
+        return min(max(2, c), _MAX_AUTO_CUTOFF)
     if isinstance(spec, CoherentSpec):
-        leak = _coherent_leakages(spec.alpha, spec.beta, max_cutoff)
+        leak = _coherent_leakages(spec.alpha, spec.beta, _MAX_AUTO_CUTOFF)
         below = np.flatnonzero(leak[2:] < bound)
-        return 2 + int(below[0]) if below.size else max_cutoff
+        return 2 + int(below[0]) if below.size else _MAX_AUTO_CUTOFF
     if isinstance(spec, MixtureSpec):
         return max(
-            auto_cutoff(CoherentSpec(a, b), bound, max_cutoff)
-            for _, a, b in spec.components
+            auto_cutoff(CoherentSpec(a, b), bound) for _, a, b in spec.components
         )
     raise ValueError(f"unknown state spec {spec!r}")
 
@@ -761,16 +761,11 @@ def _power_sum(p: np.ndarray, z_a, z_b):
     return (va[..., None, :] @ (p @ vb[..., :, None]))[..., 0, 0]
 
 
-def power_sum(dist: JointPhotonDistribution, z_a: complex, z_b: complex) -> complex:
-    """<z_a^n_a z_b^n_b> over an already-computed joint distribution."""
-    return complex(_power_sum(dist.p, z_a, z_b))
-
-
-def _warn_divergent(leakage: float, z_a: complex, z_b: complex) -> None:
-    """ConvergenceWarning for a kernel outside the unit disc on a leaky state."""
-    if (abs(z_a) > 1.0 + 1e-12 or abs(z_b) > 1.0 + 1e-12) and (
-        leakage > TOL.convergence_leakage
-    ):
+def _warn_divergent(leakage: float, z_a, z_b) -> None:
+    """One ConvergenceWarning when any kernel (z_a, z_b) lies outside the
+    unit disc and the state is leaky; z_a and z_b may be arrays."""
+    outside = (np.abs(z_a) > 1.0 + 1e-12) | (np.abs(z_b) > 1.0 + 1e-12)
+    if leakage > TOL.convergence_leakage and np.any(outside):
         warnings.warn(
             "kernel lies beyond the guaranteed-existence region and the "
             f"state has leakage {leakage:.2e}; the truncated sum may "
@@ -793,17 +788,7 @@ def power_expectation(
     non-negligible truncated mass.
     """
     _warn_divergent(state.leakage, z_a, z_b)
-    return power_sum(joint_photon_distribution(state, direction), z_a, z_b)
-
-
-def factorial_moment(
-    state: TwoModeState, direction: MeasurementDirection, p: int, q: int
-) -> float:
-    """Normally ordered moment <: n_a^p n_b^q :> of the output modes."""
-    if p < 0 or q < 0:
-        raise ValueError("moment orders must be >= 0")
-    dist = joint_photon_distribution(state, direction)
-    return distribution_factorial_moment(dist, p, q)
+    return complex(_power_sum(joint_photon_distribution(state, direction).p, z_a, z_b))
 
 
 def _falling(n: np.ndarray, p: int) -> np.ndarray:

@@ -83,10 +83,19 @@ def mgf(state: TwoModeState, query: MgfQuery) -> complex:
 
 
 def mgf_from_distribution(
-    dist: JointPhotonDistribution, t: complex, tau: float
-) -> complex:
-    """Same kernel sum on a distribution that was already computed."""
-    return complex(_power_sum(dist.p, 1.0 + t - tau, 1.0 - t - tau))
+    dist: JointPhotonDistribution, t, tau
+) -> complex | np.ndarray:
+    """M(t e; tau) on a distribution that was already computed.
+
+    t and tau broadcast against each other: scalars give a complex, arrays
+    give an array of that shape from one kernel sum.  Raises ValueError
+    for any tau < 0.
+    """
+    t, tau = np.asarray(t), np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be >= 0")
+    value = _power_sum(dist.p, 1.0 + t - tau, 1.0 - t - tau)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def mgf_closed_form(
@@ -188,8 +197,7 @@ def surface_map(
     if not directions:
         return []
     query = MgfQuery(directions[0], t, tau)
-    for _ in directions:  # one warning per point, as from mgf()
-        _warn_divergent(state.leakage, query.z_a, query.z_b)
+    _warn_divergent(state.leakage, query.z_a, query.z_b)
     p, _ = rotate_many(state, directions)
     samples = []
     for direction, value in zip(directions, _power_sum(p, query.z_a, query.z_b)):
@@ -223,9 +231,6 @@ class QuadratureConfig:
     """Polar tensor quadrature: Gauss-Legendre in r^2, trapezoid in angle."""
 
     n_radial: int = 48
-    n_angular: int | None = None  # default: enough for exact angular sums
-    rtol: float = TOL.quadrature_rtol
-    check: bool = True
 
 
 def _radial_cutoff(lam: float, degree: int) -> float:
@@ -299,14 +304,12 @@ def mgf_via_husimi_quadrature(
         raise ValueError("requires 0 <= tau -+ t < 1 for an integrable kernel")
     quad = quad or QuadratureConfig()
     rotated = beam_splitter(state, direction.T, direction.R)
-    n_phi = quad.n_angular or (2 * state.cutoff + 3)
+    n_phi = 2 * state.cutoff + 3  # enough for exact angular sums
     coarse = _husimi_quadrature_value(rotated, lam_a, lam_b, quad.n_radial, n_phi)
-    if not quad.check:
-        return coarse
     fine = _husimi_quadrature_value(
         rotated, lam_a, lam_b, quad.n_radial + 16, n_phi + 4
     )
-    if abs(fine - coarse) > quad.rtol * max(abs(fine), abs(coarse), 1e-3):
+    if abs(fine - coarse) > TOL.quadrature_rtol * max(abs(fine), abs(coarse), 1e-3):
         raise QuadratureError(
             f"Husimi quadrature did not converge: {coarse!r} vs {fine!r}"
         )
@@ -335,11 +338,7 @@ def find_node(
         raise ValueError("t_interval must satisfy t_min < t_max")
     dist = joint_photon_distribution(state, direction)
     ts = np.linspace(a, b, TOL.node_scan_points)
-    c = dist.cutoff
-    n = np.arange(c + 1)
-    za = (1.0 + ts - tau)[:, None] ** n[None, :]
-    zb = (1.0 - ts - tau)[:, None] ** n[None, :]
-    vals = np.einsum("ti,ij,tj->t", za, dist.p, zb)
+    vals = mgf_from_distribution(dist, ts, tau).real
 
     for i in range(len(ts) - 1):
         if vals[i] == 0.0:

@@ -71,13 +71,12 @@ def mgf_matrix(
     source is a TwoModeState, or its JointPhotonDistribution along
     spec.direction when the caller already has one.
     """
-    dist = _distribution_along(source, spec.direction)
-    m = len(spec.points)
-    out = np.empty((m, m), dtype=complex)
-    for p, (tp, taup) in enumerate(spec.points):
-        for q, (tq, tauq) in enumerate(spec.points):
-            out[p, q] = mgf_from_distribution(dist, np.conj(tp) + tq, taup + tauq)
-    return out
+    t, tau = np.array(spec.points).T
+    return mgf_from_distribution(
+        _distribution_along(source, spec.direction),
+        np.conj(t)[:, None] + t,
+        (tau[:, None] + tau).real,
+    )
 
 
 def matrix_verdict(
@@ -116,11 +115,12 @@ def second_order_det(
     Cauchy-Schwarz inequality keeps it >= 0.  source is a TwoModeState,
     or its JointPhotonDistribution along direction.
     """
-    dist = _distribution_along(source, direction)
-    m11 = mgf_from_distribution(dist, 2.0 * complex(t).real, 2.0 * tau).real
-    m22 = mgf_from_distribution(dist, 2.0 * complex(t2).real, 2.0 * tau2).real
-    m12 = mgf_from_distribution(dist, np.conj(t) + t2, tau + tau2)
-    return float(m11 * m22 - (m12.real**2 + m12.imag**2))
+    m11, m22, m12 = mgf_from_distribution(
+        _distribution_along(source, direction),
+        [2.0 * complex(t).real, 2.0 * complex(t2).real, np.conj(t) + t2],
+        [2.0 * tau, 2.0 * tau2, tau + tau2],
+    )
+    return float(m11.real * m22.real - (m12.real**2 + m12.imag**2))
 
 
 def cauchy_schwarz_violation(

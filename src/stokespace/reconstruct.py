@@ -283,8 +283,7 @@ def _state_grid_values(
     axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
-    for za, zb in zip(z_a, z_b):
-        _warn_divergent(state.leakage, za, zb)
+    _warn_divergent(state.leakage, z_a, z_b)
     vals = np.empty(todo.size, dtype=complex)
     step = max(1, _BATCH_DOUBLES // (state.cutoff + 1) ** 2)
     for lo in range(0, todo.size, step):

@@ -115,6 +115,30 @@ def test_tmsv_scan_checks_the_whole_range_first(tmp_path, monkeypatch):
     assert not (tmp_path / "tmsv_scan.csv").exists()
 
 
+def test_tmsv_scan_rejects_negative_tau_first(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+
+    calls = []
+    rotate = cli.joint_photon_distribution
+
+    def counting(state, direction):
+        calls.append(direction)
+        return rotate(state, direction)
+
+    monkeypatch.setattr(cli, "joint_photon_distribution", counting)
+    assert main(["tmsv-scan", "--out", str(tmp_path), "--tau-min", "-0.5",
+                 "--tau-max", "0.1", "--tau-steps", "3", "--kappa-steps", "2",
+                 "--no-timestamp"]) == 2
+    assert calls == []
+    assert not (tmp_path / "tmsv_scan.csv").exists()
+
+
+def test_clicks_rejects_negative_samples_before_writing(tmp_path):
+    assert main(["clicks", "--state", HOM, "--out", str(tmp_path),
+                 "--samples", "-5", "--no-timestamp"]) == 2
+    assert not (tmp_path / "clicks.csv").exists()
+
+
 def test_nctest_battery(tmp_path):
     assert main(["nctest", "--state", HOM, "--out", str(tmp_path),
                  "--direction", "1,0,0", "--no-timestamp"]) == 0
@@ -286,7 +310,13 @@ def test_error_exit_codes(tmp_path):
     assert main(["mgf", "--state", '{"kind": "nope"}', "--out", out]) == 2
     assert main(["mgf", "--state", "{not json", "--out", out]) == 2
     assert main(["mgf", "--state", "/does/not/exist.json", "--out", out]) == 2
-    assert main(["clicks", "--state", VAC, "--out", out, "--apds-a", "9"]) == 3
+    with warnings.catch_warnings():
+        # a point far outside the grid: the inversion warns, then the MC
+        # oracle finds no sample on the grid
+        warnings.simplefilter("ignore")
+        assert main(["reconstruct", "--out", out, "--n-points", "8",
+                     "--ensemble", '{"points": [[{"re": 10, "im": 0}, '
+                     '{"re": 0, "im": 0}]]}', "--mc-oracle", "10000"]) == 3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fails after the inversion ran
         assert main(["reconstruct", "--out", out, "--mc-oracle", "20000",

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,13 +20,17 @@ from stokespace import (
     clicks_to_json,
     direction_to_beamsplitter,
     estimate_mgf_from_samples,
+    joint_photon_distribution,
     make_state,
     mgf,
+    mgf_from_distribution,
     moments_from_clicks,
     power_expectation,
     sample_clicks,
     samples_to_json,
+    spec_from_json,
 )
+from stokespace.detector import _click_matrix
 from conftest import random_direction, random_low_state
 
 D_Z = direction_to_beamsplitter([0.0, 0.0, 1.0])
@@ -77,11 +82,53 @@ class TestClickDistribution:
         ])
         assert np.max(np.abs(clicks.c - ref)) < 1e-12
 
-    def test_too_many_diodes_rejected(self):
-        state = make_state(VacuumSpec(), cutoff=2)
-        with pytest.raises(NumericalError):
-            click_distribution(state, D_Z, ClickDetectorConfig(apds=9),
-                               ClickDetectorConfig())
+    @pytest.mark.parametrize("apds", [9, 16])
+    def test_many_diodes_stay_positive_and_hit_the_mgf(self, rng, apds):
+        state = random_low_state(rng, cutoff=8, n_max=8)
+        d = random_direction(rng)
+        cfg_a = ClickDetectorConfig(apds=apds, eta=0.8, nu=0.05, eps=0.9)
+        cfg_b = ClickDetectorConfig(apds=apds, eta=0.6, nu=0.02)
+        clicks = click_distribution(state, d, cfg_a, cfg_b)
+        assert clicks.c.min() >= 0.0
+        k, l = (g.ravel() for g in np.indices(clicks.c.shape))
+        t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
+        dist = joint_photon_distribution(state, d)
+        ref = mgf_from_distribution(dist, t, tau).real
+        assert np.max(np.abs(moments_from_clicks(clicks, k, l) - ref)) < 1e-12
+
+    def test_click_matrix_matches_exact_inclusion_exclusion(self):
+        # P(i | n) = C(D, i) sum_r (-1)^r C(i, r) s_(D-i+r), where
+        # s_m = (1 - m q / D)^n (1 - f)^m is the chance that m given
+        # diodes stay silent; exact in rationals, so no cancellation
+        for eta, eps, nu in ((1.0, 1.0, 0.0), (0.8, 0.9, 0.05), (0.35, 0.6, 0.3)):
+            q = Fraction(eps * eta)
+            silent = Fraction(math.exp(-nu))
+            for apds in (1, 2, 3, 5, 8, 9, 12, 16):
+                cfg = ClickDetectorConfig(apds=apds, eta=eta, nu=nu, eps=eps)
+                got = _click_matrix(cfg, 30)
+                ref = np.array([[float(
+                    math.comb(apds, i) * sum(
+                        (-1) ** r * math.comb(i, r)
+                        * (1 - (apds - i + r) * q / apds) ** n
+                        * silent ** (apds - i + r)
+                        for r in range(i + 1)))
+                    for n in range(31)] for i in range(apds + 1)])
+                assert np.max(np.abs(got - ref)) < 1e-15, (eta, eps, nu, apds)
+
+    def test_weak_mixture_at_eight_diodes_has_no_negative_clicks(self):
+        # at 8 + 8 diodes an alternating inclusion-exclusion sum turns a
+        # ~1e-14 click probability into -2.2e-10 on this state
+        spec, _ = spec_from_json({"kind": "mixture", "components": [
+            {"weight": 0.57, "alpha": {"re": -0.303, "im": 0.528},
+             "beta": {"re": -0.376, "im": 0.262}},
+            {"weight": 0.43, "alpha": {"re": 0.349, "im": 0.297},
+             "beta": {"re": 0.348, "im": -0.5}},
+        ]})
+        state = make_state(spec, cutoff=16)
+        cfg_a = ClickDetectorConfig(apds=8, eta=0.8, nu=0.01)
+        cfg_b = ClickDetectorConfig(apds=8, eta=0.8, nu=0.02)
+        clicks = click_distribution(state, D_Z, cfg_a, cfg_b)
+        assert clicks.c.min() >= 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

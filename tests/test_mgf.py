@@ -138,6 +138,29 @@ class TestMgfStructure:
             mgf(state, MgfQuery(d, t, tau)), abs=1e-14
         )
 
+    def test_from_distribution_broadcasts(self, rng):
+        state = random_low_state(rng, cutoff=5, n_max=5)
+        d = random_direction(rng)
+        dist = joint_photon_distribution(state, d)
+        ts = np.array([-0.3, 0.1 + 0.4j, 0.25])
+        taus = np.array([0.0, 0.3, 0.6, 1.2])
+        grid = mgf_from_distribution(dist, ts[:, None], taus[None, :])
+        assert grid.shape == (3, 4)
+        for i, t in enumerate(ts):
+            for j, tau in enumerate(taus):
+                assert grid[i, j] == pytest.approx(
+                    mgf_from_distribution(dist, t, tau), abs=1e-14
+                )
+
+    def test_from_distribution_rejects_negative_tau(self, rng):
+        dist = joint_photon_distribution(
+            random_low_state(rng, cutoff=3, n_max=3), random_direction(rng)
+        )
+        with pytest.raises(ValueError):
+            mgf_from_distribution(dist, 0, -0.5)
+        with pytest.raises(ValueError):
+            mgf_from_distribution(dist, [0.0, 0.1], [0.2, -1e-3])
+
     def test_query_coordinates(self, rng):
         q = MgfQuery(random_direction(rng), 0.2 + 0.1j, 0.5)
         assert q.lambda_a == pytest.approx(0.3 - 0.1j)
