@@ -54,12 +54,9 @@ def main():
     print("  balanced splitter, points (t, 0) and (0, 0); negative values")
     print("  are impossible for classical light")
     ts = np.linspace(0.0, 2.5, 26)
-    rows = []
-    for t in ts:
-        det = second_order_det(state, balanced, float(t), 0.0, 0.0, 0.0)
-        rows.append((float(t), det))
+    dets = second_order_det(dist, balanced, ts, 0.0, 0.0, 0.0)  # one kernel sum
     for t in (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0):
-        det = second_order_det(state, balanced, t, 0.0, 0.0, 0.0)
+        det = second_order_det(dist, balanced, t, 0.0, 0.0, 0.0)
         tag = "nonclassical" if det < -1e-9 else "inconclusive"
         print(f"  t = {t:.4f}:  det = {det:+.6f}  ({tag})")
     print("  the sign flips exactly at t = sqrt(2) ~ 1.4142")
@@ -67,7 +64,7 @@ def main():
     with open("hom_determinant.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "determinant"])
-        for t, det in rows:
+        for t, det in zip(ts, dets):
             w.writerow([f"{t:.10g}", f"{det:.10g}"])
     print("\nwrote hom_determinant.csv")
 

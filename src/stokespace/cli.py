@@ -21,15 +21,13 @@ import numpy as np
 from .config import NumericalError
 from .fock import (
     HomInputSpec,
-    JointPhotonDistribution,
     TmsvSpec,
     VacuumSpec,
-    _warn_divergent,
+    _distributions,
     auto_cutoff,
     direction_to_beamsplitter,
     joint_photon_distribution,
     make_state,
-    rotate_many,
     spec_from_json,
     spec_to_json,
 )
@@ -183,7 +181,6 @@ def cmd_mgf(args) -> int:
         for g in np.meshgrid(args.t or [1.0], args.tau or [0.0], indexing="ij")
     )
     t = t.astype(complex)
-    _warn_divergent(state.leakage, 1.0 + t - tau, 1.0 - t - tau)
     blocks = []
     for e in directions:
         d = direction_to_beamsplitter(e)
@@ -232,14 +229,10 @@ def cmd_hom_scan(args) -> int:
     axes = np.column_stack(
         [np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z]
     )
-    directions = [direction_to_beamsplitter(e) for e in axes]
-    p, clipped = rotate_many(state, directions)
-    dets = []
-    for d, p_d, c_d in zip(directions, p, clipped):
-        dist = JointPhotonDistribution(p_d, d, min(1.0, state.leakage + c_d))
-        dets.extend(second_order_det(dist, d, t, 0.0, 0.0, 0.0) for t in ts)
+    dists = _distributions(state, [direction_to_beamsplitter(e) for e in axes])
+    dets = [second_order_det(dist, dist.direction, ts, 0.0, 0.0, 0.0) for dist in dists]
     table = np.column_stack(
-        [np.repeat(t2_grid, len(ts)), np.tile(ts, len(t2_grid)), dets]
+        [np.repeat(t2_grid, len(ts)), np.tile(ts, len(t2_grid)), np.ravel(dets)]
     )
     path = cfg.out / "hom_scan.csv"
     _write_csv(path, ["T2", "t", "determinant"], table, cfg.timestamp)
@@ -261,9 +254,9 @@ def cmd_tmsv_scan(args) -> int:
         spec = TmsvSpec(xi=math.atanh(kappa))
         cutoff = cfg.cutoff if cfg.cutoff is not None else auto_cutoff(spec)
         dist = joint_photon_distribution(make_state(spec, cutoff), d)
-        dets.extend(second_order_det(dist, d, -tau, tau, tau, tau) for tau in taus)
+        dets.append(second_order_det(dist, d, -taus, taus, taus, taus))
     table = np.column_stack(
-        [np.repeat(kappas, len(taus)), np.tile(taus, len(kappas)), dets]
+        [np.repeat(kappas, len(taus)), np.tile(taus, len(kappas)), np.ravel(dets)]
     )
     path = cfg.out / "tmsv_scan.csv"
     _write_csv(path, ["tanh_xi", "tau", "determinant"], table, cfg.timestamp)
@@ -293,9 +286,8 @@ def cmd_nctest(args) -> int:
     rows.append(("matrix_min_eigenvalue", *d.e, *pair, report.value, report.verdict))
     phi = 1.0
     if args.k_norm != 0.0:
-        z = 1j * args.k_norm * float(np.linalg.norm(e))
-        _warn_divergent(state.leakage, 1.0 + z, 1.0 - z)
-        phi = mgf_from_distribution(dist, z, 0.0)
+        t_phi = 1j * args.k_norm * float(np.linalg.norm(e))
+        phi = mgf_from_distribution(dist, t_phi, 0.0)
     cf = 1.0 - abs(phi)
     rows.append(("char_fn", *d.e, *blank, cf, _verdict(cf, tol)))
     var_s, var_n = variance_criteria(dist, d)
@@ -399,9 +391,7 @@ def cmd_reconstruct(args) -> int:
         source = state
         source_json = spec_to_json(spec, cutoff)
 
-    values = mgf_imaginary_grid(
-        source, dual_grid(grid), tau, n_samples=args.n_samples, seed=cfg.seed
-    )
+    values = mgf_imaginary_grid(source, dual_grid(grid), tau)
     pess = invert_to_pess(values, grid, tau, window=args.window)
     save_pess(pess, cfg.out / "pess.bin")
 
@@ -537,8 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, help="damping (default 1/(2 r_grid))")
     p.add_argument("--window", default="raised-cosine",
                    choices=["raised-cosine", "none"])
-    p.add_argument("--n-samples", type=int, default=100000,
-                   help="draws when the ensemble only has a sampler")
     p.add_argument("--mc-oracle", type=int, default=0,
                    help="compare against a histogram of this many draws")
     p.set_defaults(func=cmd_reconstruct)

@@ -366,6 +366,18 @@ def _coherent_leakage(alpha: complex, beta: complex, cutoff: int) -> float:
     return float(_coherent_leakages(alpha, beta, cutoff)[cutoff])
 
 
+def _coherent_terms(spec: StateSpec):
+    """(weight, alpha, beta) terms of a vacuum, coherent or mixture spec,
+    each a mixture of coherent pairs; None for any other spec."""
+    if isinstance(spec, VacuumSpec):
+        return ((1.0, 0j, 0j),)
+    if isinstance(spec, CoherentSpec):
+        return ((1.0, spec.alpha, spec.beta),)
+    if isinstance(spec, MixtureSpec):
+        return spec.components
+    return None
+
+
 def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     """Build the truncated state a StateSpec describes.
 
@@ -375,16 +387,11 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     n = cutoff + 1
-    if isinstance(spec, VacuumSpec):
-        amp = np.zeros((n, n), dtype=complex)
-        amp[0, 0] = 1.0
-        comps, leak = ((1.0, amp),), 0.0
-    elif isinstance(spec, CoherentSpec):
-        amp = np.outer(
-            coherent_amplitudes(spec.alpha, cutoff),
-            coherent_amplitudes(spec.beta, cutoff),
-        )
-        comps, leak = ((1.0, amp),), _coherent_leakage(spec.alpha, spec.beta, cutoff)
+    terms = _coherent_terms(spec)
+    if terms is not None:
+        comps = [(w, np.outer(coherent_amplitudes(a, cutoff),
+                              coherent_amplitudes(b, cutoff))) for w, a, b in terms]
+        leak = sum(w * _coherent_leakage(a, b, cutoff) for w, a, b in terms)
     elif isinstance(spec, HomInputSpec):
         if cutoff < 1:
             raise ValueError("hom_input needs cutoff >= 1")
@@ -398,13 +405,6 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
         amp[np.arange(n), np.arange(n)] = diag
         comps = ((1.0, amp),)
         leak = kappa ** (2 * (cutoff + 1)) if kappa > 0 else 0.0
-    elif isinstance(spec, MixtureSpec):
-        comps, leak = [], 0.0
-        for w, a, b in spec.components:
-            amp = np.outer(coherent_amplitudes(a, cutoff), coherent_amplitudes(b, cutoff))
-            comps.append((w, amp))
-            leak += w * _coherent_leakage(a, b, cutoff)
-        comps = tuple(comps)
     else:
         raise ValueError(f"unknown state spec {spec!r}")
     if leak > TOL.leakage_bound:
@@ -424,8 +424,11 @@ _MAX_AUTO_CUTOFF = 512
 def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
     """Smallest cutoff whose analytic leakage estimate stays below bound,
     at most _MAX_AUTO_CUTOFF."""
-    if isinstance(spec, VacuumSpec):
-        return 2
+    terms = _coherent_terms(spec)
+    if terms is not None:  # the first cutoff that holds every pair below bound
+        leak = [_coherent_leakages(a, b, _MAX_AUTO_CUTOFF) for _, a, b in terms]
+        below = np.flatnonzero(np.max(leak, axis=0)[2:] < bound)
+        return 2 + int(below[0]) if below.size else _MAX_AUTO_CUTOFF
     if isinstance(spec, HomInputSpec):
         return 2
     if isinstance(spec, TmsvSpec):
@@ -435,14 +438,6 @@ def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
         # smallest c with kappa^(2 (c + 1)) < bound
         c = int(math.ceil(math.log(bound) / (2.0 * math.log(kappa)) - 1.0))
         return min(max(2, c), _MAX_AUTO_CUTOFF)
-    if isinstance(spec, CoherentSpec):
-        leak = _coherent_leakages(spec.alpha, spec.beta, _MAX_AUTO_CUTOFF)
-        below = np.flatnonzero(leak[2:] < bound)
-        return 2 + int(below[0]) if below.size else _MAX_AUTO_CUTOFF
-    if isinstance(spec, MixtureSpec):
-        return max(
-            auto_cutoff(CoherentSpec(a, b), bound) for _, a, b in spec.components
-        )
     raise ValueError(f"unknown state spec {spec!r}")
 
 
@@ -728,14 +723,19 @@ class JointPhotonDistribution:
         return self.p.shape[0] - 1
 
 
+def _distributions(state: TwoModeState, directions) -> list[JointPhotonDistribution]:
+    """Photon statistics along many axes from one batched rotation; each
+    leakage is the state's own plus the mass its axis clipped."""
+    p, clipped = rotate_many(state, directions)
+    leakage = np.minimum(1.0, state.leakage + clipped)
+    return [JointPhotonDistribution(*args) for args in zip(p, directions, leakage)]
+
+
 def joint_photon_distribution(
     state: TwoModeState, direction: MeasurementDirection
 ) -> JointPhotonDistribution:
     """Photon statistics of the splitter outputs along a Stokes axis."""
-    p, clipped = rotate_many(state, [direction])
-    return JointPhotonDistribution(
-        p=p[0], direction=direction, leakage=min(1.0, state.leakage + clipped[0])
-    )
+    return _distributions(state, [direction])[0]
 
 
 def _distribution_along(
@@ -762,14 +762,16 @@ def _power_sum(p: np.ndarray, z_a, z_b):
 
 
 def _warn_divergent(leakage: float, z_a, z_b) -> None:
-    """One ConvergenceWarning when any kernel (z_a, z_b) lies outside the
-    unit disc and the state is leaky; z_a and z_b may be arrays."""
+    """The existence rule: one ConvergenceWarning when any kernel (z_a, z_b)
+    lies outside the unit disc and leakage, the mass the summed distributions
+    miss (source truncation plus splitter clipping), exceeds
+    TOL.convergence_leakage; z_a and z_b may be arrays."""
     outside = (np.abs(z_a) > 1.0 + 1e-12) | (np.abs(z_b) > 1.0 + 1e-12)
     if leakage > TOL.convergence_leakage and np.any(outside):
         warnings.warn(
             "kernel lies beyond the guaranteed-existence region and the "
-            f"state has leakage {leakage:.2e}; the truncated sum may "
-            "be inaccurate",
+            f"distribution misses {leakage:.2e} of its mass; the truncated "
+            "sum may be inaccurate",
             ConvergenceWarning,
             stacklevel=3,
         )
@@ -784,11 +786,12 @@ def power_expectation(
     """Ordered moment <z_a^n_a z_b^n_b> of the output photon numbers.
 
     For |z| <= 1 the truncated sum converges unconditionally; outside
-    that disc a ConvergenceWarning is attached when the state carries
-    non-negligible truncated mass.
+    that disc a ConvergenceWarning is attached when the distribution
+    misses non-negligible mass.
     """
-    _warn_divergent(state.leakage, z_a, z_b)
-    return complex(_power_sum(joint_photon_distribution(state, direction).p, z_a, z_b))
+    dist = joint_photon_distribution(state, direction)
+    _warn_divergent(dist.leakage, z_a, z_b)
+    return complex(_power_sum(dist.p, z_a, z_b))
 
 
 def _falling(n: np.ndarray, p: int) -> np.ndarray:

@@ -9,27 +9,26 @@ where p is the joint photon distribution behind the splitter that
 realizes the axis e.  Equivalent damping parameters are
 lambda_a = tau - t and lambda_b = tau + t.  Existence is guaranteed for
 |Re t| <= tau; elsewhere the truncated sum is still evaluated but a
-warning is attached when the state leaks probability mass.
+warning is attached when the distribution misses probability mass.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, QuadratureError
+from .config import TOL, ConvergenceWarning, QuadratureError
 from .fock import (
-    CoherentSpec,
     HomInputSpec,
     JointPhotonDistribution,
     MeasurementDirection,
-    MixtureSpec,
     StateSpec,
     TmsvSpec,
     TwoModeState,
-    VacuumSpec,
+    _coherent_terms,
     _log_factorials,
     _power_sum,
     _warn_divergent,
@@ -89,12 +88,15 @@ def mgf_from_distribution(
 
     t and tau broadcast against each other: scalars give a complex, arrays
     give an array of that shape from one kernel sum.  Raises ValueError
-    for any tau < 0.
+    for any tau < 0.  Warns once when a kernel leaves the unit disc and
+    dist.leakage is not negligible.
     """
     t, tau = np.asarray(t), np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be >= 0")
-    value = _power_sum(dist.p, 1.0 + t - tau, 1.0 - t - tau)
+    z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
+    _warn_divergent(dist.leakage, z_a, z_b)
+    value = _power_sum(dist.p, z_a, z_b)
     return complex(value) if np.ndim(value) == 0 else value
 
 
@@ -103,21 +105,18 @@ def mgf_closed_form(
 ) -> complex:
     """Analytic M for the reference states.
 
-    coherent / mixture: exp(t e.S - tau ||S||) per component, any complex t.
+    vacuum / coherent / mixture: exp(t e.S - tau ||S||) per coherent pair,
+    any complex t.
     hom_input (|1,1>): (1 - tau)^2 + (1 - 2 e_z^2) t^2, any complex t.
     tmsv: closed form valid for real t with 0 <= lambda_a, lambda_b <= 1.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     e = direction.e
-    if isinstance(spec, VacuumSpec):
-        return 1.0 + 0.0j
-    if isinstance(spec, CoherentSpec):
-        sv = coherent_stokes(spec.alpha, spec.beta)
-        return complex(np.exp(t * float(e @ sv.S) - tau * sv.S0))
-    if isinstance(spec, MixtureSpec):
+    terms = _coherent_terms(spec)
+    if terms is not None:
         total = 0.0 + 0.0j
-        for w, a, b in spec.components:
+        for w, a, b in terms:
             sv = coherent_stokes(a, b)
             total += w * complex(np.exp(t * float(e @ sv.S) - tau * sv.S0))
         return total
@@ -188,17 +187,18 @@ def surface_map(
 ) -> list[SurfaceSample]:
     """Evaluate M(t e; tau) on a set of unit axes and radially map it.
 
-    All axes are rotated in one batch.  For real t on a physical state
-    the value is real; its imaginary rounding residue is dropped.  For
-    genuinely complex t the complex value scales the axis.
+    All axes are rotated in one batch, judged for existence on the
+    state's leakage plus the largest mass one axis clipped.  For real t
+    on a physical state the value is real; its imaginary rounding residue
+    is dropped.  For genuinely complex t the complex value scales the axis.
     """
     axes = np.asarray(axes, dtype=float).reshape(-1, 3)
     directions = [direction_to_beamsplitter(e) for e in axes]
     if not directions:
         return []
     query = MgfQuery(directions[0], t, tau)
-    _warn_divergent(state.leakage, query.z_a, query.z_b)
-    p, _ = rotate_many(state, directions)
+    p, clipped = rotate_many(state, directions)
+    _warn_divergent(state.leakage + clipped.max(), query.z_a, query.z_b)
     samples = []
     for direction, value in zip(directions, _power_sum(p, query.z_a, query.z_b)):
         value = complex(value)
@@ -331,7 +331,8 @@ def find_node(
     Pre-scans a uniform grid (TOL.node_scan_points points) and bisects
     the first bracket whose ends differ in sign until it is no wider than
     TOL.node_xtol; its midpoint is returned.  Returns None when M does
-    not change sign on the grid.
+    not change sign on the grid.  The pre-scan holds both ends of the
+    interval, so its one existence warning covers every later point.
     """
     a, b = float(t_interval[0]), float(t_interval[1])
     if not b > a:
@@ -345,17 +346,19 @@ def find_node(
             return float(ts[i])
         if vals[i] * vals[i + 1] < 0.0:
             lo, hi, negative = float(ts[i]), float(ts[i + 1]), vals[i] < 0.0
-            while hi - lo > TOL.node_xtol:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):  # no double left between the ends
-                    break
-                val = mgf_from_distribution(dist, mid, tau).real
-                if val == 0.0:
-                    return mid
-                if (val < 0.0) == negative:
-                    lo = mid
-                else:
-                    hi = mid
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                while hi - lo > TOL.node_xtol:
+                    mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):  # no double left between the ends
+                        break
+                    val = mgf_from_distribution(dist, mid, tau).real
+                    if val == 0.0:
+                        return mid
+                    if (val < 0.0) == negative:
+                        lo = mid
+                    else:
+                        hi = mid
             return 0.5 * (lo + hi)
     if vals[-1] == 0.0:
         return float(ts[-1])

@@ -104,23 +104,28 @@ def matrix_verdict(
 def second_order_det(
     source: TwoModeState | JointPhotonDistribution,
     direction: MeasurementDirection,
-    t: complex,
-    tau: float,
-    t2: complex,
-    tau2: float,
-) -> float:
+    t,
+    tau,
+    t2,
+    tau2,
+) -> float | np.ndarray:
     """Determinant of the 2x2 moment matrix on points {(t,tau), (t2,tau2)}.
 
     Negative values witness nonclassicality; for classical states the
     Cauchy-Schwarz inequality keeps it >= 0.  source is a TwoModeState,
-    or its JointPhotonDistribution along direction.
+    or its JointPhotonDistribution along direction.  The four point
+    arguments broadcast through one kernel sum: scalars give a float,
+    arrays give an array of their broadcast shape.
     """
+    t, tau, t2, tau2 = np.broadcast_arrays(t, tau, t2, tau2)
     m11, m22, m12 = mgf_from_distribution(
         _distribution_along(source, direction),
-        [2.0 * complex(t).real, 2.0 * complex(t2).real, np.conj(t) + t2],
+        [2.0 * t.real, 2.0 * t2.real, np.conj(t) + t2],
         [2.0 * tau, 2.0 * tau2, tau + tau2],
     )
-    return float(m11.real * m22.real - (m12.real**2 + m12.imag**2))
+    # x * x, not x**2: a scalar ** calls pow, which may miss by an ulp
+    det = m11.real * m22.real - (m12.real * m12.real + m12.imag * m12.imag)
+    return float(det) if np.ndim(det) == 0 else det
 
 
 def cauchy_schwarz_violation(

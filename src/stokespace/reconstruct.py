@@ -270,7 +270,8 @@ def _state_grid_values(
     state: TwoModeState, k_flat: np.ndarray, ns: tuple[int, int, int], tau: float
 ) -> np.ndarray:
     """One measurement rotation per k direction, all in batches; conjugate
-    symmetry M(-k) = M(k)* halves the work."""
+    symmetry M(-k) = M(k)* halves the work.  Existence is judged once, on
+    the state's leakage plus the largest mass one direction clipped."""
     n = k_flat.shape[0]
     i, j, l = np.unravel_index(np.arange(n), ns)
     inner = (i >= 1) & (j >= 1) & (l >= 1)
@@ -283,13 +284,15 @@ def _state_grid_values(
     axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
-    _warn_divergent(state.leakage, z_a, z_b)
     vals = np.empty(todo.size, dtype=complex)
+    clipped = np.empty(todo.size)
     step = max(1, _BATCH_DOUBLES // (state.cutoff + 1) ** 2)
     for lo in range(0, todo.size, step):
         part = slice(lo, lo + step)
-        p, _ = rotate_many(state, [direction_to_beamsplitter(e) for e in axes[part]])
+        p, clipped[part] = rotate_many(
+            state, [direction_to_beamsplitter(e) for e in axes[part]])
         vals[part] = _power_sum(p, z_a[part], z_b[part])
+    _warn_divergent(state.leakage + clipped.max(), z_a, z_b)
     flat = np.empty(n, dtype=complex)
     flat[mirror[todo]] = np.conj(vals)
     flat[todo] = vals  # points that are their own mirror keep M, not M*
@@ -402,8 +405,9 @@ def invert_to_pess(
     )
     # bin m pairs with bin (n - m) mod n, where Hermitian data must be
     # conjugate; the m = 0 planes (k = -K with no +K partner) are left out
-    # of the corruption check and projected to their Hermitian part below,
-    # which makes the transform the exactly real symmetric Riemann sum
+    # of the corruption check.  Only the real part of the transform is
+    # kept, which is the transform of the Hermitian part of the data, so
+    # it is the exactly real symmetric Riemann sum
     interior = data[1:, 1:, 1:]
     residue = float(
         np.max(np.abs(interior - np.conj(interior[::-1, ::-1, ::-1])))
@@ -414,10 +418,7 @@ def invert_to_pess(
             f"anti-Hermitian residue {residue:.3e} exceeds "
             f"{TOL.pess_imag_residue:.0e} of the spectrum peak {data_peak:.3e}"
         )
-    mirror = np.conj(
-        np.roll(data[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2))
-    )
-    spectrum = np.fft.fftn(0.5 * (data + mirror))
+    spectrum = np.fft.fftn(data)
     ax, ay, az = s_grid.axes()
     s_norm = np.sqrt(
         ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2

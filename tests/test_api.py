@@ -5,6 +5,7 @@ import importlib.util
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stokespace
@@ -12,10 +13,18 @@ from stokespace import (
     CoherentSpec,
     ConvergenceWarning,
     Grid3,
+    MgfQuery,
     TruncationWarning,
+    TwoModeState,
+    direction_to_beamsplitter,
     dual_grid,
+    find_node,
+    joint_photon_distribution,
     make_state,
+    mgf,
+    mgf_from_distribution,
     mgf_imaginary_grid,
+    second_order_det,
     sphere_grid,
     surface_map,
 )
@@ -68,3 +77,39 @@ def test_surface_map_inside_the_disc_is_silent(t, tau):
         warnings.simplefilter("always")
         surface_map(state, t, tau, sphere_grid(3, 4))
     assert not [w for w in caught if w.category is ConvergenceWarning]
+
+
+def _clipping_state():
+    """|1,1> mixed with the corner |3,3> at cutoff 3: no source leakage, but
+    an off-axis splitter pushes part of the N = 6 block out of the box."""
+    amps = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
+    amps[0][1, 1] = amps[1][3, 3] = 1.0
+    return TwoModeState(cutoff=3, components=((0.9, amps[0]), (0.1, amps[1])))
+
+
+OFF_AXIS = direction_to_beamsplitter((0.6, 0.0, 0.8))
+# 8^3 dual grid with |k| <= 0.48: inside the disc for tau = 0.3
+WIDE = dual_grid(Grid3((-40, -40, -40), (40, 40, 40), (8, 8, 8)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, t, tau: mgf_from_distribution(
+        joint_photon_distribution(s, OFF_AXIS), [-t, 0.0, t], tau),
+    lambda s, t, tau: mgf(s, MgfQuery(OFF_AXIS, t, tau)),
+    lambda s, t, tau: second_order_det(s, OFF_AXIS, t, tau, [0.0, t / 2], tau),
+    lambda s, t, tau: surface_map(s, t, tau, sphere_grid(3, 4)),
+    lambda s, t, tau: mgf_imaginary_grid(s, WIDE, tau),
+    # at t = 1 the scan brackets the node near 1.88, so bisection runs too
+    lambda s, t, tau: find_node(s, OFF_AXIS, tau, (0.0, 3.0 * t)),
+], ids=["mgf_from_distribution", "mgf", "second_order_det", "surface_map",
+        "mgf_imaginary_grid", "find_node"])
+@pytest.mark.parametrize("t, tau, expected", [(1.0, 0.0, 1), (0.1, 0.3, 0)],
+                         ids=["outside", "inside"])
+def test_clipped_mass_alone_warns_once_outside_the_disc(call, t, tau, expected):
+    state = _clipping_state()
+    assert state.leakage == 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(state, t, tau)
+    kinds = [w.category for w in caught]
+    assert kinds.count(ConvergenceWarning) == expected

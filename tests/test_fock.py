@@ -21,6 +21,7 @@ from stokespace import (
     distribution_factorial_moment,
     joint_photon_distribution,
     make_state,
+    mgf_closed_form,
     power_expectation,
     spec_from_json,
     spec_to_json,
@@ -285,6 +286,25 @@ class TestSpecs:
             state = make_state(CoherentSpec(2.0, 0.0), cutoff=4)
         assert state.leakage > 1e-3
         assert abs(state.trace + state.leakage - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("specs", [
+        (VacuumSpec(), CoherentSpec(0.0, 0.0), MixtureSpec(((1.0, 0.0, 0.0),))),
+        (CoherentSpec(1.2, 0.5 - 0.3j), MixtureSpec(((1.0, 1.2, 0.5 - 0.3j),))),
+    ])
+    def test_coherent_family_specs_agree_bit_for_bit(self, specs):
+        def bits(spec):
+            c = auto_cutoff(spec)
+            state = make_state(spec, c)
+            axes = ((1.0, 0.0, 0.0), (0.0, 0.6, -0.8))
+            closed = [mgf_closed_form(spec, direction_to_beamsplitter(e), t, tau)
+                      for e in axes for t, tau in ((0.3, 0.5), (-0.2 + 0.7j, 0.1))]
+            return (c, state.leakage, [w for w, _ in state.components],
+                    [amp.tobytes() for _, amp in state.components],
+                    np.array(closed).tobytes())
+
+        first = bits(specs[0])
+        for spec in specs[1:]:
+            assert bits(spec) == first
 
 
 class TestCoherentAmplitudes:

@@ -117,6 +117,22 @@ class TestSecondOrderDet:
             assert second_order_det(state, d, t, tau, 0.0, 0.0) > -1e-9
 
 
+    def test_arrays_equal_the_scalar_calls_bit_for_bit(self, rng):
+        state = random_low_state(rng, cutoff=6, n_max=6)
+        d = random_direction(rng)
+        dist = joint_photon_distribution(state, d)
+        t = rng.uniform(-0.3, 0.3, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
+        tau = rng.uniform(0.0, 0.5, 5)
+        t2 = rng.uniform(-0.3, 0.3, (4, 5))
+        tau2 = 0.25
+        dets = second_order_det(dist, d, t, tau, t2, tau2)
+        assert dets.shape == (4, 5)
+        for i, j in np.ndindex(4, 5):
+            scalar = second_order_det(dist, d, t[i, 0], tau[j], t2[i, j], tau2)
+            assert type(scalar) is float
+            assert dets[i, j] == scalar
+
+
 class TestCauchySchwarz:
     def test_equals_negated_determinant(self, rng):
         state = random_low_state(rng, cutoff=5, n_max=5)
