@@ -67,9 +67,10 @@ def main():
     battery("|1,1>, x axis", hom, x_axis, sharp)
     battery("|1,1>, z axis", hom, z_axis, sharp)
     # tight truncation: the characteristic-function probe amplifies the
-    # Fock tail by (1 + k^2)^n, so ask for leakage below 1e-15
+    # Fock tail p(n, n) ~ 4^-n by (1 + k^2)^n = 2^n, so its error is about
+    # the square root of the leakage; ask for leakage below 1e-20
     tmsv_spec = TmsvSpec(xi=math.atanh(0.5))
-    tmsv = make_state(tmsv_spec, cutoff=auto_cutoff(tmsv_spec, bound=1e-15))
+    tmsv = make_state(tmsv_spec, cutoff=auto_cutoff(tmsv_spec, bound=1e-20))
     battery("squeezed vacuum (tanh xi = 0.5), z axis", tmsv, z_axis, damped)
     print()
 

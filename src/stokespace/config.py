@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    trace_window: float = 1e-10         # rotated mass kept + clipped vs trace(rho)
+    # rotated mass vs trace(rho); beam_splitter adds the rows it clips
+    trace_window: float = 1e-10
     eigenvalue_floor: float = -1e-9     # smallest admissible rho eigenvalue
     unit_vector: float = 1e-12          # | ||e|| - 1 | on a stored direction
     direction_input: float = 1e-9       # renormalization slack for raw axis input

@@ -110,7 +110,7 @@ def click_distribution(
     dist = _distribution_along(source, direction)
     qa, qb = (_click_matrix(cfg, dist.cutoff) for cfg in (config_a, config_b))
     c = qa @ dist.p @ qb.T
-    # every column of Q sums to one, so the clicks keep the box trace
+    # every column of Q sums to one, so the clicks keep the trace of p
     total, trace = float(c.sum()), float(dist.p.sum())
     if abs(total - trace) > TOL.click_norm:
         raise NumericalError(

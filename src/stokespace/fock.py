@@ -16,6 +16,7 @@ e = (2 Re(T R*), 2 Im(T R*), |T|^2 - |R|^2).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -585,8 +586,7 @@ def _rotated_blocks(amps: np.ndarray, T: np.ndarray, R: np.ndarray):
     """Batched block rotation of pure amplitude grids, R != 0 everywhere.
 
     Yields (idx, N, out) with out[i, c, k'] = <k', N-k'| U |amps[c]> behind
-    the splitter (T[idx[i]], R[idx[i]]), for k' = 0..N including the rows
-    that leave the square box.
+    the splitter (T[idx[i]], R[idx[i]]), for every k' = 0..N.
     """
     for swap in (False, True):
         sel = np.flatnonzero((np.abs(R) > np.abs(T)) == swap)
@@ -609,19 +609,9 @@ def _rotated_blocks(amps: np.ndarray, T: np.ndarray, R: np.ndarray):
                 yield idx, n, out
 
 
-def _box_rows(n: int, cutoff: int) -> np.ndarray:
-    """Output photon numbers n_a of block n that fit the square box."""
-    return np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-
-
-def _outside(prob: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Mass of the rows of a block that fall outside the box rows k."""
-    return prob[:, : k[0]].sum(axis=1) + prob[:, k[-1] + 1 :].sum(axis=1)
-
-
-def _check_norm(trace: float, kept, clipped) -> None:
-    """Rotated mass kept plus clipped must reproduce the trace."""
-    defect = np.max(np.abs(np.asarray(kept) + clipped - trace), initial=0.0)
+def _check_norm(trace: float, total) -> None:
+    """The rotated mass must reproduce the trace."""
+    defect = np.max(np.abs(np.asarray(total) - trace), initial=0.0)
     if defect > TOL.trace_window:
         raise NumericalError(
             f"splitter changed the norm by {defect:.3e} "
@@ -632,10 +622,10 @@ def _check_norm(trace: float, kept, clipped) -> None:
 def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
     """Propagate a state through a lossless splitter with parameters (T, R).
 
-    Exactly unitary on every total-photon-number block that fits the
-    cutoff; blocks that spill past it lose the spilled mass to leakage.
-    Raises NumericalError if the rotated mass misses the trace by more
-    than TOL.trace_window.
+    The result lives in the same (cutoff+1)^2 box: exactly unitary on
+    every total-photon-number block that fits it; blocks that spill past
+    it lose the spilled mass to leakage.  Raises NumericalError if the
+    rotated mass misses the trace by more than TOL.trace_window.
     """
     if abs(abs(T) ** 2 + abs(R) ** 2 - 1.0) > TOL.splitter_unitarity:
         raise ValueError("|T|^2 + |R|^2 must equal 1 within 1e-10")
@@ -652,26 +642,26 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
         out = np.zeros_like(amps)
         for _, n, block in _rotated_blocks(amps, np.array([complex(T)]),
                                            np.array([complex(R)])):
-            k = _box_rows(n, c)
+            k = np.arange(max(0, n - c), min(n, c) + 1)  # rows inside the box
             out[:, k, n - k] = block[0][:, k]
-            clipped += _outside(block[0].real ** 2 + block[0].imag ** 2, k)
+            prob = block[0].real ** 2 + block[0].imag ** 2
+            clipped += prob[:, : k[0]].sum(axis=1) + prob[:, k[-1] + 1 :].sum(axis=1)
     rotated = TwoModeState(
         cutoff=c,
         components=tuple(zip(weights, out)),
         leakage=min(1.0, state.leakage + float(weights @ clipped)),
     )
-    _check_norm(state.trace, rotated.trace, float(weights @ clipped))
+    _check_norm(state.trace, rotated.trace + float(weights @ clipped))
     return rotated
 
 
-def rotate_many(state: TwoModeState, directions) -> tuple[np.ndarray, np.ndarray]:
+def rotate_many(state: TwoModeState, directions) -> np.ndarray:
     """Joint photon distributions behind many splitters in one batch.
 
-    Returns (p, clipped): p[i] is the (cutoff+1)^2 distribution along
-    directions[i], clipped[i] the mass its blocks pushed out of the
-    square box (leakage on top of the state's own).  Raises
-    NumericalError if sum(p[i]) misses trace - clipped[i] by more than
-    TOL.trace_window.
+    Each block keeps its total photon number, so a state at cutoff c has
+    its output on n_a + n_b <= 2c: p[i], of shape (2c+1, 2c+1), holds
+    every row of every block along directions[i].  Raises NumericalError
+    if sum(p[i]) misses the trace by more than TOL.trace_window.
     """
     directions = list(directions)
     c = state.cutoff
@@ -679,18 +669,17 @@ def rotate_many(state: TwoModeState, directions) -> tuple[np.ndarray, np.ndarray
     R = np.array([d.R for d in directions], dtype=complex)
     weights = np.array([w for w, _ in state.components])
     amps = np.stack([amp for _, amp in state.components])
-    p = np.zeros((len(directions), c + 1, c + 1))
+    p = np.zeros((len(directions), 2 * c + 1, 2 * c + 1))
     # R == 0 only applies per-mode phases, which the counts do not see
-    p[R == 0] = np.einsum("c,cij->ij", weights, amps.real**2 + amps.imag**2)
-    clipped = np.zeros(len(directions))
+    p[R == 0, : c + 1, : c + 1] = np.einsum("c,cij->ij", weights,
+                                            amps.real**2 + amps.imag**2)
     turn = np.flatnonzero(R != 0)
     for idx, n, block in _rotated_blocks(amps, T[turn], R[turn]):
-        prob = np.einsum("c,dck->dk", weights, block.real**2 + block.imag**2)
-        k = _box_rows(n, c)
-        p[turn[idx, None], k, n - k] = prob[:, k]
-        clipped[turn[idx]] += _outside(prob, k)
-    _check_norm(state.trace, p.sum(axis=(1, 2)), clipped)
-    return p, clipped
+        k = np.arange(n + 1)
+        p[turn[idx, None], k, n - k] = np.einsum("c,dck->dk", weights,
+                                                 block.real**2 + block.imag**2)
+    _check_norm(state.trace, p.sum(axis=(1, 2)))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +691,10 @@ class JointPhotonDistribution:
     """Joint photon-number distribution behind a splitter.
 
     p[n_a, n_b] is the probability of counting (n_a, n_b) photons in the
-    output modes selected by direction.  leakage is the estimated mass
-    missing from the grid (source truncation plus splitter clipping).
+    output modes selected by direction.  Taken from a state at cutoff c,
+    p is (2c+1) x (2c+1) and holds every output row of every block, so
+    cutoff, the largest count per mode, is 2c.  leakage is the source
+    truncation of that state: the only mass p misses.
     """
 
     p: np.ndarray
@@ -724,11 +715,10 @@ class JointPhotonDistribution:
 
 
 def _distributions(state: TwoModeState, directions) -> list[JointPhotonDistribution]:
-    """Photon statistics along many axes from one batched rotation; each
-    leakage is the state's own plus the mass its axis clipped."""
-    p, clipped = rotate_many(state, directions)
-    leakage = np.minimum(1.0, state.leakage + clipped)
-    return [JointPhotonDistribution(*args) for args in zip(p, directions, leakage)]
+    """Photon statistics along many axes from one batched rotation."""
+    directions = list(directions)
+    return [JointPhotonDistribution(p, d, state.leakage)
+            for p, d in zip(rotate_many(state, directions), directions)]
 
 
 def joint_photon_distribution(
@@ -758,23 +748,47 @@ def _power_sum(p: np.ndarray, z_a, z_b):
     """sum z_a^n_a p[n_a, n_b] z_b^n_b, broadcast over leading axes of p, z_a, z_b."""
     c = p.shape[-1] - 1
     va, vb = _powers(z_a, c), _powers(z_b, c)
-    return (va[..., None, :] @ (p @ vb[..., :, None]))[..., 0, 0]
+    # two real products: a complex operand would copy p to complex
+    pv = p @ vb.real[..., :, None] + 1j * (p @ vb.imag[..., :, None])
+    return (va[..., None, :] @ pv)[..., 0, 0]
 
 
-def _warn_divergent(leakage: float, z_a, z_b) -> None:
+def _warn_divergent(leakage: float, cutoff: int, z_a, z_b) -> None:
     """The existence rule: one ConvergenceWarning when any kernel (z_a, z_b)
-    lies outside the unit disc and leakage, the mass the summed distributions
-    miss (source truncation plus splitter clipping), exceeds
-    TOL.convergence_leakage; z_a and z_b may be arrays."""
-    outside = (np.abs(z_a) > 1.0 + 1e-12) | (np.abs(z_b) > 1.0 + 1e-12)
-    if leakage > TOL.convergence_leakage and np.any(outside):
+    lies outside the unit disc and leakage r^(cutoff+1) exceeds
+    TOL.convergence_leakage, with r the largest |z_a|, |z_b|: the terms the
+    source truncation at cutoff drops hold more than cutoff photons, which
+    such a kernel can weigh by up to r^(cutoff+1).  z_a, z_b may be arrays."""
+    r = max(np.max(np.abs(z_a), initial=0.0), np.max(np.abs(z_b), initial=0.0))
+    # r^-(cutoff+1) underflows quietly to 0 where r^(cutoff+1) would overflow
+    if r > 1.0 + 1e-12 and leakage > TOL.convergence_leakage * r ** -(cutoff + 1):
         warnings.warn(
             "kernel lies beyond the guaranteed-existence region and the "
-            f"distribution misses {leakage:.2e} of its mass; the truncated "
-            "sum may be inaccurate",
+            f"state misses {leakage:.2e} of its mass above cutoff {cutoff}; "
+            "the truncated sum may be inaccurate",
             ConvergenceWarning,
             stacklevel=3,
         )
+
+
+# doubles of p in one batch of _kernel_sums (4 MB); each batch pays the
+# direction-independent work of _wigner_blocks again, so batches stay large
+_BATCH_DOUBLES = 1 << 19
+
+
+def _kernel_sums(state: TwoModeState, directions, z_a, z_b) -> np.ndarray:
+    """Entry i: the kernel sum of state with (z_a[i], z_b[i]) along the i-th
+    of len(z_a) directions, taken from any iterable a batch at a time (at
+    most _BATCH_DOUBLES of p), so a generator holds one batch of direction
+    objects.  The existence rule runs once, on every kernel."""
+    _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
+    out = np.empty(len(z_a), dtype=complex)
+    step = max(1, _BATCH_DOUBLES // (2 * state.cutoff + 1) ** 2)
+    directions = iter(directions)
+    for lo in range(0, out.size, step):
+        p = rotate_many(state, itertools.islice(directions, step))
+        out[lo : lo + step] = _power_sum(p, z_a[lo : lo + step], z_b[lo : lo + step])
+    return out
 
 
 def power_expectation(
@@ -789,8 +803,8 @@ def power_expectation(
     that disc a ConvergenceWarning is attached when the distribution
     misses non-negligible mass.
     """
+    _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
     dist = joint_photon_distribution(state, direction)
-    _warn_divergent(dist.leakage, z_a, z_b)
     return complex(_power_sum(dist.p, z_a, z_b))
 
 

@@ -29,6 +29,7 @@ from .fock import (
     TmsvSpec,
     TwoModeState,
     _coherent_terms,
+    _kernel_sums,
     _log_factorials,
     _power_sum,
     _warn_divergent,
@@ -38,7 +39,6 @@ from .fock import (
     direction_to_beamsplitter,
     joint_photon_distribution,
     power_expectation,
-    rotate_many,
 )
 
 
@@ -49,15 +49,12 @@ class MgfQuery:
     direction: MeasurementDirection
     t: complex
     tau: float
-    require_existence: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "tau", float(self.tau))
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
-        if self.require_existence and abs(self.t.real) > self.tau + 1e-12:
-            raise ValueError("existence is guaranteed only for |Re t| <= tau")
 
     @property
     def lambda_a(self) -> complex:
@@ -89,13 +86,13 @@ def mgf_from_distribution(
     t and tau broadcast against each other: scalars give a complex, arrays
     give an array of that shape from one kernel sum.  Raises ValueError
     for any tau < 0.  Warns once when a kernel leaves the unit disc and
-    dist.leakage is not negligible.
+    dist.leakage, weighed there, is not negligible.
     """
     t, tau = np.asarray(t), np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be >= 0")
     z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
-    _warn_divergent(dist.leakage, z_a, z_b)
+    _warn_divergent(dist.leakage, dist.cutoff // 2, z_a, z_b)
     value = _power_sum(dist.p, z_a, z_b)
     return complex(value) if np.ndim(value) == 0 else value
 
@@ -187,20 +184,19 @@ def surface_map(
 ) -> list[SurfaceSample]:
     """Evaluate M(t e; tau) on a set of unit axes and radially map it.
 
-    All axes are rotated in one batch, judged for existence on the
-    state's leakage plus the largest mass one axis clipped.  For real t
-    on a physical state the value is real; its imaginary rounding residue
-    is dropped.  For genuinely complex t the complex value scales the axis.
+    The axes are rotated in batches and judged for existence once.  For
+    real t on a physical state the value is real; its imaginary rounding
+    residue is dropped.  For genuinely complex t the complex value scales
+    the axis.
     """
     axes = np.asarray(axes, dtype=float).reshape(-1, 3)
     directions = [direction_to_beamsplitter(e) for e in axes]
     if not directions:
         return []
     query = MgfQuery(directions[0], t, tau)
-    p, clipped = rotate_many(state, directions)
-    _warn_divergent(state.leakage + clipped.max(), query.z_a, query.z_b)
+    z_a, z_b = (np.full(len(directions), z) for z in (query.z_a, query.z_b))
     samples = []
-    for direction, value in zip(directions, _power_sum(p, query.z_a, query.z_b)):
+    for direction, value in zip(directions, _kernel_sums(state, directions, z_a, z_b)):
         value = complex(value)
         if abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)):
             value = value.real

@@ -24,15 +24,11 @@ from .config import TOL, ConvergenceWarning, NumericalError
 from .fock import (
     TwoModeState,
     _complex_from_json,
-    _power_sum,
-    _warn_divergent,
+    _kernel_sums,
     direction_to_beamsplitter,
-    rotate_many,
 )
 
 _WINDOWS = ("raised-cosine", "none")
-# photon distributions held at once by the state route of mgf_imaginary_grid
-_BATCH_DOUBLES = 1 << 18
 # complex entries of one point chunk's phase table in _kernel_from_points (32 MB)
 _POINT_CHUNK_ENTRIES = 1 << 21
 
@@ -270,8 +266,7 @@ def _state_grid_values(
     state: TwoModeState, k_flat: np.ndarray, ns: tuple[int, int, int], tau: float
 ) -> np.ndarray:
     """One measurement rotation per k direction, all in batches; conjugate
-    symmetry M(-k) = M(k)* halves the work.  Existence is judged once, on
-    the state's leakage plus the largest mass one direction clipped."""
+    symmetry M(-k) = M(k)* halves the work.  Existence is judged once."""
     n = k_flat.shape[0]
     i, j, l = np.unravel_index(np.arange(n), ns)
     inner = (i >= 1) & (j >= 1) & (l >= 1)
@@ -284,15 +279,8 @@ def _state_grid_values(
     axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
-    vals = np.empty(todo.size, dtype=complex)
-    clipped = np.empty(todo.size)
-    step = max(1, _BATCH_DOUBLES // (state.cutoff + 1) ** 2)
-    for lo in range(0, todo.size, step):
-        part = slice(lo, lo + step)
-        p, clipped[part] = rotate_many(
-            state, [direction_to_beamsplitter(e) for e in axes[part]])
-        vals[part] = _power_sum(p, z_a[part], z_b[part])
-    _warn_divergent(state.leakage + clipped.max(), z_a, z_b)
+    vals = _kernel_sums(state, (direction_to_beamsplitter(e) for e in axes),
+                        z_a, z_b)
     flat = np.empty(n, dtype=complex)
     flat[mirror[todo]] = np.conj(vals)
     flat[todo] = vals  # points that are their own mirror keep M, not M*

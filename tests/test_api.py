@@ -79,12 +79,12 @@ def test_surface_map_inside_the_disc_is_silent(t, tau):
     assert not [w for w in caught if w.category is ConvergenceWarning]
 
 
-def _clipping_state():
-    """|1,1> mixed with the corner |3,3> at cutoff 3: no source leakage, but
-    an off-axis splitter pushes part of the N = 6 block out of the box."""
-    amps = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
+def _corner_state(cutoff=3):
+    """|1,1> mixed with the corner |3,3>: no source leakage, and an off-axis
+    splitter spreads the N = 6 block past the input box at cutoff 3."""
+    amps = [np.zeros((cutoff + 1, cutoff + 1), dtype=complex) for _ in range(2)]
     amps[0][1, 1] = amps[1][3, 3] = 1.0
-    return TwoModeState(cutoff=3, components=((0.9, amps[0]), (0.1, amps[1])))
+    return TwoModeState(cutoff=cutoff, components=((0.9, amps[0]), (0.1, amps[1])))
 
 
 OFF_AXIS = direction_to_beamsplitter((0.6, 0.0, 0.8))
@@ -103,13 +103,20 @@ WIDE = dual_grid(Grid3((-40, -40, -40), (40, 40, 40), (8, 8, 8)))
     lambda s, t, tau: find_node(s, OFF_AXIS, tau, (0.0, 3.0 * t)),
 ], ids=["mgf_from_distribution", "mgf", "second_order_det", "surface_map",
         "mgf_imaginary_grid", "find_node"])
-@pytest.mark.parametrize("t, tau, expected", [(1.0, 0.0, 1), (0.1, 0.3, 0)],
+@pytest.mark.parametrize("t, tau", [(1.0, 0.0), (0.1, 0.3)],
                          ids=["outside", "inside"])
-def test_clipped_mass_alone_warns_once_outside_the_disc(call, t, tau, expected):
-    state = _clipping_state()
+def test_clipped_mass_alone_warns_once_outside_the_disc(call, t, tau):
+    # the N = 6 block that spreads past the input box is kept whole, not
+    # clipped: p is that of the same amplitudes embedded at cutoff 6, so
+    # nothing is missing and no call warns, inside the disc or outside it
+    state = _corner_state()
     assert state.leakage == 0.0
+    p = joint_photon_distribution(state, OFF_AXIS).p
+    wide = joint_photon_distribution(_corner_state(6), OFF_AXIS).p
+    assert p.shape == (7, 7)
+    assert np.max(np.abs(wide[:7, :7] - p)) <= 1e-15
+    assert wide[7:].sum() + wide[:, 7:].sum() == 0.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call(state, t, tau)
-    kinds = [w.category for w in caught]
-    assert kinds.count(ConvergenceWarning) == expected
+    assert not [w for w in caught if w.category is ConvergenceWarning]

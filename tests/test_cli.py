@@ -386,8 +386,8 @@ def test_single_axis_commands_rotate_once(tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "joint_photon_distribution", counting)
     # nctest reads M at |z| > 1 (the characteristic function sits at
-    # |1 + i| = sqrt 2), where the 4.3e-9 of mass the off-axis splitter
-    # clips out of the cutoff-20 box makes the truncated sums warn
+    # |1 + i| = sqrt 2), where the 2.3e-13 the cutoff-20 state misses
+    # weighs up to 2^(21/2) times as much, so the truncated sums warn
     expect = (pytest.warns(ConvergenceWarning) if argv[0] == "nctest"
               else contextlib.nullcontext())
     with expect:
