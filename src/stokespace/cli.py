@@ -9,6 +9,7 @@ the timestamp comment line can be suppressed for byte-identical reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -429,7 +430,10 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first main call; parsing never changes it,
+    and main looks up each command's cmd_ function by name at every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--state", help="state spec: JSON file path or inline JSON object"
@@ -457,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="argument t (repeatable, complex literal)")
     p.add_argument("--tau", type=float, action="append",
                    help="damping tau (repeatable)")
-    p.set_defaults(func=cmd_mgf)
 
     p = sub.add_parser("surface", parents=[common],
                        help="unit-sphere map e -> M(t e; tau)")
@@ -465,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--n-theta", type=int, default=32)
     p.add_argument("--n-phi", type=int, default=64)
-    p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser(
         "hom-scan", parents=[common],
@@ -476,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2-min", type=float, default=0.0, help="|T|^2 start")
     p.add_argument("--t2-max", type=float, default=1.0, help="|T|^2 end")
     p.add_argument("--t2-steps", type=int, default=101)
-    p.set_defaults(func=cmd_hom_scan)
 
     p = sub.add_parser(
         "tmsv-scan", parents=[common],
@@ -488,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=0.05)
     p.add_argument("--tau-max", type=float, default=0.5)
     p.add_argument("--tau-steps", type=int, default=10)
-    p.set_defaults(func=cmd_tmsv_scan)
 
     p = sub.add_parser("nctest", parents=[common],
                        help="criteria battery at one axis and point pair")
@@ -500,7 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-norm", type=float, default=1.0,
                    help="length of the characteristic-function argument")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.set_defaults(func=cmd_nctest)
 
     p = sub.add_parser("clicks", parents=[common],
                        help="exact click statistics and moment sampling")
@@ -515,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-b", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=0,
                    help="multinomial sample count (0 = exact only)")
-    p.set_defaults(func=cmd_clicks)
 
     p = sub.add_parser("reconstruct", parents=[common],
                        help="invert MGF data to the phase-space density")
@@ -529,7 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["raised-cosine", "none"])
     p.add_argument("--mc-oracle", type=int, default=0,
                    help="compare against a histogram of this many draws")
-    p.set_defaults(func=cmd_reconstruct)
     return parser
 
 
@@ -540,7 +537,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NumericalError,) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,8 @@ e = (2 Re(T R*), 2 Im(T R*), |T|^2 - |R|^2).
 
 from __future__ import annotations
 
-import itertools
+import collections
+import functools
 import json
 import math
 import warnings
@@ -456,49 +457,57 @@ def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
 # fixed (m', m) (Prezeau & Reinecke, ApJS 190, 267 (2010)).  It is run on
 # the step D_j = d^j - d^(j-1), whose coefficients are free of
 # cancellation, so the error stays near rounding even where d is close to
-# the identity.  Splitters with |R| > |T| are a mode swap followed by a
-# splitter with |T| > |R|, so beta <= pi/2 always.  Offsets below are
-# delta = n_a - n_b = 2m.
+# the identity.  Splitters with |R| > |T| are a mode swap and a splitter
+# with |T| > |R|, so beta <= pi/2 always.  Offsets below are
+# delta = n_a - n_b = 2m.  All that depends on the state alone is planned
+# once per call for all its direction batches, many-axis kernel sums
+# included.  Photon counts do not see the unit-modulus factor
+# (uT uR)^k' uT*^N: only beam_splitter applies it.
 
 # doubles per recurrence buffer: direction batches are cut to this size so
 # the engine's live arrays stay a few MB at any batch size
 _BUFFER_DOUBLES = 1 << 15
+# doubles of step tables per plan chunk (a few times more to build them);
+# one direction batch builds the chunks in turn, several keep them all
+_PLAN_DOUBLES = 1 << 14
+# a run of planned blocks, as _plan_chunk builds it
+_Chunk = collections.namedtuple("_Chunk", "blocks offsets ka psi edges tables k n")
 
 
-def _offset_chains(amps: np.ndarray):
-    """Populated input offsets for each block parity, sorted by |delta|.
-
-    Returns one (delta, live) pair per parity.  live[i] is the last block
-    for which column i or any column after it is still needed, so the
-    columns live at any block form a prefix of delta.
-    """
-    c = amps.shape[-1] - 1
-    na, nb = np.nonzero(np.any(amps != 0, axis=0))
-    last = np.full(2 * c + 1, -1)
-    np.maximum.at(last, na - nb + c, na + nb)
-    offsets = np.flatnonzero(last >= 0) - c
-    chains = []
-    for parity in (0, 1):
-        d = offsets[offsets % 2 == parity]
-        d = d[np.argsort(np.abs(d), kind="stable")]
-        chains.append((d, np.maximum.accumulate(last[d + c][::-1])[::-1]))
-    return chains
+def _ragged(counts):
+    """Ranges of these lengths end to end: each entry's range and place in it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _step_columns(cur, diff, dc, n, y):
-    """Advance d^(n/2 - 1) -> d^(n/2) in place on the interior rows.
-
-    cur holds d and diff the last step of the columns with offsets dc on
-    the rows |delta'| <= n - 2; y = 1 - cos(beta) per direction.
-    """
-    m = n - 2
-    if m == 0:  # d^1_00 = cos(beta)
-        diff[...] = -y * cur
-        cur += diff
-        return
-    dc = dc.astype(float)[:, None]
-    dr = np.arange(-m, m + 1, 2, dtype=float)[None, :]
-    ac, ar = np.sqrt(n * n - dc * dc), np.sqrt(n * n - dr * dr)
+def _plan_chunk(src, chains, n, hi, old, r0) -> _Chunk:
+    """Plan of blocks n, whose columns :hi are live and :old running: the
+    block records (N, live and running columns, row offset, chain base,
+    whether it has a GEMM, and where it starts in psi, edges and tables),
+    the chains' offsets, the clipped n_a and amplitudes of the columns the
+    GEMMs read, the b indices and signs of the edge rows m' = -j, +j that
+    the running columns gain, their step tables (k3, e, a), and the output
+    rows (k', N) of the GEMMs."""
+    cut, offsets = src.shape[-1] - 1, np.concatenate(chains)
+    base = n % 2 * chains[0].size
+    blk, j = _ragged(hi)
+    nb, ka = n[blk], (n[blk] + offsets[base[blk] + j]) // 2
+    inside = (ka <= cut) & (nb - ka <= cut)
+    ka, kb = np.minimum(ka, cut), np.minimum(nb - ka, cut)
+    psi = src[:, ka, kb] * inside
+    gemm = np.bincount(blk, psi.any(axis=0), n.size) > 0  # blocks with amplitude
+    blk, j = _ragged(old)
+    dc = offsets[base[blk] + j]
+    ib0 = (n[blk] - dc) // 2
+    edges = np.stack([ib0, (n[blk] + dc) // 2, 1 - 2 * (ib0 % 2)])
+    # one entry per (block, running column, interior row); at n = 2 the
+    # tables come out (0, 0, 1), so D^1_00 = -y d^0_00
+    reps = np.repeat(n - 1, old)  # interior rows of each running column
+    dc = np.repeat(dc, reps).astype(float)
+    nn = np.repeat(n, old * (n - 1)).astype(float)
+    m = nn - 2.0
+    dr = 2.0 * _ragged(reps)[1] - m
+    ac, ar = np.sqrt(nn * nn - dc * dc), np.sqrt(nn * nn - dr * dr)
     gc, gr = np.sqrt(m * m - dc * dc), np.sqrt(m * m - dr * dr)
     inv = 1.0 / (ac * ar)
     cross = dc * dr
@@ -506,107 +515,149 @@ def _step_columns(cur, diff, dc, n, y):
     # the diagonal, where both denominators may be zero
     lo = m * m - cross + gc * gr
     lo[lo == 0.0] = 1.0
-    e = (dc - dr) ** 2 * (n * m / lo + n * n / (n * n - cross + ac * ar)) * inv
-    # diff <- k3 diff + (e - y k1) cur, with one temporary
-    step = np.multiply(y, (2.0 * (m + 1) * n) * inv)
-    np.subtract(e, step, out=step)
-    step *= cur
-    diff *= (n / m) * gc * gr * inv
-    diff += step
-    cur += diff
+    e = (dc - dr) ** 2 * (nn * m / lo + nn * nn / (nn * nn - cross + ac * ar)) * inv
+    tables = np.stack([nn / np.maximum(m, 1.0) * gc * gr * inv, e,
+                       (2.0 * (m + 1.0) * nn) * inv])
+    blk, k = _ragged((n + 1) * gemm)
+    at = (np.cumsum(x) - x for x in (hi, old, old * (n - 1)))
+    blocks = list(zip(*(x.tolist() for x in (n, hi, old, r0, base, gemm, *at))))
+    return _Chunk(blocks, offsets, ka, psi, edges, tables, k, n[blk])
 
 
-def _wigner_blocks(amps, chains, T, R):
-    """Rotated blocks of amps behind splitters with |T| >= |R| > 0.
+def _rotation_plan(src: np.ndarray):
+    """The direction-independent work of rotating the blocks of src, or None
+    if src is zero: the last block visited, each parity's buffer shape, and
+    functions that plan the visited blocks in chunks of about _PLAN_DOUBLES
+    doubles of step tables."""
+    c = src.shape[-1] - 1
+    na, nb = np.nonzero(np.any(src != 0, axis=0))
+    if not na.size:
+        return None
+    last = np.full(2 * c + 1, -1)  # the last block holding each offset
+    np.maximum.at(last, na - nb + c, na + nb)
+    offsets = np.flatnonzero(last >= 0) - c
+    chains, runs, shapes = [], [], [None, None]
+    for q in (0, 1):  # each parity's offsets, sorted by |delta|
+        d = offsets[offsets % 2 == q]
+        chains.append(d[np.argsort(np.abs(d), kind="stable")])
+        if d.size:
+            # live[i]: the last block that needs column i or one after it,
+            # so the columns live at any block form a prefix
+            live = np.maximum.accumulate(last[chains[q] + c][::-1])[::-1]
+            n = np.arange(q, live[0] + 1, 2)
+            hi = np.minimum(np.searchsorted(np.abs(chains[q]), n, side="right"),
+                            np.searchsorted(-live, -n, side="right"))
+            runs.append((n, hi, np.minimum(hi, np.r_[0, hi[:-1]]), (live[0] - n) // 2))
+            shapes[q] = (d.size, int(live[0]) + 1)
+    order = np.argsort(np.concatenate([run[0] for run in runs]))
+    n, hi, old, r0 = (np.concatenate(a)[order] for a in zip(*runs))
+    end = np.cumsum(3 * old * (n - 1))  # chunks end at multiples of _PLAN_DOUBLES
+    cuts = [0, *(np.flatnonzero(np.diff(end // _PLAN_DOUBLES)) + 1).tolist(), n.size]
+    chunks = [functools.partial(_plan_chunk, src, chains, n[i:j], hi[i:j], old[i:j],
+                                r0[i:j]) for i, j in zip(cuts, cuts[1:])]
+    return int(n[-1]), shapes, chunks
 
-    Yields (N, out) for every block N that holds amplitude, with
-    out[i, c, k'] = <k', N-k'| U(T[i], R[i]) |amps[c]> for k' = 0..N.
-    """
-    cut = amps.shape[-1] - 1
-    n_d, n_c = T.shape[0], amps.shape[0]
-    top = max(int(live[0]) for d, live in chains if d.size)
+
+def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
+    """Rows behind splitters with |T| >= |R| > 0, amps at cutoff cut, from the
+    built chunks of their plan: per chunk (k, n, rows), rows[i, :, j] =
+    <k[j], n[j]-k[j]| U(T[i], R[i]) |amps> for each component, real parts
+    then imaginary parts without the output phase, or complex if phased."""
+    n_d = T.shape[0]
     aT, aR = np.abs(T), np.abs(R)
     c2 = (aT * aT / (aT * aT + aR * aR))[:, None]
     s2 = (aR * aR / (aT * aT + aR * aR))[:, None]
     y = 2.0 * s2[:, :, None]
-    # phases of uT and uR (R = 0 only arrives from a swapped T = 0, where
-    # any phase does); each power is taken from its angle, since products
-    # of unit numbers drift off the unit circle by an ulp per factor
-    arg_t = np.angle(T)[:, None]
-    arg_r = np.where(aR > 0, np.angle(-R), 0.0)[:, None]
+    # phases of uT and uR; each power is taken from its angle, since
+    # products of unit numbers drift off the unit circle by an ulp per factor
+    arg_t, arg_r = np.angle(T)[:, None], np.angle(-R)[:, None]
     phase_in = np.exp(1j * (arg_t - arg_r) * np.arange(cut + 1))
-    # binom[:, a] = C(N, a) cos^2a sin^2(N-a): squared edge values of d
-    binom = np.zeros((n_d, top + 1))
-    binom[:, 0] = 1.0
-    bufs = [(np.zeros((n_d, d.size, int(live[0]) + 1)),
-             np.zeros((n_d, d.size, int(live[0]) + 1))) if d.size else None
-            for d, live in chains]
-    width = [0, 0]
-    for n in range(top + 1):
-        if n:
-            binom[:, 1 : n + 1] = c2 * binom[:, :n] + s2 * binom[:, 1 : n + 1]
-            binom[:, 0] *= s2[:, 0]
-            binom[:, : n + 1] /= binom[:, : n + 1].sum(axis=1, keepdims=True)
-        d, live = chains[n % 2]
-        if not d.size or n > live[0]:
-            continue
-        cur, diff = bufs[n % 2]
-        hi = min(int(np.searchsorted(np.abs(d), n, side="right")),
-                 int(np.searchsorted(-live, -n, side="right")))
-        old = min(width[n % 2], hi)
-        width[n % 2] = hi
-        r0 = (int(live[0]) - n) // 2
-        r1 = r0 + n + 1
-        b = np.sqrt(binom[:, : n + 1])
-        if old:
-            d_old = d[:old]
-            _step_columns(cur[:, :old, r0 + 1 : r1 - 1],
-                          diff[:, :old, r0 + 1 : r1 - 1], d_old, n, y)
-            # rows m' = -j and m' = +j enter at this block
-            cur[:, :old, r0] = diff[:, :old, r0] = b[:, (n - d_old) // 2]
-            sign = 1.0 - 2.0 * ((n - d_old) // 2 % 2)
-            cur[:, :old, r1 - 1] = diff[:, :old, r1 - 1] = sign * b[:, (n + d_old) // 2]
-        for i in range(old, hi):  # columns m = +-j start at this block
-            col = b if d[i] >= 0 else b[:, ::-1] * (1.0 - 2.0 * (np.arange(n + 1) % 2))
-            cur[:, i, r0:r1] = diff[:, i, r0:r1] = col
-        ka = (n + d[:hi]) // 2
-        inside = (ka <= cut) & (n - ka <= cut)
-        ka, kb = np.minimum(ka, cut), np.minimum(n - ka, cut)
-        psi = amps[:, ka, kb] * inside
-        if not psi.any():
-            continue
+    # binom[:, a] = C(N, a) cos^2a sin^2(N-a), the squared edge values of d,
+    # after a zero column in ext; N -> N + 1 is c2 binom[a - 1] + s2 binom[a]
+    ext = np.eye(1, top + 2, 1).repeat(n_d, axis=0)
+    binom = ext[:, 1:]
+    alt = 1.0 - 2.0 * (np.arange(top + 1) % 2)
+    bufs = [s and (np.zeros((n_d,) + s), np.zeros((n_d,) + s)) for s in shapes]
+    done = 0
+    for blocks, offsets, ka, psi, edges, tables, k, n_rows in chunks:
         phi = phase_in[:, None, ka] * psi[None]
-        res = np.concatenate([phi.real, phi.imag], axis=1) @ cur[:, :hi, r0:r1]
-        out = res[:, :n_c] + 1j * res[:, n_c:]
-        out *= np.exp(1j * ((arg_t + arg_r) * np.arange(n + 1) - n * arg_t))[:, None, :]
-        yield n, out
-
-
-def _rotated_blocks(amps: np.ndarray, T: np.ndarray, R: np.ndarray):
-    """Batched block rotation of pure amplitude grids, R != 0 everywhere.
-
-    Yields (idx, N, out) with out[i, c, k'] = <k', N-k'| U |amps[c]> behind
-    the splitter (T[idx[i]], R[idx[i]]), for every k' = 0..N.
-    """
-    for swap in (False, True):
-        sel = np.flatnonzero((np.abs(R) > np.abs(T)) == swap)
-        if not sel.size:
+        phi = np.concatenate([phi.real, phi.imag], axis=1)
+        out = []
+        for n, hi, old, r0, base, gemm, o_psi, o_edge, o_tab in blocks:
+            while done < n:
+                done += 1
+                shift, row = c2 * ext[:, : done + 1], binom[:, : done + 1]
+                row *= s2
+                row += shift
+                row /= np.add.reduce(row, axis=1, keepdims=True)
+            cur, diff = bufs[n % 2]
+            r1 = r0 + n + 1
+            b = np.sqrt(binom[:, : n + 1])
+            if old:
+                k3, e, a = tables[:, o_tab : o_tab + old * (n - 1)].reshape(3, old, -1)
+                ib0, ib1, sign = edges[:, o_edge : o_edge + old]
+                cu, di = cur[:, :old, r0 + 1 : r1 - 1], diff[:, :old, r0 + 1 : r1 - 1]
+                # diff <- k3 diff + (e - y a) cur, with one temporary
+                step = np.multiply(y, a)
+                np.subtract(e, step, out=step)
+                step *= cu
+                di *= k3
+                di += step
+                cu += di
+                cur[:, :old, r0] = diff[:, :old, r0] = b[:, ib0]
+                cur[:, :old, r1 - 1] = diff[:, :old, r1 - 1] = sign * b[:, ib1]
+            for i in range(old, hi):  # columns m = +-j start at this block
+                col = b if offsets[base + i] >= 0 else b[:, ::-1] * alt[: n + 1]
+                cur[:, i, r0:r1] = diff[:, i, r0:r1] = col
+            if gemm:
+                out.append(phi[:, :, o_psi : o_psi + hi] @ cur[:, :hi, r0:r1])
+        if not out:
             continue
-        src, t, r = amps, T[sel], R[sel]
-        if swap:
-            # U(T, R) = U(R, -T) U(0, 1), and U(0, 1)|k, l> = (-1)^k |l, k>
-            sign = 1.0 - 2.0 * (np.arange(amps.shape[-1]) % 2)
-            src, t, r = np.swapaxes(amps * sign[:, None], 1, 2), r, -t
-        chains = _offset_chains(src)
-        if not any(d.size for d, _ in chains):
-            return
-        per_dir = max(d.size * (int(live[0]) + 1) for d, live in chains if d.size)
-        step = max(1, _BUFFER_DOUBLES // per_dir)
-        for lo in range(0, sel.size, step):
-            idx = sel[lo : lo + step]
-            for n, out in _wigner_blocks(src, chains, t[lo : lo + step],
-                                         r[lo : lo + step]):
-                yield idx, n, out
+        rows = np.concatenate(out, axis=2)
+        if phased:
+            re, im = np.split(rows, 2, axis=1)
+            phase = np.exp(1j * ((arg_t + arg_r) * k - n_rows * arg_t))
+            rows = (re + 1j * im) * phase[:, None, :]
+        yield k, n_rows, rows
+
+
+def _rotated_rows(amps: np.ndarray, T: np.ndarray, R: np.ndarray, phased=False):
+    """Batched block rotation of pure amplitude grids, |T| >= |R| > 0, from one
+    plan: (idx, k, n, rows) as _wigner_rows yields them, idx a batch's slice."""
+    plan = _rotation_plan(amps) if T.size else None
+    if plan is None:
+        return
+    top, shapes, chunks = plan
+    step = max(1, _BUFFER_DOUBLES // max(s[0] * s[1] for s in shapes if s))
+    chunks = (chunk() for chunk in chunks)
+    if step < T.size:  # several batches share the chunks
+        chunks = list(chunks)
+    for lo in range(0, T.size, step):
+        for k, n, rows in _wigner_rows(top, shapes, chunks, T[lo : lo + step],
+                                       R[lo : lo + step], phased, amps.shape[-1] - 1):
+            yield slice(lo, lo + step), k, n, rows
+
+
+def _count_rows(state: TwoModeState, directions):
+    """Photon counts along the axes of an iterable, from one plan: per batch
+    (at, swap, k, n, prob), prob[i, j] the probability of (k[j], n[j] - k[j])
+    counts along axis at[i], or of the swapped counts where swap[i]."""
+    T, R = np.fromiter(((d.T, d.R) for d in directions), np.dtype((complex, 2))).T
+    weights = np.array([w for w, _ in state.components])
+    amps = np.stack([amp for _, amp in state.components])
+    # the engine takes |T| >= |R|: p behind (T, R) is p behind (R*, -T*)^T
+    swap = np.abs(R) > np.abs(T)
+    T, R = np.where(swap, np.conj(R), T), np.where(swap, -np.conj(T), R)
+    pole = np.flatnonzero(R == 0)
+    if pole.size:  # only per-mode phases, which the counts do not see
+        corner = np.einsum("c,cij->ij", weights, amps.real**2 + amps.imag**2).ravel()
+        ka, kb = np.divmod(np.arange(corner.size), amps.shape[-1])
+        prob = np.broadcast_to(corner, (pole.size, ka.size))
+        yield pole, swap[pole], ka, ka + kb, prob
+    turn = np.flatnonzero(R != 0)
+    for idx, k, n, rows in _rotated_rows(amps, T[turn], R[turn]):  # real, then imag
+        prob = np.einsum("c,dck->dk", np.r_[weights, weights], rows**2)
+        yield turn[idx], swap[turn[idx]], k, n, prob
 
 
 def _check_norm(trace: float, total) -> None:
@@ -633,6 +684,10 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
     weights = np.array([w for w, _ in state.components])
     amps = np.stack([amp for _, amp in state.components])
     clipped = np.zeros(len(weights))
+    if abs(R) > abs(T):
+        # U(T, R) = U(R, -T) U(0, 1), and U(0, 1)|k, l> = (-1)^k |l, k>
+        sign = 1.0 - 2.0 * (np.arange(c + 1) % 2)
+        amps, T, R = np.swapaxes(amps * sign[:, None], 1, 2), R, -T
     if R == 0:
         # pure per-mode phases a -> u a, b -> u* b with u = T/|T|; nothing
         # leaves the box
@@ -640,12 +695,12 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
         out = amps * np.outer(_powers(u, c), _powers(np.conj(u), c))
     else:
         out = np.zeros_like(amps)
-        for _, n, block in _rotated_blocks(amps, np.array([complex(T)]),
-                                           np.array([complex(R)])):
-            k = np.arange(max(0, n - c), min(n, c) + 1)  # rows inside the box
-            out[:, k, n - k] = block[0][:, k]
-            prob = block[0].real ** 2 + block[0].imag ** 2
-            clipped += prob[:, : k[0]].sum(axis=1) + prob[:, k[-1] + 1 :].sum(axis=1)
+        for _, k, n, rows in _rotated_rows(amps, np.array([complex(T)]),
+                                           np.array([complex(R)]), phased=True):
+            inside = (k <= c) & (n - k <= c)  # rows that stay in the box
+            out[:, k[inside], n[inside] - k[inside]] = rows[0][:, inside]
+            prob = rows[0].real ** 2 + rows[0].imag ** 2
+            clipped += prob[:, ~inside].sum(axis=1)
     rotated = TwoModeState(
         cutoff=c,
         components=tuple(zip(weights, out)),
@@ -664,20 +719,10 @@ def rotate_many(state: TwoModeState, directions) -> np.ndarray:
     if sum(p[i]) misses the trace by more than TOL.trace_window.
     """
     directions = list(directions)
-    c = state.cutoff
-    T = np.array([d.T for d in directions], dtype=complex)
-    R = np.array([d.R for d in directions], dtype=complex)
-    weights = np.array([w for w, _ in state.components])
-    amps = np.stack([amp for _, amp in state.components])
-    p = np.zeros((len(directions), 2 * c + 1, 2 * c + 1))
-    # R == 0 only applies per-mode phases, which the counts do not see
-    p[R == 0, : c + 1, : c + 1] = np.einsum("c,cij->ij", weights,
-                                            amps.real**2 + amps.imag**2)
-    turn = np.flatnonzero(R != 0)
-    for idx, n, block in _rotated_blocks(amps, T[turn], R[turn]):
-        k = np.arange(n + 1)
-        p[turn[idx, None], k, n - k] = np.einsum("c,dck->dk", weights,
-                                                 block.real**2 + block.imag**2)
+    p = np.zeros((len(directions),) + (2 * state.cutoff + 1,) * 2)
+    for at, sw, k, n, prob in _count_rows(state, directions):
+        p[at[~sw, None], k, n - k] = prob[~sw]
+        p[at[sw, None], n - k, k] = prob[sw]
     _check_norm(state.trace, p.sum(axis=(1, 2)))
     return p
 
@@ -771,23 +816,19 @@ def _warn_divergent(leakage: float, cutoff: int, z_a, z_b) -> None:
         )
 
 
-# doubles of p in one batch of _kernel_sums (4 MB); each batch pays the
-# direction-independent work of _wigner_blocks again, so batches stay large
-_BATCH_DOUBLES = 1 << 19
-
-
 def _kernel_sums(state: TwoModeState, directions, z_a, z_b) -> np.ndarray:
     """Entry i: the kernel sum of state with (z_a[i], z_b[i]) along the i-th
-    of len(z_a) directions, taken from any iterable a batch at a time (at
-    most _BATCH_DOUBLES of p), so a generator holds one batch of direction
-    objects.  The existence rule runs once, on every kernel."""
+    of len(z_a) directions, from any iterable.  Each batch of counts is
+    summed as it comes, so no photon distribution is stored.  The existence
+    rule runs once, on every kernel."""
     _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
-    out = np.empty(len(z_a), dtype=complex)
-    step = max(1, _BATCH_DOUBLES // (2 * state.cutoff + 1) ** 2)
-    directions = iter(directions)
-    for lo in range(0, out.size, step):
-        p = rotate_many(state, itertools.islice(directions, step))
-        out[lo : lo + step] = _power_sum(p, z_a[lo : lo + step], z_b[lo : lo + step])
+    out, mass = np.zeros(len(z_a), dtype=complex), np.zeros(len(z_a))
+    for at, sw, k, n, prob in _count_rows(state, directions):
+        a, b = np.where(sw, z_b[at], z_a[at]), np.where(sw, z_a[at], z_b[at])
+        kernel = _powers(a, n.max())[:, k] * _powers(b, n.max())[:, n - k]
+        out[at] += np.einsum("dr,dr->d", prob, kernel)
+        mass[at] += prob.sum(axis=1)
+    _check_norm(state.trace, mass)
     return out
 
 

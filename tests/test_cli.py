@@ -393,3 +393,36 @@ def test_single_axis_commands_rotate_once(tmp_path, monkeypatch, argv):
     with expect:
         assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::stokespace.config.ConvergenceWarning")
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+
+    runs = [
+        ["mgf", "--state", TMSV, "--direction", "0,0,1", "--direction", "0.6,0,0.8",
+         "--t", "0.1", "--tau", "0.2"],
+        ["mgf", "--state", TMSV, "--direction", "0,1,0", "--t", "0.1", "--tau", "0.2"],
+        ["nctest", "--state", TMSV, "--direction", "0.6,0,0.8", "--cutoff", "20"],
+    ]
+
+    def outputs(label):
+        got = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{label}{i}"
+            assert main(argv + ["--out", str(out), "--no-timestamp"]) == 0
+            got.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        return got
+
+    shared = outputs("shared")
+    assert cli._build_parser() is cli._build_parser()
+    # the same calls, each with a parser of its own
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outputs("fresh") == shared
+    # the second mgf holds its own axis only: no --direction list carried over
+    header, body = read_csv(tmp_path / "shared1" / "mgf.csv")
+    assert len(body) == 1 and np.allclose(body[0][:3], [0.0, 1.0, 0.0], atol=1e-15)
+    # a command function replaced after the parser is built is the one run
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "cmd_tmsv_scan", lambda args: 7)
+    assert main(["tmsv-scan", "--out", str(tmp_path / "swapped")]) == 7

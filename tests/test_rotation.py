@@ -8,6 +8,7 @@ import pytest
 import stokespace.fock as fock
 from stokespace import (
     CoherentSpec,
+    HomInputSpec,
     MgfQuery,
     MixtureSpec,
     NumericalError,
@@ -63,6 +64,16 @@ def test_matches_exponentiated_generator(rng):
     assert np.max(np.abs(out.components[0][1] - ref)) <= 1e-12
 
 
+def test_swapped_axes_read_the_transposed_counts(rng):
+    state = random_low_state(rng, cutoff=6, n_max=6)
+    # T = 0 is the exact mode swap; the others mirror to (R*, -T*) too
+    for T, R in ((0.0, np.exp(0.4j)), (0.28 * np.exp(2.0j), 0.96j), (0.6, -0.8)):
+        out = beam_splitter(state, T, R).components[0][1]
+        p = rotate_many(state, [direction_from_tr(T, R)])[0]
+        assert np.max(np.abs(p[:7, :7] - np.abs(out) ** 2)) <= 1e-15
+        assert np.max(np.abs(p[7:])) <= 1e-15 and np.max(np.abs(p[:, 7:])) <= 1e-15
+
+
 def test_coherent_pair_maps_to_coherent_pair():
     alpha, beta = 1.7 - 0.6j, -0.9 + 1.2j
     state = make_state(CoherentSpec(alpha, beta), cutoff=60)
@@ -113,15 +124,147 @@ def test_tmsv_mgf_matches_closed_form_at_auto_cutoff(xi):
 
 def test_norm_violation_raises(monkeypatch):
     state = make_state(CoherentSpec(0.8, 0.3j), cutoff=12)
-    rotated = fock._rotated_blocks
+    rotated = fock._rotated_rows
 
-    def lossy(amps, T, R):
-        for idx, n, out in rotated(amps, T, R):
-            yield idx, n, out * (1.0 + 1e-6)
+    def lossy(*args, **kwargs):
+        for idx, k, n, rows in rotated(*args, **kwargs):
+            yield idx, k, n, rows * (1.0 + 1e-6)
 
-    monkeypatch.setattr(fock, "_rotated_blocks", lossy)
+    monkeypatch.setattr(fock, "_rotated_rows", lossy)
     d = direction_to_beamsplitter((0.6, 0.0, 0.8))
     with pytest.raises(NumericalError):
         joint_photon_distribution(state, d)
     with pytest.raises(NumericalError):
         beam_splitter(state, d.T, d.R)
+    with pytest.raises(NumericalError):
+        fock._kernel_sums(state, [d], np.ones(1), np.ones(1))
+
+
+def oracle_step_tables(dc, n):
+    """The per-block arithmetic of the step coefficients before they were
+    planned: tables (k3, e, a) of the columns with offsets dc at block n."""
+    m = n - 2
+    if m == 0:  # the step was diff = -y cur
+        return np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))
+    dc = dc.astype(float)[:, None]
+    dr = np.arange(-m, m + 1, 2, dtype=float)[None, :]
+    ac, ar = np.sqrt(n * n - dc * dc), np.sqrt(n * n - dr * dr)
+    gc, gr = np.sqrt(m * m - dc * dc), np.sqrt(m * m - dr * dr)
+    inv = 1.0 / (ac * ar)
+    cross = dc * dr
+    lo = m * m - cross + gc * gr
+    lo[lo == 0.0] = 1.0
+    e = (dc - dr) ** 2 * (n * m / lo + n * n / (n * n - cross + ac * ar)) * inv
+    return (n / m) * gc * gr * inv, e, (2.0 * (m + 1) * n) * inv
+
+
+def planned_tables(plan):
+    """(n, offsets, (k3, e, a)) of every block of a plan that steps columns."""
+    for build in plan[2]:
+        chunk = build()
+        for n, _, old, _, base, *_, t in chunk.blocks:
+            if old:
+                got = chunk.tables[:, t : t + old * (n - 1)].reshape(3, old, n - 1)
+                yield n, chunk.offsets[base : base + old], got
+
+
+def recording_plans(monkeypatch):
+    plans = []
+    build = fock._rotation_plan
+
+    def recording(src):
+        plans.append(build(src))
+        return plans[-1]
+
+    monkeypatch.setattr(fock, "_rotation_plan", recording)
+    return plans
+
+
+@pytest.mark.parametrize("spec, cutoff", [
+    (TmsvSpec(1.0), 42),
+    (CoherentSpec(1.6 + 0.9j, -1.1 + 0.4j), 24),
+    (MixtureSpec(((0.3, 0.8 + 0.4j, -0.5j), (0.45, -0.9, 0.7 + 0.3j),
+                  (0.25, 0.2 - 1.0j, 1.1))), 16),
+    (HomInputSpec(), 6),
+])
+def test_planned_step_tables_equal_the_per_block_arithmetic(monkeypatch, spec, cutoff):
+    state = make_state(spec, cutoff)
+    plans = recording_plans(monkeypatch)
+    # one axis on each side of |R| = |T|: beam_splitter swaps the modes of
+    # the state for the second, so its plan is that of the swapped state
+    for T, R in ((0.8, 0.6j), (0.6, 0.8j)):
+        rotate_many(state, [direction_from_tr(T, R)])
+        beam_splitter(state, T, R)
+    assert len(plans) == 4
+    seen = 0
+    for plan in plans:
+        for n, dc, got in planned_tables(plan):
+            for x, want in zip(got, oracle_step_tables(dc, n)):
+                assert np.array_equal(x, want), n
+            seen += 1
+    assert seen >= len(plans)
+
+
+def test_plan_chunking_leaves_p_bit_identical(monkeypatch, rng):
+    spec = MixtureSpec(((0.3, 1.0 + 0.5j, -0.4j), (0.7, -0.6, 0.9 + 0.2j)))
+    states = [make_state(spec, 14), make_state(TmsvSpec(1.0), 42)]
+    dirs = [random_direction(rng) for _ in range(9)]
+    want = [rotate_many(s, dirs) for s in states]
+    amps = [beam_splitter(s, d.T, d.R).components[0][1] for s in states for d in dirs[:2]]
+    plans = recording_plans(monkeypatch)
+    built = []
+    chunk = fock._plan_chunk
+    monkeypatch.setattr(fock, "_plan_chunk", lambda *a: built.append(1) or chunk(*a))
+    monkeypatch.setattr(fock, "_PLAN_DOUBLES", 64)  # a chunk of one block or few
+    # chunks kept for one batch per direction, or built in turn for one batch
+    for buffer in (1, 1 << 30):
+        monkeypatch.setattr(fock, "_BUFFER_DOUBLES", buffer)
+        for s, p in zip(states, want):
+            plans.clear()
+            built.clear()
+            assert np.array_equal(rotate_many(s, dirs), p)
+            assert len(plans) == 1 and len(built) == len(plans[0][2]) > 5
+        got = [beam_splitter(s, d.T, d.R).components[0][1] for s in states for d in dirs[:2]]
+        assert all(np.array_equal(x, y) for x, y in zip(got, amps))
+
+
+def test_one_plan_per_call_across_direction_batches(monkeypatch, rng):
+    state = make_state(CoherentSpec(0.6 - 0.3j, 0.5j), 12)
+    dirs = [random_direction(rng) for _ in range(7)]
+    dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1))]
+    want = rotate_many(state, dirs)
+    plans = recording_plans(monkeypatch)
+    batches = []
+    rows = fock._wigner_rows
+
+    def counting(top, shapes, chunks, T, R, *args):
+        batches.append(T.size)
+        return rows(top, shapes, chunks, T, R, *args)
+
+    monkeypatch.setattr(fock, "_wigner_rows", counting)
+    monkeypatch.setattr(fock, "_BUFFER_DOUBLES", 1)  # one direction per batch
+    assert np.array_equal(rotate_many(state, dirs), want)
+    # at a pole the splitter may only rephase the modes; every other axis
+    # is a batch of its own
+    assert len(plans) == 1 and set(batches) == {1}
+    assert len(dirs) - 2 <= len(batches) <= len(dirs) - 1
+    plans.clear()
+    beam_splitter(state, dirs[0].T, dirs[0].R)
+    assert len(plans) == 1
+
+
+@pytest.mark.parametrize("buffer", [1, 1 << 30], ids=["batch-per-axis", "one-batch"])
+def test_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
+    spec = MixtureSpec(((0.4, 0.9 - 0.3j, 0.5j), (0.6, -0.4, 0.8 + 0.6j)))
+    state = make_state(spec, 12)
+    dirs = [random_direction(rng) for _ in range(9)]
+    dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1))]
+    # kernels inside the unit disc, one pair per axis
+    z_a, z_b = rng.uniform(0.0, 1.0, (2, len(dirs))) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, (2, len(dirs))))
+    want = fock._power_sum(rotate_many(state, dirs), z_a, z_b)
+    plans = recording_plans(monkeypatch)
+    monkeypatch.setattr(fock, "_BUFFER_DOUBLES", buffer)
+    got = fock._kernel_sums(state, iter(dirs), z_a, z_b)
+    assert len(plans) == 1
+    assert np.max(np.abs(got - want)) <= 1e-15
