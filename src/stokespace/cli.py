@@ -1,9 +1,12 @@
 """Command-line front end emitting CSV/JSON data grids.
 
 Subcommands: mgf, surface, hom-scan, tmsv-scan, nctest, clicks,
-reconstruct.  Exit codes: 0 success, 2 validation error, 3 numeric
-failure.  Output is deterministic for a fixed configuration and seed;
-the timestamp comment line can be suppressed for byte-identical reruns.
+reconstruct.  Each takes --out, --cutoff and --no-timestamp; --state
+only where a state is read (all but the two scans) and --seed only where
+draws are made (clicks, reconstruct).  Exit codes: 0 success, 2
+validation error, 3 numeric failure.  Output is deterministic for a
+fixed configuration and seed; the timestamp comment line can be
+suppressed for byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,6 +55,7 @@ from .detector import (
     samples_to_json,
 )
 from .reconstruct import (
+    ORACLE_MIN_SAMPLES,
     Grid3,
     classicality_check,
     default_tau,
@@ -66,30 +69,20 @@ from .reconstruct import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved global options, echoed into every JSON artifact."""
-
-    state_json: dict | None
-    out: Path
-    seed: int
-    cutoff: int | None
-    timestamp: bool
-
-    def echo(self) -> dict:
-        return {
-            "state": self.state_json,
-            "seed": self.seed,
-            "cutoff": self.cutoff,
-            "timestamp": self.timestamp,
-        }
-
-
-def _parse_direction(text: str) -> np.ndarray:
+def _three_vector(text: str) -> np.ndarray:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3:
-        raise ValueError(f"direction needs three components, got {text!r}")
+        raise argparse.ArgumentTypeError(f"need three components x,y,z, got {text!r}")
     return np.array(parts)
+
+
+def _json_object(text: str):
+    """An inline JSON object, or the path of a file holding one."""
+    text = text.strip()
+    try:
+        return json.loads(text if text.startswith("{") else Path(text).read_text())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 # rows formatted, joined and written at once by _write_csv
@@ -143,87 +136,64 @@ def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _resolve_config(args) -> RunConfig:
-    state_json = None
+def _build_state(args):
     if args.state is not None:
-        text = args.state.strip()
-        if text.startswith("{"):
-            state_json = json.loads(text)
-        else:
-            state_json = json.loads(Path(text).read_text())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return RunConfig(
-        state_json=state_json,
-        out=out,
-        seed=args.seed,
-        cutoff=args.cutoff,
-        timestamp=not args.no_timestamp,
-    )
-
-
-def _build_state(cfg: RunConfig, default_spec=None):
-    if cfg.state_json is not None:
-        spec, embedded = spec_from_json(cfg.state_json)
+        spec, embedded = spec_from_json(args.state)
     else:
-        spec, embedded = default_spec or VacuumSpec(), None
-    cutoff = cfg.cutoff if cfg.cutoff is not None else embedded
+        spec, embedded = VacuumSpec(), None
+    cutoff = args.cutoff if args.cutoff is not None else embedded
     if cutoff is None:
         cutoff = auto_cutoff(spec)
     return make_state(spec, cutoff), spec, cutoff
 
 
+def _echo(args) -> dict:
+    """The run settings every JSON artifact records under "config"."""
+    return {"state": args.state, "seed": args.seed, "cutoff": args.cutoff,
+            "timestamp": args.timestamp}
+
+
+def _table(args, name: str, columns, rows) -> Path:
+    path = args.out / name
+    _write_csv(path, columns, rows, args.timestamp)
+    return path
+
+
+_M_COLUMNS = ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"]
+
+
 def cmd_mgf(args) -> int:
-    cfg = _resolve_config(args)
-    state, _, _ = _build_state(cfg)
-    directions = args.direction or [np.array([0.0, 0.0, 1.0])]
+    state, _, _ = _build_state(args)
     t, tau = (
         g.ravel()
         for g in np.meshgrid(args.t or [1.0], args.tau or [0.0], indexing="ij")
     )
     t = t.astype(complex)
     blocks = []
-    for e in directions:
+    for e in args.direction or [np.array([0.0, 0.0, 1.0])]:
         d = direction_to_beamsplitter(e)
         v = mgf_from_distribution(joint_photon_distribution(state, d), t, tau)
         blocks.append(np.column_stack(
             [np.tile(d.e, (t.size, 1)), t.real, t.imag, tau, v.real, v.imag]
         ))
-    path = cfg.out / "mgf.csv"
-    _write_csv(
-        path,
-        ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"],
-        np.vstack(blocks),
-        cfg.timestamp,
-    )
-    print(path)
+    print(_table(args, "mgf.csv", _M_COLUMNS, np.vstack(blocks)))
     return 0
 
 
 def cmd_surface(args) -> int:
-    cfg = _resolve_config(args)
-    state, _, _ = _build_state(cfg)
+    state, _, _ = _build_state(args)
     axes = sphere_grid(args.n_theta, args.n_phi)
     samples = surface_map(state, args.t, args.tau, axes)
     e = np.array([s.e for s in samples]).reshape(-1, 3)
     value = np.array([complex(s.value) for s in samples])
     query = np.broadcast_to((args.t.real, args.t.imag, args.tau), (len(samples), 3))
-    path = cfg.out / "surface.csv"
-    _write_csv(
-        path,
-        ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"],
-        np.column_stack([e, query, value.real, value.imag]),
-        cfg.timestamp,
-    )
-    print(path)
+    table = np.column_stack([e, query, value.real, value.imag])
+    print(_table(args, "surface.csv", _M_COLUMNS, table))
     return 0
 
 
 def cmd_hom_scan(args) -> int:
-    # the scan is defined for the two-single-photon input; --state is ignored
-    cfg = _resolve_config(args)
-    cutoff = cfg.cutoff if cfg.cutoff is not None else 4
-    state = make_state(HomInputSpec(), cutoff)
+    state = make_state(HomInputSpec(), args.cutoff if args.cutoff is not None else 4)
     ts = args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0]
     t2_grid = np.linspace(args.t2_min, args.t2_max, args.t2_steps)
     e_z = 2.0 * t2_grid - 1.0
@@ -235,14 +205,11 @@ def cmd_hom_scan(args) -> int:
     table = np.column_stack(
         [np.repeat(t2_grid, len(ts)), np.tile(ts, len(t2_grid)), np.ravel(dets)]
     )
-    path = cfg.out / "hom_scan.csv"
-    _write_csv(path, ["T2", "t", "determinant"], table, cfg.timestamp)
-    print(path)
+    print(_table(args, "hom_scan.csv", ["T2", "t", "determinant"], table))
     return 0
 
 
 def cmd_tmsv_scan(args) -> int:
-    cfg = _resolve_config(args)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     if not np.all((kappas >= 0.0) & (kappas < 1.0)):
@@ -253,71 +220,57 @@ def cmd_tmsv_scan(args) -> int:
     dets = []
     for kappa in kappas:
         spec = TmsvSpec(xi=math.atanh(kappa))
-        cutoff = cfg.cutoff if cfg.cutoff is not None else auto_cutoff(spec)
+        cutoff = args.cutoff if args.cutoff is not None else auto_cutoff(spec)
         dist = joint_photon_distribution(make_state(spec, cutoff), d)
         dets.append(second_order_det(dist, d, -taus, taus, taus, taus))
     table = np.column_stack(
         [np.repeat(kappas, len(taus)), np.tile(taus, len(kappas)), np.ravel(dets)]
     )
-    path = cfg.out / "tmsv_scan.csv"
-    _write_csv(path, ["tanh_xi", "tau", "determinant"], table, cfg.timestamp)
-    print(path)
+    print(_table(args, "tmsv_scan.csv", ["tanh_xi", "tau", "determinant"], table))
     return 0
 
 
 def cmd_nctest(args) -> int:
-    cfg = _resolve_config(args)
-    state, _, _ = _build_state(cfg)
-    e = args.direction if args.direction is not None else np.array([0.0, 0.0, 1.0])
-    d = direction_to_beamsplitter(e)
-    t, tau = args.t, args.tau
-    t2, tau2 = args.t2, args.tau2
-    tol = args.tolerance
-    spec = MgfMatrixSpec(d, ((t, tau), (t2, tau2)))
+    state, _, _ = _build_state(args)
+    d = direction_to_beamsplitter(args.direction)
+    t, tau, t2, tau2 = args.t, args.tau, args.t2, args.tau2
     # every criterion reads the one distribution along d; the
     # characteristic function Phi(k e) = M(i k e; 0) is one of its sums
     dist = joint_photon_distribution(state, d)
-    pair = (t.real, t.imag, tau, t2.real, t2.imag, tau2)
-    blank = ("",) * 6
-    rows = []
-
-    det = second_order_det(dist, d, t, tau, t2, tau2)
-    rows.append(("second_order_det", *d.e, *pair, det, _verdict(det, tol)))
-    report = matrix_verdict(mgf_matrix(dist, spec), tolerance=tol)
-    rows.append(("matrix_min_eigenvalue", *d.e, *pair, report.value, report.verdict))
     phi = 1.0
     if args.k_norm != 0.0:
-        t_phi = 1j * args.k_norm * float(np.linalg.norm(e))
+        t_phi = 1j * args.k_norm * float(np.linalg.norm(args.direction))
         phi = mgf_from_distribution(dist, t_phi, 0.0)
-    cf = 1.0 - abs(phi)
-    rows.append(("char_fn", *d.e, *blank, cf, _verdict(cf, tol)))
     var_s, var_n = variance_criteria(dist, d)
-    rows.append(("variance_stokes", *d.e, *blank, var_s, _verdict(var_s, tol)))
-    rows.append(("variance_number", *d.e, *blank, var_n, _verdict(var_n, tol)))
     cross = cross_correlation_det(dist, d)
-    rows.append(("cross_number_stokes", *d.e, *blank, cross.number_stokes,
-                 _verdict(cross.number_stokes, tol)))
-    rows.append(("cross_photon_photon", *d.e, *blank, cross.photon_photon,
-                 _verdict(cross.photon_photon, tol)))
-    path = cfg.out / "nctest.csv"
-    _write_csv(
-        path,
-        ["criterion", "e_x", "e_y", "e_z", "t_re", "t_im", "tau",
-         "t2_re", "t2_im", "tau2", "value", "verdict"],
-        rows,
-        cfg.timestamp,
-    )
-    print(path)
+    matrix = mgf_matrix(dist, MgfMatrixSpec(d, ((t, tau), (t2, tau2))))
+    # the first two criteria read M at the point pair; the rest read none
+    criteria = [
+        ("second_order_det", second_order_det(dist, d, t, tau, t2, tau2)),
+        ("matrix_min_eigenvalue", matrix_verdict(matrix).value),
+        ("char_fn", 1.0 - abs(phi)),
+        ("variance_stokes", var_s),
+        ("variance_number", var_n),
+        ("cross_number_stokes", cross.number_stokes),
+        ("cross_photon_photon", cross.photon_photon),
+    ]
+    pair = (t.real, t.imag, tau, t2.real, t2.imag, tau2)
+    rows = [
+        (name, *d.e, *(pair if i < 2 else ("",) * 6), value,
+         _verdict(value, args.tolerance))
+        for i, (name, value) in enumerate(criteria)
+    ]
+    columns = ["criterion", "e_x", "e_y", "e_z", "t_re", "t_im", "tau",
+               "t2_re", "t2_im", "tau2", "value", "verdict"]
+    print(_table(args, "nctest.csv", columns, rows))
     return 0
 
 
 def cmd_clicks(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be >= 0")
-    cfg = _resolve_config(args)
-    state, spec, cutoff = _build_state(cfg)
-    e = args.direction if args.direction is not None else np.array([0.0, 0.0, 1.0])
-    d = direction_to_beamsplitter(e)
+    state, spec, cutoff = _build_state(args)
+    d = direction_to_beamsplitter(args.direction)
     cfg_a = ClickDetectorConfig(
         apds=args.apds_a, eta=args.eta_a, nu=args.nu_a, eps=args.eps_a
     )
@@ -327,19 +280,11 @@ def cmd_clicks(args) -> int:
     # the click table and the direct M column share one distribution
     dist = joint_photon_distribution(state, d)
     clicks = click_distribution(dist, d, cfg_a, cfg_b)
-
     i, j = np.indices(clicks.c.shape)
-    _write_csv(
-        cfg.out / "clicks.csv",
-        ["i", "j", "probability"],
-        np.column_stack([i.ravel(), j.ravel(), clicks.c.ravel()]),
-        cfg.timestamp,
-    )
+    _table(args, "clicks.csv", ["i", "j", "probability"],
+           np.column_stack([i.ravel(), j.ravel(), clicks.c.ravel()]))
 
-    samples = None
-    if args.samples:
-        samples = sample_clicks(clicks, args.samples, cfg.seed)
-
+    samples = sample_clicks(clicks, args.samples, args.seed) if args.samples else None
     k, l = i.ravel(), j.ravel()
     t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
     mu = moments_from_clicks(clicks, k, l)
@@ -348,16 +293,13 @@ def cmd_clicks(args) -> int:
         est, err = estimate_mgf_from_samples(samples, k, l, cfg_a, cfg_b)
     else:
         est = err = ("",) * k.size
-    _write_csv(
-        cfg.out / "moments.csv",
-        ["k", "l", "t", "tau", "mu", "mgf", "estimate", "std_error"],
-        list(zip(k, l, t, tau, mu, direct, est, err)),
-        cfg.timestamp,
-    )
+    _table(args, "moments.csv",
+           ["k", "l", "t", "tau", "mu", "mgf", "estimate", "std_error"],
+           list(zip(k, l, t, tau, mu, direct, est, err)))
 
     payload = {
         "config": {
-            **cfg.echo(),
+            **_echo(args),
             "state": spec_to_json(spec, cutoff),
             "direction": list(d.e),
             "samples": args.samples,
@@ -366,48 +308,39 @@ def cmd_clicks(args) -> int:
     }
     if samples is not None:
         payload["sampled"] = samples_to_json(samples)
-    _write_json(cfg.out / "clicks.json", payload, cfg.timestamp)
-    print(cfg.out / "clicks.json")
+    _write_json(args.out / "clicks.json", payload, args.timestamp)
+    print(args.out / "clicks.json")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _resolve_config(args)
-    mins = _parse_direction(args.s_min)
-    maxs = _parse_direction(args.s_max)
-    grid = Grid3(tuple(mins), tuple(maxs), (args.n_points,) * 3)
-    tau = args.tau if args.tau is not None else default_tau(grid)
+    if args.state is not None and args.ensemble is not None:
+        raise ValueError("give --state or --ensemble, not both")
     if args.mc_oracle and args.ensemble is None:
         raise ValueError("the MC oracle requires an --ensemble source")
+    if args.mc_oracle and args.mc_oracle < ORACLE_MIN_SAMPLES:
+        raise ValueError(f"--mc-oracle needs at least {ORACLE_MIN_SAMPLES} samples")
+    grid = Grid3(tuple(args.s_min), tuple(args.s_max), (args.n_points,) * 3)
+    tau = args.tau if args.tau is not None else default_tau(grid)
 
-    ensemble = None
     if args.ensemble is not None:
-        text = args.ensemble.strip()
-        obj = json.loads(text if text.startswith("{") else Path(text).read_text())
-        ensemble = ensemble_from_json(obj)
-        source = ensemble
-        source_json = obj
+        source = ensemble_from_json(args.ensemble)
+        source_json = args.ensemble
     else:
-        state, spec, cutoff = _build_state(cfg)
-        source = state
+        source, spec, cutoff = _build_state(args)
         source_json = spec_to_json(spec, cutoff)
 
     values = mgf_imaginary_grid(source, dual_grid(grid), tau)
     pess = invert_to_pess(values, grid, tau, window=args.window)
-    save_pess(pess, cfg.out / "pess.bin")
-
+    save_pess(pess, args.out / "pess.bin")
     coords = [c.reshape(-1) for c in np.meshgrid(*grid.axes(), indexing="ij")]
-    _write_csv(
-        cfg.out / "pess.csv",
-        ["S_x", "S_y", "S_z", "value"],
-        np.column_stack([*coords, pess.values.reshape(-1)]),
-        cfg.timestamp,
-    )
+    _table(args, "pess.csv", ["S_x", "S_y", "S_z", "value"],
+           np.column_stack([*coords, pess.values.reshape(-1)]))
 
     report = classicality_check(pess)
     payload = {
         "config": {
-            **cfg.echo(),
+            **_echo(args),
             "source": source_json,
             "tau": tau,
             "window": args.window,
@@ -422,11 +355,11 @@ def cmd_reconstruct(args) -> int:
         "label": pess.label,
     }
     if args.mc_oracle:
-        oracle = pess_mc_oracle(ensemble, grid, args.mc_oracle, cfg.seed)
-        save_pess(oracle, cfg.out / "oracle.bin")
+        oracle = pess_mc_oracle(source, grid, args.mc_oracle, args.seed)
+        save_pess(oracle, args.out / "oracle.bin")
         payload["l1_vs_oracle"] = l1_distance(pess, oracle)
-    _write_json(cfg.out / "report.json", payload, cfg.timestamp)
-    print(cfg.out / "report.json")
+    _write_json(args.out / "report.json", payload, args.timestamp)
+    print(args.out / "report.json")
     return 0
 
 
@@ -435,17 +368,17 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built at the first main call; parsing never changes it,
     and main looks up each command's cmd_ function by name at every call."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--state", help="state spec: JSON file path or inline JSON object"
-    )
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
+    common.add_argument("--out", type=Path, default=".", help="output directory")
     common.add_argument("--cutoff", type=int, help="Fock cutoff override")
     common.add_argument(
-        "--no-timestamp",
-        action="store_true",
+        "--no-timestamp", dest="timestamp", action="store_false",
         help="omit the timestamp comment for byte-identical reruns",
     )
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", type=_json_object,
+                       help="state spec: JSON file path or inline JSON object")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="stokespace",
@@ -454,15 +387,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mgf", parents=[common], help="MGF over an (e, t, tau) grid")
-    p.add_argument("--direction", type=_parse_direction, action="append",
-                   help="axis x,y,z (repeatable)")
+    p = sub.add_parser("mgf", parents=[common, state],
+                       help="MGF over an (e, t, tau) grid")
+    p.add_argument("--direction", type=_three_vector, action="append",
+                   help="axis x,y,z (repeatable; default 0,0,1)")
     p.add_argument("--t", type=complex, action="append",
                    help="argument t (repeatable, complex literal)")
     p.add_argument("--tau", type=float, action="append",
                    help="damping tau (repeatable)")
 
-    p = sub.add_parser("surface", parents=[common],
+    p = sub.add_parser("surface", parents=[common, state],
                        help="unit-sphere map e -> M(t e; tau)")
     p.add_argument("--t", type=complex, default=complex(1.0))
     p.add_argument("--tau", type=float, default=0.0)
@@ -472,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hom-scan", parents=[common],
         help="second-order determinant of the two-photon input vs splitter "
-        "transmittance (--state is ignored)")
+        "transmittance")
     p.add_argument("--t", type=float, action="append",
                    help="t value (repeatable; default sqrt2, sqrt3, 2)")
     p.add_argument("--t2-min", type=float, default=0.0, help="|T|^2 start")
@@ -490,9 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=0.5)
     p.add_argument("--tau-steps", type=int, default=10)
 
-    p = sub.add_parser("nctest", parents=[common],
+    p = sub.add_parser("nctest", parents=[common, state],
                        help="criteria battery at one axis and point pair")
-    p.add_argument("--direction", type=_parse_direction)
+    p.add_argument("--direction", type=_three_vector, default="0,0,1")
     p.add_argument("--t", type=complex, default=complex(math.sqrt(3.0)))
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--t2", type=complex, default=complex(0.0))
@@ -501,9 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="length of the characteristic-function argument")
     p.add_argument("--tolerance", type=float, default=1e-9)
 
-    p = sub.add_parser("clicks", parents=[common],
+    p = sub.add_parser("clicks", parents=[common, state, seed],
                        help="exact click statistics and moment sampling")
-    p.add_argument("--direction", type=_parse_direction)
+    p.add_argument("--direction", type=_three_vector, default="0,0,1")
     p.add_argument("--apds-a", type=int, default=4)
     p.add_argument("--apds-b", type=int, default=4)
     p.add_argument("--eta-a", type=float, default=1.0)
@@ -515,18 +449,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0,
                    help="multinomial sample count (0 = exact only)")
 
-    p = sub.add_parser("reconstruct", parents=[common],
+    p = sub.add_parser("reconstruct", parents=[common, state, seed],
                        help="invert MGF data to the phase-space density")
-    p.add_argument("--ensemble",
-                   help="classical ensemble: JSON file path or inline JSON")
-    p.add_argument("--s-min", default="-8,-8,-8", help="grid minima x,y,z")
-    p.add_argument("--s-max", default="8,8,8", help="grid maxima x,y,z")
+    p.add_argument("--ensemble", type=_json_object,
+                   help="classical ensemble: JSON file path or inline JSON "
+                   "(instead of --state)")
+    p.add_argument("--s-min", type=_three_vector, default="-8,-8,-8",
+                   help="grid minima x,y,z")
+    p.add_argument("--s-max", type=_three_vector, default="8,8,8",
+                   help="grid maxima x,y,z")
     p.add_argument("--n-points", type=int, default=32, help="points per axis")
     p.add_argument("--tau", type=float, help="damping (default 1/(2 r_grid))")
     p.add_argument("--window", default="raised-cosine",
                    choices=["raised-cosine", "none"])
     p.add_argument("--mc-oracle", type=int, default=0,
-                   help="compare against a histogram of this many draws")
+                   help="compare against a histogram of this many draws (>= 10^4)")
     return parser
 
 
@@ -537,11 +474,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (NumericalError,) as exc:
+    except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

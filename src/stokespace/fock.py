@@ -214,19 +214,20 @@ class MeasurementDirection:
 def direction_to_beamsplitter(e) -> MeasurementDirection:
     """Splitter parameters for a Stokes axis.
 
-    Uses T = cos(theta/2), R = sin(theta/2) exp(-i phi) with e =
-    (sin theta cos phi, sin theta sin phi, cos theta).  Inputs within
-    1e-9 of unit norm are renormalized; at the poles phi is fixed to 0.
+    Uses T = sqrt((1 + e_z)/2), R = sqrt((1 - e_z)/2) exp(-i phi) with
+    e = (sin theta cos phi, sin theta sin phi, cos theta), so T is exactly
+    0 at the south pole and R at the north pole.  Inputs within 1e-9 of
+    unit norm are renormalized; at the poles phi is fixed to 0.
     """
     e = np.asarray(e, dtype=float).reshape(3)
     norm = np.linalg.norm(e)
     if norm == 0.0 or abs(norm - 1.0) > TOL.direction_input:
         raise ValueError("axis must be within 1e-9 of unit norm")
     e = e / norm
-    theta = math.acos(min(1.0, max(-1.0, e[2])))
+    e_z = min(1.0, max(-1.0, e[2]))
     phi = math.atan2(e[1], e[0])
-    T = complex(math.cos(theta / 2.0))
-    R = math.sin(theta / 2.0) * complex(math.cos(phi), -math.sin(phi))
+    T = complex(math.sqrt((1.0 + e_z) / 2.0))
+    R = math.sqrt((1.0 - e_z) / 2.0) * complex(math.cos(phi), -math.sin(phi))
     return MeasurementDirection(e=_stokes_axis(T, R), T=T, R=R)
 
 

@@ -448,6 +448,9 @@ def invert_to_pess(
     )
 
 
+ORACLE_MIN_SAMPLES = 10**4
+
+
 def pess_mc_oracle(
     ensemble: CoherentEnsemble, s_grid: Grid3, n: int, seed: int
 ) -> PessGrid:
@@ -456,8 +459,8 @@ def pess_mc_oracle(
     Independent of the Fourier route: bins raw samples on the grid cells
     and normalizes by the in-grid count.
     """
-    if n < 10**4:
-        raise ValueError("need at least 10^4 samples")
+    if n < ORACLE_MIN_SAMPLES:
+        raise ValueError(f"need at least {ORACLE_MIN_SAMPLES} samples")
     rng = np.random.Generator(np.random.Philox(key=seed))
     if ensemble.sampler is not None:
         pts = np.asarray(ensemble.sampler(rng, n), dtype=complex)

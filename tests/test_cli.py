@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -328,11 +329,13 @@ def test_timestamp_emitted_by_default(tmp_path):
     assert first.startswith("# generated ")
 
 
-def test_error_exit_codes(tmp_path):
+def test_error_exit_codes(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["mgf", "--state", '{"kind": "nope"}', "--out", out]) == 2
     assert main(["mgf", "--state", "{not json", "--out", out]) == 2
+    capsys.readouterr()
     assert main(["mgf", "--state", "/does/not/exist.json", "--out", out]) == 2
+    assert "/does/not/exist.json" in capsys.readouterr().err
     with warnings.catch_warnings():
         # a point far outside the grid: the inversion warns, then the MC
         # oracle finds no sample on the grid
@@ -365,6 +368,74 @@ def test_oracle_without_ensemble_fails_before_the_inversion(tmp_path):
     assert main(["reconstruct", "--out", str(tmp_path), "--mc-oracle", "20000",
                  "--state", VAC]) == 2
     assert not (tmp_path / "pess.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ensemble", '{"points": [[0.5, 0.5]]}', "--mc-oracle", "9999"],
+    ["--ensemble", '{"points": [[0.5, 0.5]]}', "--mc-oracle", "-1"],
+    ["--ensemble", '{"points": [[0.5, 0.5]]}', "--state", VAC],
+])
+def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypatch,
+                                                              argv):
+    import stokespace.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "mgf_imaginary_grid", lambda *a: calls.append(a))
+    assert main(["reconstruct", "--out", str(tmp_path), "--n-points", "8", *argv]) == 2
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-scan", "--state", VAC],
+    ["tmsv-scan", "--state", VAC],
+    *([name, "--seed", "1"] for name in ("mgf", "surface", "hom-scan", "tmsv-scan",
+                                         "nctest")),
+])
+def test_subcommands_take_only_the_options_they_read(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["mgf"], "mgf.csv"),
+    (["surface", "--n-theta", "3", "--n-phi", "4"], "surface.csv"),
+    (["hom-scan", "--t2-steps", "3"], "hom_scan.csv"),
+    (["tmsv-scan", "--kappa-max", "0.5", "--kappa-steps", "2", "--tau-steps", "2"],
+     "tmsv_scan.csv"),
+    (["nctest"], "nctest.csv"),
+    (["clicks", "--samples", "100"], "clicks.json"),
+    # the vacuum's point density misses mass on 8 points a side
+    pytest.param(["reconstruct", "--n-points", "8"], "report.json",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore::stokespace.config.ConvergenceWarning")),
+])
+def test_every_subcommand_prints_one_path(tmp_path, capsys, argv, printed):
+    assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / printed)]
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)  # where the block's `echo ... > file` lines write
+    commands = set()
+    for words in map(shlex.split, lines):
+        if words[0] == "echo":
+            _, payload, _, name = words
+            Path(name).write_text(payload)
+            continue
+        assert words[0] == "stokespace"
+        try:
+            cli._build_parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(words)}")
+        commands.add(words[1])
+    assert commands == {"mgf", "surface", "hom-scan", "tmsv-scan", "nctest", "clicks",
+                        "reconstruct"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -244,13 +244,32 @@ def test_one_plan_per_call_across_direction_batches(monkeypatch, rng):
     monkeypatch.setattr(fock, "_wigner_rows", counting)
     monkeypatch.setattr(fock, "_BUFFER_DOUBLES", 1)  # one direction per batch
     assert np.array_equal(rotate_many(state, dirs), want)
-    # at a pole the splitter may only rephase the modes; every other axis
-    # is a batch of its own
+    # at a pole the splitter only rephases the modes; every other axis is
+    # a batch of its own
     assert len(plans) == 1 and set(batches) == {1}
-    assert len(dirs) - 2 <= len(batches) <= len(dirs) - 1
+    assert len(batches) == len(dirs) - 2
     plans.clear()
     beam_splitter(state, dirs[0].T, dirs[0].R)
     assert len(plans) == 1
+
+
+def test_south_pole_only_rephases(monkeypatch):
+    state = make_state(CoherentSpec(0.6 - 0.3j, 0.5j), 12)
+    south = direction_to_beamsplitter((0, 0, -1))
+    assert south.T == 0 and south.R == 1
+    # T = cos(pi/2) = 6.1e-17 is the splitter the recurrence rotates by
+    want = rotate_many(state, [direction_from_tr(math.cos(math.pi / 2), 1.0)])
+    batches = []
+    rows = fock._wigner_rows
+
+    def counting(*args):
+        batches.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(fock, "_wigner_rows", counting)
+    got = rotate_many(state, [south])
+    assert batches == []
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("buffer", [1, 1 << 30], ids=["batch-per-axis", "one-batch"])
