@@ -34,7 +34,7 @@ from .fock import (
     spec_from_json,
     spec_to_json,
 )
-from .mgf import mgf_from_distribution, sphere_grid, surface_map
+from .mgf import _check_points, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
     _verdict,
@@ -163,15 +163,14 @@ _M_COLUMNS = ["e_x", "e_y", "e_z", "t_re", "t_im", "tau", "M_re", "M_im"]
 
 
 def cmd_mgf(args) -> int:
+    grid = np.meshgrid(args.t or [1.0], args.tau or [0.0], indexing="ij")
+    t, tau = grid[0].ravel().astype(complex), grid[1].ravel()
+    _check_points(t, tau)  # the input, axes included, is checked before any work
+    directions = [direction_to_beamsplitter(e)
+                  for e in args.direction or [np.array([0.0, 0.0, 1.0])]]
     state, _, _ = _build_state(args)
-    t, tau = (
-        g.ravel()
-        for g in np.meshgrid(args.t or [1.0], args.tau or [0.0], indexing="ij")
-    )
-    t = t.astype(complex)
     blocks = []
-    for e in args.direction or [np.array([0.0, 0.0, 1.0])]:
-        d = direction_to_beamsplitter(e)
+    for d in directions:
         v = mgf_from_distribution(joint_photon_distribution(state, d), t, tau)
         blocks.append(np.column_stack(
             [np.tile(d.e, (t.size, 1)), t.real, t.imag, tau, v.real, v.imag]
@@ -214,8 +213,7 @@ def cmd_tmsv_scan(args) -> int:
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     if not np.all((kappas >= 0.0) & (kappas < 1.0)):
         raise ValueError("tanh xi must lie in [0, 1)")
-    if np.any(taus < 0.0):
-        raise ValueError("tau must be >= 0")
+    _check_points(0.0, taus)
     d = direction_to_beamsplitter(np.array([0.0, 0.0, 1.0]))
     dets = []
     for kappa in kappas:

@@ -40,7 +40,7 @@ class ClickDetectorConfig:
         object.__setattr__(self, "apds", int(self.apds))
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:  # NaN fails too, as it does the ranges
             raise ValueError("nu must be >= 0")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")

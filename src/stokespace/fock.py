@@ -78,7 +78,7 @@ class TmsvSpec:
     kind: ClassVar[str] = "tmsv"
 
     def __post_init__(self):
-        if self.xi < 0:
+        if not self.xi >= 0:
             raise ValueError("squeezing parameter must be >= 0")
 
 
@@ -185,9 +185,22 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
 # measurement direction
 
 
-def _stokes_axis(T: complex, R: complex) -> np.ndarray:
-    tr = T * np.conj(R)
-    return np.array([2.0 * tr.real, 2.0 * tr.imag, abs(T) ** 2 - abs(R) ** 2])
+def _stokes(a, b):
+    """The Stokes vector (2 Re a* b, 2 Im a* b, |a|^2 - |b|^2) of the coherent
+    pair (a, b), for complex numbers and arrays alike: the one formula behind
+    splitter axes, coherent_stokes and stokes_points."""
+    cross = np.conj(a) * b
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2
+
+
+def stokes_points(pairs: np.ndarray) -> np.ndarray:
+    """Map (m, 2) coherent amplitudes to (m, 3) Stokes vectors."""
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=complex))
+    return np.stack(_stokes(pairs[:, 0], pairs[:, 1]), axis=1)
+
+
+def _stokes_axis(T: complex, R: complex) -> np.ndarray:  # that of (T*, R*)
+    return np.array(_stokes(T.conjugate(), R.conjugate()))
 
 
 @dataclass(frozen=True)
@@ -203,11 +216,12 @@ class MeasurementDirection:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "T", complex(self.T))
         object.__setattr__(self, "R", complex(self.R))
-        if abs(np.linalg.norm(e) - 1.0) > TOL.unit_vector:
+        # each check is written so that NaN fails it
+        if not abs(np.linalg.norm(e) - 1.0) <= TOL.unit_vector:
             raise ValueError("direction axis must be a unit vector")
-        if abs(abs(self.T) ** 2 + abs(self.R) ** 2 - 1.0) > TOL.unit_vector:
+        if not abs(abs(self.T) ** 2 + abs(self.R) ** 2 - 1.0) <= TOL.unit_vector:
             raise ValueError("|T|^2 + |R|^2 must equal 1")
-        if np.max(np.abs(_stokes_axis(self.T, self.R) - e)) > TOL.unit_vector:
+        if not np.max(np.abs(_stokes_axis(self.T, self.R) - e)) <= TOL.unit_vector:
             raise ValueError("(T, R) does not realize the stored axis e")
 
 
@@ -221,7 +235,7 @@ def direction_to_beamsplitter(e) -> MeasurementDirection:
     """
     e = np.asarray(e, dtype=float).reshape(3)
     norm = np.linalg.norm(e)
-    if norm == 0.0 or abs(norm - 1.0) > TOL.direction_input:
+    if not abs(norm - 1.0) <= TOL.direction_input:  # NaN fails too
         raise ValueError("axis must be within 1e-9 of unit norm")
     e = e / norm
     e_z = min(1.0, max(-1.0, e[2]))
@@ -234,7 +248,7 @@ def direction_to_beamsplitter(e) -> MeasurementDirection:
 def direction_from_tr(T: complex, R: complex) -> MeasurementDirection:
     """Direction for explicit splitter parameters (any phase convention)."""
     s = math.sqrt(abs(T) ** 2 + abs(R) ** 2)
-    if abs(s - 1.0) > TOL.direction_input:
+    if not abs(s - 1.0) <= TOL.direction_input:
         raise ValueError("|T|^2 + |R|^2 must be within 1e-9 of 1")
     T, R = complex(T) / s, complex(R) / s
     return MeasurementDirection(e=_stokes_axis(T, R), T=T, R=R)
@@ -458,12 +472,15 @@ def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
 # fixed (m', m) (Prezeau & Reinecke, ApJS 190, 267 (2010)).  It is run on
 # the step D_j = d^j - d^(j-1), whose coefficients are free of
 # cancellation, so the error stays near rounding even where d is close to
-# the identity.  Splitters with |R| > |T| are a mode swap and a splitter
-# with |T| > |R|, so beta <= pi/2 always.  Offsets below are
-# delta = n_a - n_b = 2m.  All that depends on the state alone is planned
-# once per call for all its direction batches, many-axis kernel sums
-# included.  Photon counts do not see the unit-modulus factor
-# (uT uR)^k' uT*^N: only beam_splitter applies it.
+# the identity.  Offsets below are delta = n_a - n_b = 2m.  One front end,
+# _axis_rows, feeds counts, kernel sums and beam_splitter: a splitter with
+# |R| > |T| is the mode swap |k, l> -> (-1)^k |l, k> after the splitter
+# (R*, -T*), so beta <= pi/2 always (counts transpose, amplitudes also take
+# the sign), and a pole (R = 0) only rephases the modes.  All that depends
+# on the state alone is planned once per call for all its direction
+# batches.  Counts do not see the unit-modulus factor (uT uR)^k' uT*^N:
+# only beam_splitter applies it.  Kernel sums, mgf among them, take each
+# batch of counts as it comes and build no photon distribution.
 
 # doubles per recurrence buffer: direction batches are cut to this size so
 # the engine's live arrays stay a few MB at any batch size
@@ -622,43 +639,51 @@ def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
         yield k, n_rows, rows
 
 
-def _rotated_rows(amps: np.ndarray, T: np.ndarray, R: np.ndarray, phased=False):
-    """Batched block rotation of pure amplitude grids, |T| >= |R| > 0, from one
-    plan: (idx, k, n, rows) as _wigner_rows yields them, idx a batch's slice."""
-    plan = _rotation_plan(amps) if T.size else None
+def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
+    """Output rows of the components of state behind the splitters (T[i], R[i]),
+    from one plan: per batch (at, swap, k, n, rows), rows[i, :, j] the
+    amplitude of |k[j], n[j] - k[j]> along axis at[i], complex if phased,
+    else real parts then imaginary parts without the unit-modulus phase of
+    the row.  Where swap[i], the rows are those behind (R*, -T*), and the
+    caller applies the mode swap S: U(T, R) = S U(R*, -T*) with
+    S|k, l> = (-1)^k |l, k>.  Unphased, the poles share one row set."""
+    amps = np.stack([amp for _, amp in state.components])
+    c = state.cutoff
+    swap = np.abs(R) > np.abs(T)  # then |R*| > |-T*|
+    T, R = np.where(swap, np.conj(R), T), np.where(swap, -np.conj(T), R)
+    pole, turn = np.flatnonzero(R == 0), np.flatnonzero(R != 0)
+    if pole.size:  # per-mode phases a -> u a, b -> u* b, u = T/|T|: nothing moves
+        ka, kb = np.divmod(np.arange((c + 1) ** 2), c + 1)
+        if phased:
+            u = T[pole, None] / np.abs(T[pole, None])
+            rows = amps.reshape(1, len(amps), -1) * (
+                _powers(u, c)[..., ka] * _powers(np.conj(u), c)[..., kb])
+        else:
+            rows = np.stack([amps.real, amps.imag]).reshape(1, 2 * len(amps), -1)
+        yield pole, swap[pole], ka, ka + kb, rows
+    plan = _rotation_plan(amps) if turn.size else None
     if plan is None:
         return
     top, shapes, chunks = plan
     step = max(1, _BUFFER_DOUBLES // max(s[0] * s[1] for s in shapes if s))
     chunks = (chunk() for chunk in chunks)
-    if step < T.size:  # several batches share the chunks
+    if step < turn.size:  # several batches share the chunks
         chunks = list(chunks)
-    for lo in range(0, T.size, step):
-        for k, n, rows in _wigner_rows(top, shapes, chunks, T[lo : lo + step],
-                                       R[lo : lo + step], phased, amps.shape[-1] - 1):
-            yield slice(lo, lo + step), k, n, rows
+    for lo in range(0, turn.size, step):
+        at = turn[lo : lo + step]
+        for k, n, rows in _wigner_rows(top, shapes, chunks, T[at], R[at], phased, c):
+            yield at, swap[at], k, n, rows
 
 
 def _count_rows(state: TwoModeState, directions):
-    """Photon counts along the axes of an iterable, from one plan: per batch
-    (at, swap, k, n, prob), prob[i, j] the probability of (k[j], n[j] - k[j])
-    counts along axis at[i], or of the swapped counts where swap[i]."""
+    """Photon counts along the axes of an iterable: per batch (at, swap, k, n,
+    prob), prob[i, j] the probability of (k[j], n[j] - k[j]) counts along
+    axis at[i], or of the swapped counts where swap[i]."""
     T, R = np.fromiter(((d.T, d.R) for d in directions), np.dtype((complex, 2))).T
     weights = np.array([w for w, _ in state.components])
-    amps = np.stack([amp for _, amp in state.components])
-    # the engine takes |T| >= |R|: p behind (T, R) is p behind (R*, -T*)^T
-    swap = np.abs(R) > np.abs(T)
-    T, R = np.where(swap, np.conj(R), T), np.where(swap, -np.conj(T), R)
-    pole = np.flatnonzero(R == 0)
-    if pole.size:  # only per-mode phases, which the counts do not see
-        corner = np.einsum("c,cij->ij", weights, amps.real**2 + amps.imag**2).ravel()
-        ka, kb = np.divmod(np.arange(corner.size), amps.shape[-1])
-        prob = np.broadcast_to(corner, (pole.size, ka.size))
-        yield pole, swap[pole], ka, ka + kb, prob
-    turn = np.flatnonzero(R != 0)
-    for idx, k, n, rows in _rotated_rows(amps, T[turn], R[turn]):  # real, then imag
+    for at, swap, k, n, rows in _axis_rows(state, T, R):  # real, then imag
         prob = np.einsum("c,dck->dk", np.r_[weights, weights], rows**2)
-        yield turn[idx], swap[turn[idx]], k, n, prob
+        yield at, swap, k, n, np.broadcast_to(prob, (at.size, k.size))
 
 
 def _check_norm(trace: float, total) -> None:
@@ -683,31 +708,19 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
         raise ValueError("|T|^2 + |R|^2 must equal 1 within 1e-10")
     c = state.cutoff
     weights = np.array([w for w, _ in state.components])
-    amps = np.stack([amp for _, amp in state.components])
+    out = np.zeros((len(weights), c + 1, c + 1), dtype=complex)
     clipped = np.zeros(len(weights))
-    if abs(R) > abs(T):
-        # U(T, R) = U(R, -T) U(0, 1), and U(0, 1)|k, l> = (-1)^k |l, k>
-        sign = 1.0 - 2.0 * (np.arange(c + 1) % 2)
-        amps, T, R = np.swapaxes(amps * sign[:, None], 1, 2), R, -T
-    if R == 0:
-        # pure per-mode phases a -> u a, b -> u* b with u = T/|T|; nothing
-        # leaves the box
-        u = T / abs(T)
-        out = amps * np.outer(_powers(u, c), _powers(np.conj(u), c))
-    else:
-        out = np.zeros_like(amps)
-        for _, k, n, rows in _rotated_rows(amps, np.array([complex(T)]),
-                                           np.array([complex(R)]), phased=True):
-            inside = (k <= c) & (n - k <= c)  # rows that stay in the box
-            out[:, k[inside], n[inside] - k[inside]] = rows[0][:, inside]
-            prob = rows[0].real ** 2 + rows[0].imag ** 2
-            clipped += prob[:, ~inside].sum(axis=1)
-    rotated = TwoModeState(
-        cutoff=c,
-        components=tuple(zip(weights, out)),
-        leakage=min(1.0, state.leakage + float(weights @ clipped)),
-    )
-    _check_norm(state.trace, rotated.trace + float(weights @ clipped))
+    for _, swap, k, n, rows in _axis_rows(state, np.array([complex(T)]),
+                                         np.array([complex(R)]), phased=True):
+        rows, ka, kb = rows[0], k, n - k
+        if swap[0]:  # rows behind (R*, -T*), then S|k, l> = (-1)^k |l, k>
+            rows, ka, kb = rows * (1 - 2 * (k % 2)), kb, ka
+        inside = (ka <= c) & (kb <= c)  # rows that stay in the box
+        out[:, ka[inside], kb[inside]] = rows[:, inside]
+        clipped += (rows.real ** 2 + rows.imag ** 2)[:, ~inside].sum(axis=1)
+    lost = float(weights @ clipped)
+    rotated = TwoModeState(c, tuple(zip(weights, out)), min(1.0, state.leakage + lost))
+    _check_norm(state.trace, rotated.trace + lost)
     return rotated
 
 
@@ -833,21 +846,13 @@ def _kernel_sums(state: TwoModeState, directions, z_a, z_b) -> np.ndarray:
     return out
 
 
-def power_expectation(
-    state: TwoModeState,
-    direction: MeasurementDirection,
-    z_a: complex,
-    z_b: complex,
-) -> complex:
-    """Ordered moment <z_a^n_a z_b^n_b> of the output photon numbers.
-
-    For |z| <= 1 the truncated sum converges unconditionally; outside
-    that disc a ConvergenceWarning is attached when the distribution
-    misses non-negligible mass.
-    """
-    _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
-    dist = joint_photon_distribution(state, direction)
-    return complex(_power_sum(dist.p, z_a, z_b))
+def power_expectation(state: TwoModeState, direction: MeasurementDirection,
+                      z_a: complex, z_b: complex) -> complex:
+    """Ordered moment <z_a^n_a z_b^n_b> of the output photon numbers as a
+    one-axis kernel sum: no photon distribution is built, and a kernel
+    outside the unit disc meets the existence rule of _kernel_sums."""
+    z_a, z_b = np.full(1, z_a), np.full(1, z_b)
+    return complex(_kernel_sums(state, [direction], z_a, z_b)[0])
 
 
 def _falling(n: np.ndarray, p: int) -> np.ndarray:
@@ -885,11 +890,8 @@ class StokesVector:
 
 def coherent_stokes(alpha: complex, beta: complex) -> StokesVector:
     """Stokes vector of a coherent pair; here ||S|| = |alpha|^2 + |beta|^2."""
-    ab = np.conj(alpha) * beta
-    return StokesVector(
-        S=np.array([2.0 * ab.real, 2.0 * ab.imag, abs(alpha) ** 2 - abs(beta) ** 2]),
-        S0=abs(alpha) ** 2 + abs(beta) ** 2,
-    )
+    return StokesVector(S=np.array(_stokes(alpha, beta)),
+                        S0=abs(alpha) ** 2 + abs(beta) ** 2)
 
 
 def stokes_mean(state: TwoModeState) -> StokesVector:

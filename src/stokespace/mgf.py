@@ -42,9 +42,16 @@ from .fock import (
 )
 
 
+def _check_points(t, tau) -> None:
+    """The input rule of every (t, tau): t finite, tau finite and >= 0."""
+    t, tau = np.asarray(t), np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(t) & np.isfinite(tau) & (tau >= 0)):  # NaN fails
+        raise ValueError("t must be finite and tau finite and >= 0")
+
+
 @dataclass(frozen=True)
 class MgfQuery:
-    """One evaluation point: axis, complex argument t, damping tau >= 0."""
+    """One evaluation point: axis, finite complex t, finite damping tau >= 0."""
 
     direction: MeasurementDirection
     t: complex
@@ -53,8 +60,7 @@ class MgfQuery:
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         object.__setattr__(self, "tau", float(self.tau))
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        _check_points(self.t, self.tau)
 
     @property
     def lambda_a(self) -> complex:
@@ -85,12 +91,12 @@ def mgf_from_distribution(
 
     t and tau broadcast against each other: scalars give a complex, arrays
     give an array of that shape from one kernel sum.  Raises ValueError
-    for any tau < 0.  Warns once when a kernel leaves the unit disc and
-    dist.leakage, weighed there, is not negligible.
+    for any tau < 0 and any t or tau that is not finite.  Warns once when
+    a kernel leaves the unit disc and dist.leakage, weighed there, is not
+    negligible.
     """
     t, tau = np.asarray(t), np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be >= 0")
+    _check_points(t, tau)
     z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
     _warn_divergent(dist.leakage, dist.cutoff // 2, z_a, z_b)
     value = _power_sum(dist.p, z_a, z_b)
@@ -107,8 +113,7 @@ def mgf_closed_form(
     hom_input (|1,1>): (1 - tau)^2 + (1 - 2 e_z^2) t^2, any complex t.
     tmsv: closed form valid for real t with 0 <= lambda_a, lambda_b <= 1.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_points(t, tau)
     e = direction.e
     terms = _coherent_terms(spec)
     if terms is not None:

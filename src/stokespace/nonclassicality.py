@@ -27,7 +27,7 @@ from .fock import (
     _distribution_along,
     distribution_factorial_moment,
 )
-from .mgf import mgf_from_distribution, char_fn
+from .mgf import _check_points, char_fn, mgf_from_distribution
 
 NONCLASSICAL = "nonclassical"
 INCONCLUSIVE = "inconclusive"
@@ -45,8 +45,7 @@ class MgfMatrixSpec:
             raise ValueError("need at least one (t, tau) point")
         pts = tuple((complex(t), float(tau)) for t, tau in self.points)
         object.__setattr__(self, "points", pts)
-        if any(tau < 0 for _, tau in pts):
-            raise ValueError("tau values must be >= 0")
+        _check_points([t for t, _ in pts], [tau for _, tau in pts])
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ essential phase-space density P(S) via
 
 discretized with an FFT on matched grids.  Data can come from a full
 two-mode state (one measurement rotation per k direction), from an
-explicit ensemble of coherent-state pairs, from a sampler (Monte Carlo),
-or from an analytic characteristic kernel when one is known.
+explicit ensemble of coherent-state pairs, or from an analytic
+characteristic kernel when one is known.  An ensemble's sampler feeds
+only the Monte-Carlo histogram oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .fock import (
     _complex_from_json,
     _kernel_sums,
     direction_to_beamsplitter,
+    stokes_points,
 )
+from .mgf import _check_points
 
 _WINDOWS = ("raised-cosine", "none")
 # complex entries of one point chunk's phase table in _kernel_from_points (32 MB)
@@ -123,7 +126,8 @@ class CoherentEnsemble:
 
     Provide at least one of: explicit points (optionally weighted), a
     sampler(rng, n) -> (n, 2) complex array, or an analytic kernel
-    char_kernel(k_points, tau) -> E[exp(i k.S - tau |S|)].
+    char_kernel(k_points, tau) -> E[exp(i k.S - tau |S|)].  The k grid
+    reads the kernel or the points; only pess_mc_oracle reads the sampler.
     """
 
     points: np.ndarray | None = None
@@ -173,17 +177,6 @@ def ensemble_from_json(obj: dict) -> CoherentEnsemble:
     raise ValueError("ensemble JSON needs a 'points' or 'gaussian' entry")
 
 
-def stokes_points(pairs: np.ndarray) -> np.ndarray:
-    """Map (m, 2) coherent amplitudes to (m, 3) Stokes vectors."""
-    pairs = np.atleast_2d(np.asarray(pairs, dtype=complex))
-    a, b = pairs[:, 0], pairs[:, 1]
-    cross = np.conj(a) * b
-    return np.stack(
-        [2.0 * cross.real, 2.0 * cross.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
-        axis=1,
-    )
-
-
 def gaussian_ensemble(
     sigma: float, mean_alpha: complex = 0.0, mean_beta: complex = 0.0
 ) -> CoherentEnsemble:
@@ -198,8 +191,8 @@ def gaussian_ensemble(
           = exp[(i k.S0 - (sigma^2 k^2 + tau (1 + sigma^2 tau)) I0) / d] / d,
 
     with d = (1 + sigma^2 tau)^2 + sigma^4 k^2, S0 the Stokes vector of
-    the means and I0 their total intensity.  A matching sampler is
-    provided for Monte Carlo cross-checks.
+    the means and I0 their total intensity.  A matching sampler feeds
+    the Monte-Carlo histogram oracle.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -295,55 +288,37 @@ def default_tau(s_grid: Grid3) -> float:
     return 0.5 / r
 
 
-def mgf_imaginary_grid(
-    source,
-    k_grid: Grid3,
-    tau: float,
-    n_samples: int = 100000,
-    seed: int = 0,
-) -> np.ndarray:
+def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
     """M(i k; tau) on a Cartesian k grid (the FFT dual of the target s grid).
 
     source may be a TwoModeState (exact, one beam-splitter rotation per
-    k direction) or a CoherentEnsemble.  Ensembles use, in order of
-    preference: the analytic kernel, the explicit point list, or a
-    Monte Carlo draw from the sampler (with a warning, since values
-    then carry statistical noise of order 1/sqrt(n_samples)).  Output
-    obeys M(-k) = M(k)* wherever the grid holds both points.
+    k direction) or a CoherentEnsemble, which needs its analytic kernel
+    or an explicit point list, the kernel first.  An ensemble with only
+    a sampler raises ValueError: draw its points and pass them as
+    points=.  Output obeys M(-k) = M(k)* wherever the grid holds both
+    points.
 
     Ensembles without an explicit point list have unbounded Stokes
     support, where tau > 0 is required for the damped expectation to
     exist; truncated states and finite point lists accept tau = 0.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if (
-        isinstance(source, CoherentEnsemble)
-        and source.points is None
-        and tau == 0
-    ):
-        raise ValueError("tau must be > 0 for ensembles with unbounded support")
+    _check_points(0.0, tau)
+    if not isinstance(source, (TwoModeState, CoherentEnsemble)):
+        raise TypeError("source must be a TwoModeState or a CoherentEnsemble")
+    if isinstance(source, CoherentEnsemble) and source.points is None:
+        if source.char_kernel is None:
+            raise ValueError("a sampler-only ensemble has no grid route; draw "
+                             "points from its sampler and pass them as points=")
+        if tau == 0:
+            raise ValueError("tau must be > 0 for ensembles with unbounded support")
     kg = k_grid
     k_flat = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
     if isinstance(source, TwoModeState):
         flat = _state_grid_values(source, k_flat, kg.ns, tau)
-    elif isinstance(source, CoherentEnsemble):
-        if source.char_kernel is not None:
-            flat = np.asarray(source.char_kernel(k_flat, tau), dtype=complex)
-        elif source.points is not None:
-            flat = _kernel_from_points(kg.axes(), source.points, source.weights, tau)
-        else:
-            warnings.warn(
-                f"sampling {n_samples} ensemble points; grid values carry "
-                "Monte Carlo noise",
-                UserWarning,
-                stacklevel=2,
-            )
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            pts = np.asarray(source.sampler(rng, n_samples), dtype=complex)
-            flat = _kernel_from_points(kg.axes(), pts, None, tau)
+    elif source.char_kernel is not None:
+        flat = np.asarray(source.char_kernel(k_flat, tau), dtype=complex)
     else:
-        raise TypeError("source must be a TwoModeState or a CoherentEnsemble")
+        flat = _kernel_from_points(kg.axes(), source.points, source.weights, tau)
     return flat.reshape(kg.ns)
 
 
@@ -363,8 +338,7 @@ def invert_to_pess(
     boundary mass suggests the grid extent is too small; data violating
     M(-k) = M(k)* beyond rounding raises NumericalError.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_points(0.0, tau)
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     mgf_values = np.asarray(mgf_values, dtype=complex)

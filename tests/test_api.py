@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import math
 import warnings
 from pathlib import Path
 
@@ -10,18 +11,25 @@ import pytest
 
 import stokespace
 from stokespace import (
+    ClickDetectorConfig,
     CoherentSpec,
     ConvergenceWarning,
     Grid3,
+    MeasurementDirection,
+    MgfMatrixSpec,
     MgfQuery,
+    TmsvSpec,
     TruncationWarning,
     TwoModeState,
+    VacuumSpec,
+    direction_from_tr,
     direction_to_beamsplitter,
     dual_grid,
     find_node,
     joint_photon_distribution,
     make_state,
     mgf,
+    mgf_closed_form,
     mgf_from_distribution,
     mgf_imaginary_grid,
     second_order_det,
@@ -120,3 +128,37 @@ def test_clipped_mass_alone_warns_once_outside_the_disc(call, t, tau):
         warnings.simplefilter("always")
         call(state, t, tau)
     assert not [w for w in caught if w.category is ConvergenceWarning]
+
+
+NAN = float("nan")
+Z_AXIS = direction_to_beamsplitter((0, 0, 1))
+
+
+def vacuum_along_z():
+    return joint_photon_distribution(make_state(VacuumSpec(), 2), Z_AXIS)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direction_to_beamsplitter([NAN, 0, 1]),
+    lambda: direction_from_tr(NAN, 0),
+    lambda: MeasurementDirection(e=[NAN, 0, 0], T=NAN, R=0),
+    lambda: MeasurementDirection(e=[NAN, 0, 0], T=1, R=0),
+    lambda: MgfQuery(Z_AXIS, 0.1, NAN),
+    lambda: MgfQuery(Z_AXIS, NAN, 0.1),
+    lambda: MgfQuery(Z_AXIS, 0.1, math.inf),
+    lambda: mgf_from_distribution(vacuum_along_z(), 0.1, [0.2, NAN]),
+    lambda: mgf_from_distribution(vacuum_along_z(), [0.1, math.inf], 0.2),
+    lambda: mgf_closed_form(VacuumSpec(), Z_AXIS, 0.1, NAN),
+    lambda: MgfMatrixSpec(Z_AXIS, ((0.1, 0.2), (0.3, NAN))),
+    lambda: mgf_imaginary_grid(make_state(VacuumSpec(), 2), dual_grid(Grid3.cube(2.0, 8)),
+                               NAN),
+    lambda: TmsvSpec(NAN),
+    lambda: ClickDetectorConfig(nu=NAN),
+    lambda: ClickDetectorConfig(eta=NAN),
+    lambda: ClickDetectorConfig(eps=NAN),
+], ids=["axis", "tr", "direction", "direction-e", "query-tau", "query-t", "query-inf",
+        "from-distribution", "from-distribution-inf", "closed-form", "matrix-spec",
+        "k-grid", "tmsv", "nu", "eta", "eps"])
+def test_non_finite_input_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()

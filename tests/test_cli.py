@@ -157,6 +157,20 @@ def test_tmsv_scan_rejects_negative_tau_first(tmp_path, monkeypatch):
     assert not (tmp_path / "tmsv_scan.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [["--direction", "nan,0,1"], ["--tau", "nan"],
+                                  ["--t", "nan"], ["--tau", "inf"]],
+                         ids=["direction", "tau", "t", "tau-inf"])
+def test_mgf_rejects_non_finite_input_first(tmp_path, monkeypatch, flag):
+    import stokespace.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "joint_photon_distribution", lambda *a: calls.append(a))
+    assert main(["mgf", "--state", VAC, "--out", str(tmp_path), *flag,
+                 "--no-timestamp"]) == 2
+    assert calls == []
+    assert not (tmp_path / "mgf.csv").exists()
+
+
 def test_clicks_rejects_negative_samples_before_writing(tmp_path):
     assert main(["clicks", "--state", HOM, "--out", str(tmp_path),
                  "--samples", "-5", "--no-timestamp"]) == 2

@@ -128,15 +128,17 @@ class TestMgfGrid:
         b = mgf_imaginary_grid(point, kg, 0.05)
         assert np.max(np.abs(a - b)) < 1e-6
 
-    def test_sampler_route_warns_and_agrees(self):
+    def test_drawn_points_agree_with_the_kernel(self):
         g = Grid3.cube(3.0, 8)
         kg = dual_grid(g)
         full = gaussian_ensemble(0.2, 0.8, 0.0)
-        sampler_only = CoherentEnsemble(sampler=full.sampler)
         exact = mgf_imaginary_grid(full, kg, 0.1)
-        with pytest.warns(UserWarning):
-            noisy = mgf_imaginary_grid(sampler_only, kg, 0.1, n_samples=200000, seed=4)
+        drawn = CoherentEnsemble(points=full.sampler(rng_for(4), 200000))
+        noisy = mgf_imaginary_grid(drawn, kg, 0.1)
         assert np.max(np.abs(noisy - exact)) < 0.02
+        # the grid has no Monte-Carlo route: the caller draws the points
+        with pytest.raises(ValueError, match="points="):
+            mgf_imaginary_grid(CoherentEnsemble(sampler=full.sampler), kg, 0.1)
 
     def test_hermitian_symmetry(self):
         state = make_state(CoherentSpec(0.5, 0.2), cutoff=14)
@@ -199,11 +201,9 @@ class TestPointKernel:
         # 37 points per chunk: 1000 draws fill 27 chunks and a partial one
         monkeypatch.setattr(rec, "_POINT_CHUNK_ENTRIES", 37 * 10 * 12)
         sampler = gaussian_ensemble(0.5, 0.8, -0.3j).sampler
-        with pytest.warns(UserWarning):
-            got = mgf_imaginary_grid(
-                CoherentEnsemble(sampler=sampler), self.K_GRID, 0.1,
-                n_samples=1000, seed=3,
-            )
+        got = mgf_imaginary_grid(
+            CoherentEnsemble(points=sampler(rng_for(3), 1000)), self.K_GRID, 0.1
+        )
         pts = sampler(rng_for(3), 1000)
         ref = dense_point_kernel(self.K_GRID, pts, None, 0.1)
         assert np.max(np.abs(got.reshape(-1) - ref)) <= 1e-14

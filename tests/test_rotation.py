@@ -13,6 +13,7 @@ from stokespace import (
     MixtureSpec,
     NumericalError,
     TmsvSpec,
+    TruncationWarning,
     TwoModeState,
     auto_cutoff,
     beam_splitter,
@@ -22,6 +23,7 @@ from stokespace import (
     make_state,
     mgf,
     mgf_closed_form,
+    mgf_from_distribution,
     rotate_many,
 )
 from conftest import random_direction, random_low_state, splitter_oracle
@@ -124,13 +126,13 @@ def test_tmsv_mgf_matches_closed_form_at_auto_cutoff(xi):
 
 def test_norm_violation_raises(monkeypatch):
     state = make_state(CoherentSpec(0.8, 0.3j), cutoff=12)
-    rotated = fock._rotated_rows
+    rotated = fock._wigner_rows
 
     def lossy(*args, **kwargs):
-        for idx, k, n, rows in rotated(*args, **kwargs):
-            yield idx, k, n, rows * (1.0 + 1e-6)
+        for k, n, rows in rotated(*args, **kwargs):
+            yield k, n, rows * (1.0 + 1e-6)
 
-    monkeypatch.setattr(fock, "_rotated_rows", lossy)
+    monkeypatch.setattr(fock, "_wigner_rows", lossy)
     d = direction_to_beamsplitter((0.6, 0.0, 0.8))
     with pytest.raises(NumericalError):
         joint_photon_distribution(state, d)
@@ -190,8 +192,8 @@ def recording_plans(monkeypatch):
 def test_planned_step_tables_equal_the_per_block_arithmetic(monkeypatch, spec, cutoff):
     state = make_state(spec, cutoff)
     plans = recording_plans(monkeypatch)
-    # one axis on each side of |R| = |T|: beam_splitter swaps the modes of
-    # the state for the second, so its plan is that of the swapped state
+    # one axis on each side of |R| = |T|: the second rotates the state by
+    # (R*, -T*) and swaps the output modes, so all four plans are the state's
     for T, R in ((0.8, 0.6j), (0.6, 0.8j)):
         rotate_many(state, [direction_from_tr(T, R)])
         beam_splitter(state, T, R)
@@ -287,3 +289,43 @@ def test_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
     got = fock._kernel_sums(state, iter(dirs), z_a, z_b)
     assert len(plans) == 1
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_beam_splitter_clips_what_rotate_many_puts_outside_the_box():
+    spec = MixtureSpec(((0.3, 1.0 + 0.5j, -0.4j), (0.7, -0.6, 0.9 + 0.2j)))
+    with pytest.warns(TruncationWarning):  # so that whole blocks spill
+        state = make_state(spec, 5)
+    c = state.cutoff
+    # each side of |R| = |T|, both poles, and T = 0 with a phase on R
+    dirs = [direction_from_tr(0.8, 0.6j), direction_from_tr(0.6, -0.8j),
+            direction_to_beamsplitter((0, 0, 1)), direction_to_beamsplitter((0, 0, -1)),
+            direction_from_tr(0.0, np.exp(0.4j))]
+    spilled = []
+    for d, p in zip(dirs, rotate_many(state, dirs)):
+        out = beam_splitter(state, d.T, d.R)
+        outside = p.copy()
+        outside[: c + 1, : c + 1] = 0.0
+        spilled.append(outside.sum())
+        assert abs((out.leakage - state.leakage) - spilled[-1]) <= 1e-15
+        inside = sum(w * np.abs(amp) ** 2 for w, amp in out.components)
+        assert np.max(np.abs(inside - p[: c + 1, : c + 1])) <= 1e-15
+    # a turn spills whole blocks past the box; a pole keeps every row in it
+    assert min(spilled[:2]) > 1e-4 and spilled[2:] == [0.0] * 3
+
+
+def test_mgf_builds_no_photon_distribution(monkeypatch, rng):
+    spec = MixtureSpec(((0.4, 0.9 - 0.3j, 0.5j), (0.6, -0.4, 0.8 + 0.6j)))
+    state = make_state(spec, 24)
+    dirs = [random_direction(rng) for _ in range(3)]
+    dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1))]
+    points = [(0.3, 0.5), (-0.2 + 0.4j, 0.1), (0.7j, 0.0)]
+    want = [mgf_from_distribution(joint_photon_distribution(state, d), t, tau)
+            for d in dirs for t, tau in points]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mgf built a photon distribution")
+
+    monkeypatch.setattr(fock, "joint_photon_distribution", forbidden)
+    monkeypatch.setattr(fock, "rotate_many", forbidden)
+    got = [mgf(state, MgfQuery(d, t, tau)) for d in dirs for t, tau in points]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
