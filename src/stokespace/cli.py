@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import NumericalError
+from .config import TOL, NumericalError
 from .fock import (
     HomInputSpec,
     TmsvSpec,
@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau2", type=float, default=0.0)
     p.add_argument("--k-norm", type=float, default=1.0,
                    help="length of the characteristic-function argument")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=TOL.verdict)
 
     p = sub.add_parser("clicks", parents=[common, state, seed],
                        help="exact click statistics and moment sampling")

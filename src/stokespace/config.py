@@ -11,7 +11,6 @@ from dataclasses import dataclass
 class Tolerances:
     # rotated mass vs trace(rho); beam_splitter adds the rows it clips
     trace_window: float = 1e-10
-    eigenvalue_floor: float = -1e-9     # smallest admissible rho eigenvalue
     unit_vector: float = 1e-12          # | ||e|| - 1 | on a stored direction
     direction_input: float = 1e-9       # renormalization slack for raw axis input
     splitter_unitarity: float = 1e-10   # | |T|^2 + |R|^2 - 1 | on raw input

@@ -65,10 +65,6 @@ class ClickDistribution:
             )
         object.__setattr__(self, "c", c)
 
-    def probabilities(self) -> np.ndarray:
-        """Clipped copy safe for sampling."""
-        return np.clip(self.c, 0.0, None)
-
 
 def _click_matrix(cfg: ClickDetectorConfig, cutoff: int) -> np.ndarray:
     """Q[i, n]: probability that n photons in one arm give i clicks.
@@ -142,22 +138,20 @@ def _moment_orders(
 
 
 def moments_from_clicks(
-    clicks: ClickDistribution, k, l, correct_dark: bool = True
+    clicks: ClickDistribution, k, l
 ) -> float | np.ndarray:
-    """Normalized silent-diode moment mu_{k,l} of a click distribution.
+    """Normalized, dark-corrected silent-diode moment mu_{k,l} of a click
+    distribution.
 
-    k and l broadcast; the whole table of moments is W_a^T c W_b.  With
-    dark correction the result equals the generating function at the
-    lattice point given by click_moment_to_mgf_point exactly (up to
-    truncation of the underlying state).
+    k and l broadcast; the whole table of moments is W_a^T c W_b, scaled
+    by exp(k nu_a + l nu_b).  The result equals the generating function
+    at the lattice point given by click_moment_to_mgf_point exactly (up
+    to truncation of the underlying state).
     """
     cfg_a, cfg_b = clicks.config_a, clicks.config_b
     k, l = _moment_orders(k, l, cfg_a, cfg_b)
     table = _moment_weights(cfg_a.apds).T @ clicks.c @ _moment_weights(cfg_b.apds)
-    mu = table[k, l]
-    if correct_dark:
-        mu = mu * np.exp(k * cfg_a.nu + l * cfg_b.nu)
-    return mu
+    return table[k, l] * np.exp(k * cfg_a.nu + l * cfg_b.nu)
 
 
 def click_moment_to_mgf_point(
@@ -244,7 +238,7 @@ def sample_clicks(clicks: ClickDistribution, n: int, seed: int) -> ClickSampleSe
     """Draw n independent runs of the click experiment (counting statistics)."""
     if n < 1:
         raise ValueError("need at least one sample")
-    p = clicks.probabilities().ravel()
+    p = np.clip(clicks.c, 0.0, None).ravel()  # rounding dips below 0 get no draws
     if abs(p.sum() - 1.0) > TOL.click_norm:
         raise ValueError(
             f"click distribution sums to {p.sum():.12f}; "

@@ -2,10 +2,8 @@
 
 States live on the truncated joint basis |n_a, n_b> with 0 <= n_a, n_b
 <= cutoff.  A state is stored as a convex mixture of pure amplitude
-grids; the dense density matrix is available through
-:attr:`TwoModeState.rho` but never required by the numerical paths, so
-diagonal-heavy states (squeezed vacuum, Fock states) stay cheap at
-large cutoff.
+grids and no dense density matrix is ever formed, so diagonal-heavy
+states (squeezed vacuum, Fock states) stay cheap at large cutoff.
 
 A lossless four-port splitter is parametrized by (T, R) with
 |T|^2 + |R|^2 = 1.  It maps coherent amplitudes (alpha, beta) to
@@ -23,14 +21,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from .config import TOL, ConvergenceWarning, NumericalError, TruncationWarning
-
-# rho above this dimension is refused; the factored paths stay usable.
-_MAX_DENSE_DIM = 5000
 
 
 def _powers(z, n: int) -> np.ndarray:
@@ -72,7 +67,8 @@ class HomInputSpec:
 
 @dataclass(frozen=True)
 class TmsvSpec:
-    """Two-mode squeezed vacuum with squeezing parameter xi >= 0."""
+    """Two-mode squeezed vacuum with squeezing parameter xi >= 0 and
+    tanh(xi) < 1 in double precision (xi below about 19.06)."""
 
     xi: float
     kind: ClassVar[str] = "tmsv"
@@ -80,6 +76,11 @@ class TmsvSpec:
     def __post_init__(self):
         if not self.xi >= 0:
             raise ValueError("squeezing parameter must be >= 0")
+        # from about 19.06 on (and at inf) tanh rounds to 1: no photon-number
+        # tail decays, so no cutoff holds the state
+        if not math.tanh(self.xi) < 1.0:
+            raise ValueError(f"squeezing parameter {self.xi!r} is too large: "
+                             "tanh(xi) rounds to 1")
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ class TwoModeState:
 
     components holds (weight, amp) pairs where amp[n_a, n_b] is the
     joint Fock amplitude of one pure component.  Amplitudes keep their
-    exact truncated values (no renormalization), so trace(rho) equals
+    exact truncated values (no renormalization), so trace equals
     1 - leakage up to rounding.  leakage estimates the probability mass
     lost to the cutoff.
     """
@@ -289,51 +290,11 @@ class TwoModeState:
         if not (0.0 <= self.leakage <= 1.0 + 1e-12):
             raise ValueError("leakage must lie in [0, 1]")
 
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** 2
-
     @cached_property
     def trace(self) -> float:
         return float(
             sum(w * np.sum(amp.real**2 + amp.imag**2) for w, amp in self.components)
         )
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        """Dense density matrix on the joint basis, index n_a*(cutoff+1)+n_b."""
-        if self.dim > _MAX_DENSE_DIM:
-            raise ValueError(
-                f"dense rho would be {self.dim}x{self.dim}; "
-                "use the factored operations instead"
-            )
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, amp in self.components:
-            v = amp.reshape(-1)
-            rho += w * np.outer(v, v.conj())
-        return rho
-
-    @classmethod
-    def from_rho(
-        cls, rho: np.ndarray, cutoff: int, leakage: float | None = None
-    ) -> "TwoModeState":
-        """Factor a dense density matrix into a mixture of pure grids."""
-        n = cutoff + 1
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (n * n, n * n):
-            raise ValueError("rho shape does not match the cutoff")
-        if np.max(np.abs(rho - rho.conj().T)) > TOL.matrix_hermiticity:
-            raise ValueError("rho must be Hermitian")
-        w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-        if w[0] < TOL.eigenvalue_floor:
-            raise ValueError(f"rho has a negative eigenvalue {w[0]:.3e}")
-        keep = w > 1e-14
-        comps = tuple(
-            (float(wi), v[:, i].reshape(n, n)) for i, wi in enumerate(w) if keep[i]
-        )
-        if leakage is None:
-            leakage = max(0.0, 1.0 - float(np.real(np.trace(rho))))
-        return cls(cutoff=cutoff, components=comps, leakage=leakage)
 
 
 def _log_factorials(cutoff: int) -> np.ndarray:
@@ -379,10 +340,6 @@ def _coherent_leakages(alpha: complex, beta: complex, top: int) -> np.ndarray:
     return ta + tb - ta * tb
 
 
-def _coherent_leakage(alpha: complex, beta: complex, cutoff: int) -> float:
-    return float(_coherent_leakages(alpha, beta, cutoff)[cutoff])
-
-
 def _coherent_terms(spec: StateSpec):
     """(weight, alpha, beta) terms of a vacuum, coherent or mixture spec,
     each a mixture of coherent pairs; None for any other spec."""
@@ -408,7 +365,8 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     if terms is not None:
         comps = [(w, np.outer(coherent_amplitudes(a, cutoff),
                               coherent_amplitudes(b, cutoff))) for w, a, b in terms]
-        leak = sum(w * _coherent_leakage(a, b, cutoff) for w, a, b in terms)
+        leak = sum(w * float(_coherent_leakages(a, b, cutoff)[cutoff])
+                   for w, a, b in terms)
     elif isinstance(spec, HomInputSpec):
         if cutoff < 1:
             raise ValueError("hom_input needs cutoff >= 1")
@@ -883,34 +841,9 @@ class StokesVector:
     def __post_init__(self):
         object.__setattr__(self, "S", np.asarray(self.S, dtype=float).reshape(3))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.S))
-
 
 def coherent_stokes(alpha: complex, beta: complex) -> StokesVector:
     """Stokes vector of a coherent pair; here ||S|| = |alpha|^2 + |beta|^2."""
     return StokesVector(S=np.array(_stokes(alpha, beta)),
                         S0=abs(alpha) ** 2 + abs(beta) ** 2)
 
-
-def stokes_mean(state: TwoModeState) -> StokesVector:
-    """Mean Stokes vector of the input modes (no splitter applied)."""
-    c = state.cutoff
-    n = np.arange(c + 1, dtype=float)
-    cross_w = np.sqrt(np.outer(n[1:], n[1:]))  # sqrt(n_a (n_b+1)) grid, shifted
-    sx = 0.0
-    sy = 0.0
-    na_mean = 0.0
-    nb_mean = 0.0
-    for w, amp in state.components:
-        prob = amp.real**2 + amp.imag**2
-        na_mean += w * float(n @ prob.sum(axis=1))
-        nb_mean += w * float(prob.sum(axis=0) @ n)
-        # <a^dag b> couples amp[n_a, n_b] with amp[n_a - 1, n_b + 1]
-        ab = np.sum(np.conj(amp[1:, :-1]) * cross_w * amp[:-1, 1:])
-        sx += w * 2.0 * ab.real
-        sy += w * 2.0 * ab.imag
-    return StokesVector(
-        S=np.array([sx, sy, na_mean - nb_mean]), S0=na_mean + nb_mean
-    )

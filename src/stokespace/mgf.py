@@ -63,14 +63,6 @@ class MgfQuery:
         _check_points(self.t, self.tau)
 
     @property
-    def lambda_a(self) -> complex:
-        return self.tau - self.t
-
-    @property
-    def lambda_b(self) -> complex:
-        return self.tau + self.t
-
-    @property
     def z_a(self) -> complex:
         return 1.0 + self.t - self.tau
 
@@ -227,11 +219,9 @@ def husimi_q(state: TwoModeState, alpha: complex, beta: complex) -> float:
     return total / math.pi**2
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Polar tensor quadrature: Gauss-Legendre in r^2, trapezoid in angle."""
-
-    n_radial: int = 48
+# Gauss-Legendre nodes in r^2 of the coarse polar quadrature (trapezoid in
+# angle); the check run adds 16
+_N_RADIAL = 48
 
 
 def _radial_cutoff(lam: float, degree: int) -> float:
@@ -284,11 +274,7 @@ def _husimi_quadrature_value(rotated, lam_a, lam_b, n_radial, n_phi) -> float:
 
 
 def mgf_via_husimi_quadrature(
-    state: TwoModeState,
-    direction: MeasurementDirection,
-    t: float,
-    tau: float,
-    quad: QuadratureConfig | None = None,
+    state: TwoModeState, direction: MeasurementDirection, t: float, tau: float
 ) -> float:
     """M evaluated through the Husimi phase-space integral.
 
@@ -303,13 +289,10 @@ def mgf_via_husimi_quadrature(
     lam_a, lam_b = tau - t, tau + t
     if not (0.0 <= lam_a < 1.0 and 0.0 <= lam_b < 1.0):
         raise ValueError("requires 0 <= tau -+ t < 1 for an integrable kernel")
-    quad = quad or QuadratureConfig()
     rotated = beam_splitter(state, direction.T, direction.R)
     n_phi = 2 * state.cutoff + 3  # enough for exact angular sums
-    coarse = _husimi_quadrature_value(rotated, lam_a, lam_b, quad.n_radial, n_phi)
-    fine = _husimi_quadrature_value(
-        rotated, lam_a, lam_b, quad.n_radial + 16, n_phi + 4
-    )
+    coarse = _husimi_quadrature_value(rotated, lam_a, lam_b, _N_RADIAL, n_phi)
+    fine = _husimi_quadrature_value(rotated, lam_a, lam_b, _N_RADIAL + 16, n_phi + 4)
     if abs(fine - coarse) > TOL.quadrature_rtol * max(abs(fine), abs(coarse), 1e-3):
         raise QuadratureError(
             f"Husimi quadrature did not converge: {coarse!r} vs {fine!r}"

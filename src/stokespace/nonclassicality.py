@@ -127,24 +127,6 @@ def second_order_det(
     return float(det) if np.ndim(det) == 0 else det
 
 
-def cauchy_schwarz_violation(
-    state: TwoModeState,
-    direction: MeasurementDirection,
-    point: tuple[complex, float],
-    point2: tuple[complex, float],
-) -> float:
-    """|<: A^dag B :>|^2 - <: A^dag A :><: B^dag B :> for damping kernels.
-
-    A and B are the normally ordered exponentials at the two points; a
-    positive value violates the classical Cauchy-Schwarz bound and
-    equals -(second_order_det) identically.  The second point must not
-    be the trivial (0, 0) kernel (A alone gives no inequality).
-    """
-    if point2[0] == 0 and point2[1] == 0:
-        raise ValueError("the second point must differ from (0, 0)")
-    return -second_order_det(state, direction, *point, *point2)
-
-
 def char_fn_criterion(
     state: TwoModeState, k, tolerance: float = TOL.verdict
 ) -> CriterionReport:

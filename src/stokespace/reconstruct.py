@@ -218,18 +218,6 @@ def gaussian_ensemble(
     return CoherentEnsemble(sampler=sampler, char_kernel=kernel)
 
 
-def gaussian_pess_exact(sigma: float, grid: Grid3) -> PessGrid:
-    """Closed-form density of the Gaussian ensemble, exp(-S/s^2)/(4 pi S s^4)."""
-    ax, ay, az = grid.axes()
-    s = np.sqrt(
-        ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2
-    )
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = np.exp(-s / sigma**2) / (4.0 * np.pi * s * sigma**4)
-    vals[~np.isfinite(vals)] = 0.0
-    return PessGrid(grid=grid, values=vals, tau_used=0.0, window="none", label="exact")
-
-
 def _kernel_from_points(
     k_axes, pts: np.ndarray, weights: np.ndarray | None, tau: float
 ) -> np.ndarray:

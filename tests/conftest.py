@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from stokespace import MeasurementDirection, TwoModeState, direction_from_tr
+from stokespace import (
+    Grid3,
+    MeasurementDirection,
+    PessGrid,
+    StokesVector,
+    TwoModeState,
+    direction_from_tr,
+)
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -59,6 +66,41 @@ def random_low_state(rng: np.random.Generator, cutoff: int, n_max: int) -> TwoMo
             amp[na, nb] = rng.normal() + 1j * rng.normal()
     amp /= np.linalg.norm(amp)
     return TwoModeState(cutoff=cutoff, components=((1.0, amp),), leakage=0.0)
+
+
+def stokes_mean(state: TwoModeState) -> StokesVector:
+    """Mean Stokes vector of the input modes (no splitter applied), read off
+    the amplitudes by the ladder operators: independent of the rotation."""
+    c = state.cutoff
+    n = np.arange(c + 1, dtype=float)
+    cross_w = np.sqrt(np.outer(n[1:], n[1:]))  # sqrt(n_a (n_b+1)) grid, shifted
+    sx = 0.0
+    sy = 0.0
+    na_mean = 0.0
+    nb_mean = 0.0
+    for w, amp in state.components:
+        prob = amp.real**2 + amp.imag**2
+        na_mean += w * float(n @ prob.sum(axis=1))
+        nb_mean += w * float(prob.sum(axis=0) @ n)
+        # <a^dag b> couples amp[n_a, n_b] with amp[n_a - 1, n_b + 1]
+        ab = np.sum(np.conj(amp[1:, :-1]) * cross_w * amp[:-1, 1:])
+        sx += w * 2.0 * ab.real
+        sy += w * 2.0 * ab.imag
+    return StokesVector(
+        S=np.array([sx, sy, na_mean - nb_mean]), S0=na_mean + nb_mean
+    )
+
+
+def gaussian_pess_exact(sigma: float, grid: Grid3) -> PessGrid:
+    """Closed-form density of the Gaussian ensemble, exp(-S/s^2)/(4 pi S s^4)."""
+    ax, ay, az = grid.axes()
+    s = np.sqrt(
+        ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2
+    )
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = np.exp(-s / sigma**2) / (4.0 * np.pi * s * sigma**4)
+    vals[~np.isfinite(vals)] = 0.0
+    return PessGrid(grid=grid, values=vals, tau_used=0.0, window="none", label="exact")
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stokespace
-from stokespace import ConvergenceWarning, Grid3, load_pess
+from stokespace import TOL, ConvergenceWarning, Grid3, Tolerances, load_pess
 from stokespace.cli import _CSV_CHUNK_ROWS, _write_csv, main
 
 VAC = '{"kind": "vacuum"}'
@@ -177,7 +177,14 @@ def test_clicks_rejects_negative_samples_before_writing(tmp_path):
     assert not (tmp_path / "clicks.csv").exists()
 
 
-def test_nctest_battery(tmp_path):
+def test_nctest_battery(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+
+    # the verdict tolerance defaults to the one shared value
+    assert cli._build_parser().parse_args(["nctest"]).tolerance == TOL.verdict
+    monkeypatch.setattr(cli, "TOL", Tolerances(verdict=2.5e-7))
+    assert cli._build_parser.__wrapped__().parse_args(["nctest"]).tolerance == 2.5e-7
+    monkeypatch.undo()
     assert main(["nctest", "--state", HOM, "--out", str(tmp_path),
                  "--direction", "1,0,0", "--no-timestamp"]) == 0
     with open(tmp_path / "nctest.csv") as fh:
@@ -364,6 +371,17 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["--definitely-not-a-flag"]) == 2
     # no command-line ensemble has only a sampler, so the draw count is gone
     assert main(["reconstruct", "--out", out, "--n-samples", "1000"]) == 2
+
+
+@pytest.mark.parametrize("xi", ["20", "Infinity"])
+def test_mgf_rejects_squeezing_past_double_precision(tmp_path, capsys, xi):
+    # tanh(xi) rounds to 1: no cutoff holds the state
+    state = f'{{"kind": "tmsv", "xi": {xi}}}'
+    assert main(["mgf", "--state", state, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: squeezing parameter") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "mgf.csv").exists()
 
 
 def test_state_file_input(tmp_path):

@@ -1,0 +1,66 @@
+"""Dead-code lint over the package sources, on the standard library's ast.
+
+Two rules: no module imports a name it never reads, and no module-level
+private name goes unread across the package.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stokespace"
+TREES = {path.name: ast.parse(path.read_text(), str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: every name not being assigned, and the
+    entries of __all__."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _imported(tree: ast.Module):
+    """(bound name, line) of every import of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every module-level _private name, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node.lineno
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = [f"{module}:{line} {name}" for module, tree in TREES.items()
+              for name, line in _imported(tree) if name not in _read_names(tree)]
+    assert unused == []
+
+
+def test_every_private_module_name_is_read_somewhere():
+    read = set()
+    for tree in TREES.values():
+        read |= _read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f"{module}:{line} {name}" for module, tree in TREES.items()
+              for name, line in _private_definitions(tree) if name not in read]
+    assert unread == []

@@ -184,8 +184,12 @@ class TestClickMoments:
         clicks = click_distribution(state, D_Z, cfg, ClickDetectorConfig())
         assert moments_from_clicks(clicks, 0, 0) == pytest.approx(1.0, abs=1e-12)
         assert moments_from_clicks(clicks, 1, 0) == pytest.approx(1.0, abs=1e-12)
-        raw = moments_from_clicks(clicks, 1, 0, correct_dark=False)
+        # the raw moment: one given diode of arm a stays dark, C(2-i, 1)/2
+        # weighs i clicks; the dark correction exp(nu) undoes its e^-nu
+        raw = clicks.c[0].sum() + 0.5 * clicks.c[1].sum()
         assert raw == pytest.approx(math.exp(-0.3), abs=1e-12)
+        assert moments_from_clicks(clicks, 1, 0) == pytest.approx(
+            raw * math.exp(0.3), abs=1e-12)
 
     def test_lattice_bounds_checked(self):
         cfg = ClickDetectorConfig(apds=2)

@@ -25,10 +25,14 @@ from stokespace import (
     power_expectation,
     spec_from_json,
     spec_to_json,
-    stokes_mean,
 )
 from stokespace.fock import _poisson_tails
-from conftest import random_direction, random_low_state, rng_for, splitter_oracle
+from conftest import (
+    random_direction,
+    random_low_state,
+    splitter_oracle,
+    stokes_mean,
+)
 
 
 def random_tr(rng):
@@ -282,6 +286,15 @@ class TestSpecs:
             leak = make_state(CoherentSpec(alpha, beta), cutoff).leakage
             assert abs(leak - ref) <= 1e-11 * ref
 
+    def test_tmsv_squeezing_must_fit_a_double(self):
+        # tanh(xi) rounds to 1 from about 19.06 on: no cutoff holds the state
+        for xi in (19.1, 20.0, math.inf):
+            with pytest.raises(ValueError, match="too large"):
+                TmsvSpec(xi)
+            with pytest.raises(ValueError, match="too large"):
+                spec_from_json({"kind": "tmsv", "xi": xi})
+        assert 2 <= auto_cutoff(TmsvSpec(19.0)) <= 512
+
     def test_auto_cutoff_tmsv(self):
         spec = TmsvSpec(0.55)
         c = auto_cutoff(spec, bound=1e-10)
@@ -336,26 +349,6 @@ class TestCoherentAmplitudes:
 
 
 class TestDensityMatrix:
-    def test_rho_matches_components(self, rng):
-        state = random_low_state(rng, cutoff=3, n_max=3)
-        amp = state.components[0][1].reshape(-1)
-        assert np.max(np.abs(state.rho - np.outer(amp, amp.conj()))) < 1e-14
-
-    def test_from_rho_round_trip(self, rng):
-        a = random_low_state(rng, cutoff=3, n_max=3)
-        b = random_low_state(rng_for(7), cutoff=3, n_max=3)
-        mixed = TwoModeState(
-            cutoff=3,
-            components=((0.6, a.components[0][1]), (0.4, b.components[0][1])),
-        )
-        again = TwoModeState.from_rho(mixed.rho, cutoff=3)
-        assert np.max(np.abs(again.rho - mixed.rho)) < 1e-12
-
-    def test_from_rho_rejects_nonpositive(self):
-        rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            TwoModeState.from_rho(rho, cutoff=1)
-
     def test_coherent_amplitudes_normalized(self):
         amp = coherent_amplitudes(1.2 - 0.4j, 60)
         assert abs(np.sum(np.abs(amp) ** 2) - 1.0) < 1e-12

@@ -11,7 +11,6 @@ from stokespace import (
     MgfMatrixSpec,
     MixtureSpec,
     TmsvSpec,
-    cauchy_schwarz_violation,
     char_fn_criterion,
     cross_correlation_det,
     direction_to_beamsplitter,
@@ -131,27 +130,6 @@ class TestSecondOrderDet:
             scalar = second_order_det(dist, d, t[i, 0], tau[j], t2[i, j], tau2)
             assert type(scalar) is float
             assert dets[i, j] == scalar
-
-
-class TestCauchySchwarz:
-    def test_equals_negated_determinant(self, rng):
-        state = random_low_state(rng, cutoff=5, n_max=5)
-        d = random_direction(rng)
-        p1 = (0.1 + 0.2j, 0.3)
-        p2 = (-0.15, 0.2)
-        cs = cauchy_schwarz_violation(state, d, p1, p2)
-        det = second_order_det(state, d, p1[0], p1[1], p2[0], p2[1])
-        assert cs == pytest.approx(-det, abs=1e-12)
-
-    def test_trivial_second_point_rejected(self, rng):
-        state = random_low_state(rng, cutoff=3, n_max=3)
-        with pytest.raises(ValueError):
-            cauchy_schwarz_violation(state, random_direction(rng), (0.3, 0.3), (0.0, 0.0))
-
-    def test_photon_pair_violation(self):
-        state = make_state(HomInputSpec(), cutoff=4)
-        cs = cauchy_schwarz_violation(state, D_X, (0.0, 0.0), (math.sqrt(3.0), 0.0))
-        assert cs == pytest.approx(3.0, abs=1e-10)
 
 
 class TestCharFnCriterion:

@@ -17,7 +17,6 @@ from stokespace import (
     dual_grid,
     ensemble_from_json,
     gaussian_ensemble,
-    gaussian_pess_exact,
     invert_to_pess,
     l1_distance,
     load_pess,
@@ -27,7 +26,7 @@ from stokespace import (
     save_pess,
     stokes_points,
 )
-from conftest import rng_for
+from conftest import gaussian_pess_exact, rng_for
 
 
 def reconstruct(source, grid, tau, quiet=False, **kw):
