@@ -439,13 +439,27 @@ def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
 # batches.  Counts do not see the unit-modulus factor (uT uR)^k' uT*^N:
 # only beam_splitter applies it.  Kernel sums, mgf among them, take each
 # batch of counts as it comes and build no photon distribution.
+#
+# Counts over many axes may take a second route, d^{N/2}(beta) = P Delta^T
+# E(beta) Delta P*, Delta = d^{N/2}(pi/2), E = diag(e^{-i mu beta}), P =
+# diag(e^{i pi m/2}) (Risbo, J. Geodesy 70, 383 (1996)): the recurrence
+# builds Delta once per call, then a block of an axis batch is two real GEMMs.
+# With n rotated axes and, summed over blocks, W_rec = live_cols (N+1),
+# W_build = (N+1)^2, W_gemm = (N+1) (live_cols + N+1), a call takes it iff
+# n W_rec > W_build + _GEMM_COST n W_gemm: never for one axis, nor for a
+# squeezed vacuum (one live column a block).
 
 # doubles per recurrence buffer: direction batches are cut to this size so
-# the engine's live arrays stay a few MB at any batch size
+# the engine's live arrays stay a few MB at any batch size (GEMM: its rows)
 _BUFFER_DOUBLES = 1 << 15
 # doubles of step tables per plan chunk (a few times more to build them);
 # one direction batch builds the chunks in turn, several keep them all
 _PLAN_DOUBLES = 1 << 14
+# gamma, a unit of W_gemm in units of W_rec: slopes in n over 112-500 axes
+# (OpenBLAS at 1 thread, x86-64) read 0.04-0.06 for coherent pairs at cutoffs
+# 10-40, 0.13 for a three-part mixture and 0.22 for |1,1>; 0.2 also covers
+# the cost of the build that W_build leaves out
+_GEMM_COST = 0.2
 # a run of planned blocks, as _plan_chunk builds it
 _Chunk = collections.namedtuple("_Chunk", "blocks offsets ka psi edges tables k n")
 
@@ -501,16 +515,22 @@ def _plan_chunk(src, chains, n, hi, old, r0) -> _Chunk:
 
 
 def _rotation_plan(src: np.ndarray):
-    """The direction-independent work of rotating the blocks of src, or None
-    if src is zero: the last block visited, each parity's buffer shape, and
-    functions that plan the visited blocks in chunks of about _PLAN_DOUBLES
-    doubles of step tables."""
+    """The _plan of rotating the blocks of src, or None if src is zero."""
     c = src.shape[-1] - 1
     na, nb = np.nonzero(np.any(src != 0, axis=0))
     if not na.size:
         return None
     last = np.full(2 * c + 1, -1)  # the last block holding each offset
     np.maximum.at(last, na - nb + c, na + nb)
+    return _plan(src, last)
+
+
+def _plan(src, last):
+    """The direction-independent work of rotating the columns delta of src
+    (cutoff c) up to block last[delta + c] >= 0: the last block visited, each
+    parity's buffer shape, functions that plan the visited blocks in chunks of
+    about _PLAN_DOUBLES doubles of step tables, and (W_rec, W_build, W_gemm)."""
+    c = src.shape[-1] - 1
     offsets = np.flatnonzero(last >= 0) - c
     chains, runs, shapes = [], [], [None, None]
     for q in (0, 1):  # each parity's offsets, sorted by |delta|
@@ -531,23 +551,20 @@ def _rotation_plan(src: np.ndarray):
     cuts = [0, *(np.flatnonzero(np.diff(end // _PLAN_DOUBLES)) + 1).tolist(), n.size]
     chunks = [functools.partial(_plan_chunk, src, chains, n[i:j], hi[i:j], old[i:j],
                                 r0[i:j]) for i, j in zip(cuts, cuts[1:])]
-    return int(n[-1]), shapes, chunks
+    size = n + 1
+    return int(n[-1]), shapes, chunks, (hi @ size, size @ size, size @ (hi + size))
 
 
-def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
-    """Rows behind splitters with |T| >= |R| > 0, amps at cutoff cut, from the
-    built chunks of their plan: per chunk (k, n, rows), rows[i, :, j] =
-    <k[j], n[j]-k[j]| U(T[i], R[i]) |amps> for each component, real parts
-    then imaginary parts without the output phase, or complex if phased."""
+def _stepper(top, shapes, T, R):
+    """The recurrence behind splitters with |T| >= |R| > 0, cos(beta/2) = |T|:
+    given a plan's built chunks in turn, it yields per block cols[i, j, k'] =
+    d^{N/2}_{m'm}(beta_i) for live column j (delta = 2m) and m' = k' - N/2,
+    a view that the next block of its parity overwrites."""
     n_d = T.shape[0]
     aT, aR = np.abs(T), np.abs(R)
     c2 = (aT * aT / (aT * aT + aR * aR))[:, None]
     s2 = (aR * aR / (aT * aT + aR * aR))[:, None]
     y = 2.0 * s2[:, :, None]
-    # phases of uT and uR; each power is taken from its angle, since
-    # products of unit numbers drift off the unit circle by an ulp per factor
-    arg_t, arg_r = np.angle(T)[:, None], np.angle(-R)[:, None]
-    phase_in = np.exp(1j * (arg_t - arg_r) * np.arange(cut + 1))
     # binom[:, a] = C(N, a) cos^2a sin^2(N-a), the squared edge values of d,
     # after a zero column in ext; N -> N + 1 is c2 binom[a - 1] + s2 binom[a]
     ext = np.eye(1, top + 2, 1).repeat(n_d, axis=0)
@@ -555,11 +572,10 @@ def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
     alt = 1.0 - 2.0 * (np.arange(top + 1) % 2)
     bufs = [s and (np.zeros((n_d,) + s), np.zeros((n_d,) + s)) for s in shapes]
     done = 0
-    for blocks, offsets, ka, psi, edges, tables, k, n_rows in chunks:
-        phi = phase_in[:, None, ka] * psi[None]
-        phi = np.concatenate([phi.real, phi.imag], axis=1)
-        out = []
-        for n, hi, old, r0, base, gemm, o_psi, o_edge, o_tab in blocks:
+
+    def steps(chunk):
+        nonlocal done
+        for n, hi, old, r0, base, _, _, o_edge, o_tab in chunk.blocks:
             while done < n:
                 done += 1
                 shift, row = c2 * ext[:, : done + 1], binom[:, : done + 1]
@@ -570,8 +586,8 @@ def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
             r1 = r0 + n + 1
             b = np.sqrt(binom[:, : n + 1])
             if old:
-                k3, e, a = tables[:, o_tab : o_tab + old * (n - 1)].reshape(3, old, -1)
-                ib0, ib1, sign = edges[:, o_edge : o_edge + old]
+                k3, e, a = chunk.tables[:, o_tab : o_tab + old * (n - 1)].reshape(3, old, -1)
+                ib0, ib1, sign = chunk.edges[:, o_edge : o_edge + old]
                 cu, di = cur[:, :old, r0 + 1 : r1 - 1], diff[:, :old, r0 + 1 : r1 - 1]
                 # diff <- k3 diff + (e - y a) cur, with one temporary
                 step = np.multiply(y, a)
@@ -583,18 +599,85 @@ def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
                 cur[:, :old, r0] = diff[:, :old, r0] = b[:, ib0]
                 cur[:, :old, r1 - 1] = diff[:, :old, r1 - 1] = sign * b[:, ib1]
             for i in range(old, hi):  # columns m = +-j start at this block
-                col = b if offsets[base + i] >= 0 else b[:, ::-1] * alt[: n + 1]
+                col = b if chunk.offsets[base + i] >= 0 else b[:, ::-1] * alt[: n + 1]
                 cur[:, i, r0:r1] = diff[:, i, r0:r1] = col
-            if gemm:
-                out.append(phi[:, :, o_psi : o_psi + hi] @ cur[:, :hi, r0:r1])
+            yield cur[:, :hi, r0:r1]
+
+    return steps
+
+
+def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
+    """Rows behind splitters with |T| >= |R| > 0, amps at cutoff cut, from the
+    built chunks of their plan: per chunk (k, n, rows), rows[i, :, j] =
+    <k[j], n[j]-k[j]| U(T[i], R[i]) |amps> for each component, real parts
+    then imaginary parts without the output phase, or complex if phased."""
+    steps = _stepper(top, shapes, T, R)
+    # phases of uT and uR; each power is taken from its angle, since
+    # products of unit numbers drift off the unit circle by an ulp per factor
+    arg_t, arg_r = np.angle(T)[:, None], np.angle(-R)[:, None]
+    phase_in = np.exp(1j * (arg_t - arg_r) * np.arange(cut + 1))
+    for chunk in chunks:
+        phi = phase_in[:, None, chunk.ka] * chunk.psi[None]
+        phi = np.concatenate([phi.real, phi.imag], axis=1)
+        out = [phi[:, :, o : o + hi] @ cols for (_, hi, _, _, _, gemm, o, _, _), cols
+               in zip(chunk.blocks, steps(chunk)) if gemm]
         if not out:
             continue
         rows = np.concatenate(out, axis=2)
         if phased:
             re, im = np.split(rows, 2, axis=1)
-            phase = np.exp(1j * ((arg_t + arg_r) * k - n_rows * arg_t))
+            phase = np.exp(1j * ((arg_t + arg_r) * chunk.k - chunk.n * arg_t))
             rows = (re + 1j * im) * phase[:, None, :]
-        yield k, n_rows, rows
+        yield chunk.k, chunk.n, rows
+
+
+def _half_turns(top, shapes):
+    """Delta_N^T for the blocks N a plan visits, in turn: the recurrence steps
+    the columns m >= 0, and d_{m',-m}(pi/2) = (-1)^{k'} d_{m'm}(pi/2)."""
+    d = np.arange(-top, top + 1)
+    end = np.array([s[1] - 1 if s else -1 for s in shapes])[d % 2]
+    top, shapes, chunks, _ = _plan(np.zeros((1, top + 1, top + 1)),
+                                   np.where((d >= 0) & (d <= end), end, -1))
+    steps = _stepper(top, shapes, *np.full((2, 1), math.sqrt(0.5)))
+    alt = 1.0 - 2.0 * (np.arange(top + 1) % 2)
+    for build in chunks:
+        chunk = build()
+        for (n, hi, _, _, base, *_), cols in zip(chunk.blocks, steps(chunk)):
+            k = (n + chunk.offsets[base : base + hi]) // 2
+            delta_t = np.empty((n + 1, n + 1))
+            delta_t[k] = cols[0]
+            delta_t[n - k] = cols[0] * alt[: n + 1]
+            yield delta_t
+
+
+def _half_turn_rows(top, shapes, chunks, T, R):
+    """The rows of _wigner_rows, unphased, up to a unit-modulus factor per row
+    and block: per chunk and batch of about _BUFFER_DOUBLES doubles of rows
+    (at, k, n, rows), with at a slice of T and R."""
+    deltas = _half_turns(top, shapes)
+    # per row k = 0..top: P* with the input phase (uT uR*)^k, and E(beta)
+    k = np.arange(top + 1)[:, None]
+    phase_in = np.exp(1j * k * (np.angle(T) - np.angle(-R) - 0.5 * np.pi))
+    e_beta = np.exp(-2j * k * np.arctan2(np.abs(R), np.abs(T)))[:, :, None]
+    for build in chunks:
+        chunk = build()
+        halves = [(n, o, hi, delta_t[(n + chunk.offsets[base : base + hi]) // 2].T, delta_t.T)
+                  for (n, hi, _, _, base, gemm, o, _, _), delta_t in zip(chunk.blocks, deltas)
+                  if gemm]  # Delta's live columns in plan order, and Delta^T
+        n_c, size = len(chunk.psi), len(chunk.k)
+        step = max(1, _BUFFER_DOUBLES // (2 * n_c * size))
+        for lo in range(0, T.size * bool(halves), step):
+            at = slice(lo, lo + step)
+            phi = phase_in[chunk.ka, at, None] * chunk.psi.T[:, None]  # column, axis, comp
+            phi = phi.view(float).reshape(len(phi), -1)
+            out = []
+            for n, o, hi, sub, delta in halves:
+                x = sub @ phi[o : o + hi]  # two real GEMMs: Delta, then Delta^T
+                xc = x.view(complex).reshape(n + 1, -1, n_c)
+                xc *= e_beta[: n + 1, at]
+                out.append(x.T @ delta)
+            out = np.concatenate(out, axis=1).reshape(-1, n_c, 2, size)
+            yield at, chunk.k, chunk.n, out.transpose(0, 2, 1, 3).reshape(-1, 2 * n_c, size)
 
 
 def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
@@ -622,7 +705,11 @@ def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
     plan = _rotation_plan(amps) if turn.size else None
     if plan is None:
         return
-    top, shapes, chunks = plan
+    top, shapes, chunks, (w_rec, w_build, w_gemm) = plan
+    if not phased and turn.size * (w_rec - _GEMM_COST * w_gemm) > w_build:
+        for at, k, n, rows in _half_turn_rows(top, shapes, chunks, T[turn], R[turn]):
+            yield turn[at], swap[turn[at]], k, n, rows
+        return
     step = max(1, _BUFFER_DOUBLES // max(s[0] * s[1] for s in shapes if s))
     chunks = (chunk() for chunk in chunks)
     if step < turn.size:  # several batches share the chunks
@@ -761,13 +848,22 @@ def _distribution_along(
     return joint_photon_distribution(source, direction)
 
 
+def _finite(sums):
+    """sums if all are finite: powers of |z| > 1 overflow at large N."""
+    if np.all(np.isfinite(sums)):
+        return sums
+    raise NumericalError("kernel sum is not finite: the kernel's powers overflow")
+
+
 def _power_sum(p: np.ndarray, z_a, z_b):
-    """sum z_a^n_a p[n_a, n_b] z_b^n_b, broadcast over leading axes of p, z_a, z_b."""
+    """sum z_a^n_a p[n_a, n_b] z_b^n_b, broadcast over leading axes of p, z_a, z_b;
+    NumericalError if one is not finite."""
     c = p.shape[-1] - 1
-    va, vb = _powers(z_a, c), _powers(z_b, c)
-    # two real products: a complex operand would copy p to complex
-    pv = p @ vb.real[..., :, None] + 1j * (p @ vb.imag[..., :, None])
-    return (va[..., None, :] @ pv)[..., 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        va, vb = _powers(z_a, c), _powers(z_b, c)
+        # two real products: a complex operand would copy p to complex
+        pv = p @ vb.real[..., :, None] + 1j * (p @ vb.imag[..., :, None])
+        return _finite((va[..., None, :] @ pv)[..., 0, 0])
 
 
 def _warn_divergent(leakage: float, cutoff: int, z_a, z_b) -> None:
@@ -792,16 +888,17 @@ def _kernel_sums(state: TwoModeState, directions, z_a, z_b) -> np.ndarray:
     """Entry i: the kernel sum of state with (z_a[i], z_b[i]) along the i-th
     of len(z_a) directions, from any iterable.  Each batch of counts is
     summed as it comes, so no photon distribution is stored.  The existence
-    rule runs once, on every kernel."""
+    rule runs once, on every kernel.  A sum that is not finite raises."""
     _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
     out, mass = np.zeros(len(z_a), dtype=complex), np.zeros(len(z_a))
     for at, sw, k, n, prob in _count_rows(state, directions):
         a, b = np.where(sw, z_b[at], z_a[at]), np.where(sw, z_a[at], z_b[at])
-        kernel = _powers(a, n.max())[:, k] * _powers(b, n.max())[:, n - k]
-        out[at] += np.einsum("dr,dr->d", prob, kernel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = _powers(a, n.max())[:, k] * _powers(b, n.max())[:, n - k]
+            out[at] += np.einsum("dr,dr->d", prob, kernel)
         mass[at] += prob.sum(axis=1)
     _check_norm(state.trace, mass)
-    return out
+    return _finite(out)
 
 
 def power_expectation(state: TwoModeState, direction: MeasurementDirection,

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import stokespace
-from stokespace import TOL, ConvergenceWarning, Grid3, Tolerances, load_pess
+from stokespace import (TOL, ConvergenceWarning, Grid3, Tolerances, TruncationWarning,
+                        load_pess)
 from stokespace.cli import _CSV_CHUNK_ROWS, _write_csv, main
 
 VAC = '{"kind": "vacuum"}'
@@ -381,6 +382,17 @@ def test_mgf_rejects_squeezing_past_double_precision(tmp_path, capsys, xi):
     err = capsys.readouterr().err
     assert err.startswith("error: squeezing parameter") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "mgf.csv").exists()
+
+
+def test_mgf_fails_loudly_on_a_non_finite_kernel_sum(tmp_path, capsys):
+    # the cutoff cap of 512 leaves nearly all of this state behind, and the
+    # powers of |z_a| = 2 overflow at N = 1024
+    state = '{"kind": "tmsv", "xi": 8}'
+    with pytest.warns(TruncationWarning), pytest.warns(ConvergenceWarning):
+        assert main(["mgf", "--state", state, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: kernel sum is not finite")
     assert not (tmp_path / "mgf.csv").exists()
 
 

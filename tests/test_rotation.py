@@ -207,7 +207,24 @@ def test_planned_step_tables_equal_the_per_block_arithmetic(monkeypatch, spec, c
     assert seen >= len(plans)
 
 
+def recurrence_only(monkeypatch):
+    """Send every call to the step recurrence: the rule takes the GEMM route
+    iff n (W_rec - gamma W_gemm) > W_build."""
+    monkeypatch.setattr(fock, "_GEMM_COST", math.inf)
+
+
+def recording_routes(monkeypatch):
+    """The route of each engine pass: "recurrence" per batch, "gemm" per call."""
+    routes = []
+    rows, turns = fock._wigner_rows, fock._half_turns
+    monkeypatch.setattr(fock, "_wigner_rows",
+                        lambda *a: routes.append("recurrence") or rows(*a))
+    monkeypatch.setattr(fock, "_half_turns", lambda *a: routes.append("gemm") or turns(*a))
+    return routes
+
+
 def test_plan_chunking_leaves_p_bit_identical(monkeypatch, rng):
+    recurrence_only(monkeypatch)  # the GEMM route has a twin below
     spec = MixtureSpec(((0.3, 1.0 + 0.5j, -0.4j), (0.7, -0.6, 0.9 + 0.2j)))
     states = [make_state(spec, 14), make_state(TmsvSpec(1.0), 42)]
     dirs = [random_direction(rng) for _ in range(9)]
@@ -230,7 +247,24 @@ def test_plan_chunking_leaves_p_bit_identical(monkeypatch, rng):
         assert all(np.array_equal(x, y) for x, y in zip(got, amps))
 
 
+def test_gemm_route_keeps_one_plan_and_one_build_per_call(monkeypatch, rng):
+    spec = MixtureSpec(((0.3, 1.0 + 0.5j, -0.4j), (0.7, -0.6, 0.9 + 0.2j)))
+    state = make_state(spec, 14)
+    dirs = [random_direction(rng) for _ in range(9)]
+    want = rotate_many(state, dirs)
+    plans, routes = recording_plans(monkeypatch), recording_routes(monkeypatch)
+    monkeypatch.setattr(fock, "_PLAN_DOUBLES", 64)
+    for buffer in (1, 1 << 30):
+        monkeypatch.setattr(fock, "_BUFFER_DOUBLES", buffer)
+        plans.clear()
+        routes.clear()
+        # BLAS rounding depends on the batch shape, so the bits may differ
+        assert np.max(np.abs(rotate_many(state, dirs) - want)) <= 1e-15
+        assert len(plans) == 1 and routes == ["gemm"]
+
+
 def test_one_plan_per_call_across_direction_batches(monkeypatch, rng):
+    recurrence_only(monkeypatch)
     state = make_state(CoherentSpec(0.6 - 0.3j, 0.5j), 12)
     dirs = [random_direction(rng) for _ in range(7)]
     dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1))]
@@ -274,8 +308,7 @@ def test_south_pole_only_rephases(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("buffer", [1, 1 << 30], ids=["batch-per-axis", "one-batch"])
-def test_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
+def check_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
     spec = MixtureSpec(((0.4, 0.9 - 0.3j, 0.5j), (0.6, -0.4, 0.8 + 0.6j)))
     state = make_state(spec, 12)
     dirs = [random_direction(rng) for _ in range(9)]
@@ -289,6 +322,21 @@ def test_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
     got = fock._kernel_sums(state, iter(dirs), z_a, z_b)
     assert len(plans) == 1
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("buffer", [1, 1 << 30], ids=["batch-per-axis", "one-batch"])
+def test_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
+    routes = recording_routes(monkeypatch)
+    check_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer)
+    assert routes == ["gemm"] * 2
+
+
+@pytest.mark.parametrize("buffer", [1, 1 << 30], ids=["batch-per-axis", "one-batch"])
+def test_kernel_sums_read_the_rows_of_one_plan_on_the_recurrence(monkeypatch, rng, buffer):
+    recurrence_only(monkeypatch)
+    routes = recording_routes(monkeypatch)
+    check_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer)
+    assert set(routes) == {"recurrence"}
 
 
 def test_beam_splitter_clips_what_rotate_many_puts_outside_the_box():
@@ -329,3 +377,80 @@ def test_mgf_builds_no_photon_distribution(monkeypatch, rng):
     monkeypatch.setattr(fock, "rotate_many", forbidden)
     got = [mgf(state, MgfQuery(d, t, tau)) for d in dirs for t, tau in points]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind, cutoff", [
+    ("coherent", 10), ("coherent", 24), ("mixture", 16), ("dense", 4), ("dense", 12),
+    ("dense", 24),
+])
+def test_gemm_route_matches_the_recurrence(monkeypatch, rng, kind, cutoff):
+    if kind == "dense":
+        state = random_low_state(rng, cutoff=cutoff, n_max=cutoff)
+    elif kind == "coherent":
+        state = make_state(CoherentSpec(0.6 - 0.3j, 0.5j) if cutoff < 20
+                           else CoherentSpec(1.6 + 0.9j, -1.1 + 0.4j), cutoff)
+    else:
+        state = make_state(MixtureSpec(((0.3, 0.8 + 0.4j, -0.5j), (0.45, -0.9, 0.7 + 0.3j),
+                                        (0.25, 0.2 - 1.0j, 1.1))), cutoff)
+    # both poles and two balanced axes (e_z = 0) among random ones
+    dirs = [random_direction(rng) for _ in range(30)]
+    dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1), (1, 0, 0),
+                                                    (0, -1, 0))]
+    assert sum(d.e[2] < 0 for d in dirs) > 5  # axes the swap rule mirrors
+    routes = recording_routes(monkeypatch)
+    got = rotate_many(state, dirs)
+    assert routes == ["gemm"]
+    recurrence_only(monkeypatch)
+    assert np.max(np.abs(got - rotate_many(state, dirs))) <= 1e-15
+
+
+def test_gemm_route_keeps_a_coherent_pair_coherent(monkeypatch, rng):
+    # a rotated coherent pair is the coherent pair (T a + R b, T* b - R* a)
+    alpha, beta = 1.7 - 0.6j, -0.9 + 1.2j
+    state = make_state(CoherentSpec(alpha, beta), 60)
+    dirs = [random_direction(rng) for _ in range(200)]
+    routes = recording_routes(monkeypatch)
+    n = np.arange(121)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+    for d, p in zip(dirs, rotate_many(state, dirs)):
+        mu = np.abs([d.T * alpha + d.R * beta, np.conj(d.T) * beta - np.conj(d.R) * alpha]) ** 2
+        pmf = np.exp(n * np.log(mu[:, None]) - mu[:, None] - log_fact)
+        assert np.max(np.abs(p - np.outer(*pmf))) <= 1e-13
+        assert abs(p.sum() - state.trace) <= 1e-13
+    assert routes == ["gemm"]
+
+
+def test_route_rule(monkeypatch, rng):
+    routes = recording_routes(monkeypatch)
+    coherent = make_state(CoherentSpec(1.6 + 0.9j, -1.1 + 0.4j), 24)
+    rotate_many(coherent, [random_direction(rng)])
+    assert routes == ["recurrence"]  # one axis: W_rec <= W_build
+    routes.clear()
+    rotate_many(coherent, [random_direction(rng) for _ in range(80)])
+    assert routes == ["gemm"]
+    # a squeezed vacuum populates one column a block: Delta costs more
+    # than every axis's recurrence
+    spec = TmsvSpec(1.6)
+    tmsv = make_state(spec, auto_cutoff(spec))
+    assert tmsv.cutoff == 141
+    routes.clear()
+    ones = np.ones(112)
+    fock._kernel_sums(tmsv, [random_direction(rng) for _ in range(112)], ones, ones)
+    assert set(routes) == {"recurrence"}
+
+
+def test_perturbed_half_turn_trips_the_norm_check(monkeypatch, rng):
+    state = make_state(CoherentSpec(0.8, 0.3j), 12)
+    dirs = [random_direction(rng) for _ in range(40)]
+    turns, built = fock._half_turns, []
+
+    def perturbed(*args):
+        built.append(1)
+        return (delta * (1.0 + 1e-6) for delta in turns(*args))
+
+    monkeypatch.setattr(fock, "_half_turns", perturbed)
+    with pytest.raises(NumericalError):
+        rotate_many(state, dirs)
+    with pytest.raises(NumericalError):
+        fock._kernel_sums(state, dirs, np.ones(40), np.ones(40))
+    assert built == [1, 1]
