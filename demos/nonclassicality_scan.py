@@ -43,7 +43,7 @@ def battery(label, state, direction, probe):
     # moment-matrix sums to exist, so each state carries its own probe
     var = variance_criteria(state, direction)
     det = second_order_det(state, direction, *probe)
-    cf = char_fn_criterion(state, direction.e)
+    cf = char_fn_criterion(state, direction)  # |k| = 1 along the axis
     cross = cross_correlation_det(state, direction)
     print(f"  {label}")
     print(f"    var(e.S)        = {var.var_stokes:+.6f}")

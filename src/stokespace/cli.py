@@ -38,6 +38,7 @@ from .mgf import _check_points, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
     _verdict,
+    char_fn_criterion,
     cross_correlation_det,
     matrix_verdict,
     mgf_matrix,
@@ -232,13 +233,8 @@ def cmd_nctest(args) -> int:
     state, _, _ = _build_state(args)
     d = direction_to_beamsplitter(args.direction)
     t, tau, t2, tau2 = args.t, args.tau, args.t2, args.tau2
-    # every criterion reads the one distribution along d; the
-    # characteristic function Phi(k e) = M(i k e; 0) is one of its sums
+    # every criterion reads the one distribution along d
     dist = joint_photon_distribution(state, d)
-    phi = 1.0
-    if args.k_norm != 0.0:
-        t_phi = 1j * args.k_norm * float(np.linalg.norm(args.direction))
-        phi = mgf_from_distribution(dist, t_phi, 0.0)
     var_s, var_n = variance_criteria(dist, d)
     cross = cross_correlation_det(dist, d)
     matrix = mgf_matrix(dist, MgfMatrixSpec(d, ((t, tau), (t2, tau2))))
@@ -246,7 +242,7 @@ def cmd_nctest(args) -> int:
     criteria = [
         ("second_order_det", second_order_det(dist, d, t, tau, t2, tau2)),
         ("matrix_min_eigenvalue", matrix_verdict(matrix).value),
-        ("char_fn", 1.0 - abs(phi)),
+        ("char_fn", char_fn_criterion(dist, d, args.k_norm).value),
         ("variance_stokes", var_s),
         ("variance_number", var_n),
         ("cross_number_stokes", cross.number_stokes),

@@ -59,7 +59,7 @@ class ClickDistribution:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (self.config_a.apds + 1, self.config_b.apds + 1):
             raise ValueError("click array shape must be (D_a + 1, D_b + 1)")
-        if c.min() < TOL.click_floor:
+        if not c.min() >= TOL.click_floor:  # NaN fails too
             raise NumericalError(
                 f"click probability {c.min():.3e} below floor {TOL.click_floor:.0e}"
             )
@@ -108,7 +108,7 @@ def click_distribution(
     c = qa @ dist.p @ qb.T
     # every column of Q sums to one, so the clicks keep the trace of p
     total, trace = float(c.sum()), float(dist.p.sum())
-    if abs(total - trace) > TOL.click_norm:
+    if not abs(total - trace) <= TOL.click_norm:  # NaN fails too
         raise NumericalError(
             f"click probabilities sum to {total:.12f}, expected {trace:.12f}"
         )
@@ -239,7 +239,7 @@ def sample_clicks(clicks: ClickDistribution, n: int, seed: int) -> ClickSampleSe
     if n < 1:
         raise ValueError("need at least one sample")
     p = np.clip(clicks.c, 0.0, None).ravel()  # rounding dips below 0 get no draws
-    if abs(p.sum() - 1.0) > TOL.click_norm:
+    if not abs(p.sum() - 1.0) <= TOL.click_norm:  # NaN fails too
         raise ValueError(
             f"click distribution sums to {p.sum():.12f}; "
             "cannot sample an unnormalized distribution"

@@ -83,6 +83,14 @@ class TmsvSpec:
                              "tanh(xi) rounds to 1")
 
 
+def _mixture_weights(weights) -> np.ndarray:
+    """The weights if each is >= 0 and they sum to 1 within 1e-12 (NaN fails)."""
+    w = np.asarray(weights, dtype=float)
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValueError("mixture weights must be >= 0 and sum to 1")
+    return w
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Statistical mixture of coherent states: ((weight, alpha, beta), ...)."""
@@ -93,11 +101,7 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
-        ws = np.array([w for w, _, _ in self.components], dtype=float)
-        if np.any(ws < 0):
-            raise ValueError("mixture weights must be >= 0")
-        if abs(ws.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
+        _mixture_weights([w for w, _, _ in self.components])
 
 
 StateSpec = VacuumSpec | CoherentSpec | HomInputSpec | TmsvSpec | MixtureSpec
@@ -283,7 +287,7 @@ class TwoModeState:
             amp = np.asarray(amp, dtype=complex)
             if amp.shape != (n, n):
                 raise ValueError("component amplitude grid has wrong shape")
-            if w < -1e-15:
+            if not w >= -1e-15:
                 raise ValueError("component weights must be >= 0")
             comps.append((float(w), amp))
         object.__setattr__(self, "components", tuple(comps))
@@ -302,14 +306,15 @@ def _log_factorials(cutoff: int) -> np.ndarray:
     return np.array([math.lgamma(n + 1.0) for n in range(cutoff + 1)])
 
 
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated single-mode coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!)."""
-    r = abs(alpha)
-    if r == 0.0:
-        return (np.arange(cutoff + 1) == 0).astype(complex)
+def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
+    """Truncated single-mode coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!),
+    one row per entry of an array alpha, on a new last axis."""
+    alpha = np.asarray(alpha, dtype=complex)
+    a = np.abs(alpha)
+    r = np.where(a == 0.0, 1.0, a)  # a = 0: phase 0, so exactly e_0
     # magnitudes from logs: |a|^n alone overflows once n ln|a| > 709, which
     # |a| = 14 reaches at its auto cutoff
-    log_mag = np.arange(cutoff + 1) * math.log(r) - 0.5 * r * r
+    log_mag = np.log(r)[..., None] * np.arange(cutoff + 1) - 0.5 * (a * a)[..., None]
     return _powers(alpha / r, cutoff) * np.exp(log_mag - 0.5 * _log_factorials(cutoff))
 
 
@@ -706,7 +711,8 @@ def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
     if plan is None:
         return
     top, shapes, chunks, (w_rec, w_build, w_gemm) = plan
-    if not phased and turn.size * (w_rec - _GEMM_COST * w_gemm) > w_build:
+    # one axis never takes the GEMMs, so beam_splitter's phased rows don't
+    if turn.size * (w_rec - _GEMM_COST * w_gemm) > w_build:
         for at, k, n, rows in _half_turn_rows(top, shapes, chunks, T[turn], R[turn]):
             yield turn[at], swap[turn[at]], k, n, rows
         return
@@ -734,7 +740,7 @@ def _count_rows(state: TwoModeState, directions):
 def _check_norm(trace: float, total) -> None:
     """The rotated mass must reproduce the trace."""
     defect = np.max(np.abs(np.asarray(total) - trace), initial=0.0)
-    if defect > TOL.trace_window:
+    if not defect <= TOL.trace_window:  # NaN fails too
         raise NumericalError(
             f"splitter changed the norm by {defect:.3e} "
             f"(window {TOL.trace_window:.0e})"
@@ -744,19 +750,20 @@ def _check_norm(trace: float, total) -> None:
 def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
     """Propagate a state through a lossless splitter with parameters (T, R).
 
+    (T, R) take the raw-input rule of direction_from_tr: within 1e-9 of
+    |T|^2 + |R|^2 = 1 they are renormalized, else (NaN too) ValueError.
     The result lives in the same (cutoff+1)^2 box: exactly unitary on
     every total-photon-number block that fits it; blocks that spill past
     it lose the spilled mass to leakage.  Raises NumericalError if the
     rotated mass misses the trace by more than TOL.trace_window.
     """
-    if abs(abs(T) ** 2 + abs(R) ** 2 - 1.0) > TOL.splitter_unitarity:
-        raise ValueError("|T|^2 + |R|^2 must equal 1 within 1e-10")
+    d = direction_from_tr(T, R)
     c = state.cutoff
     weights = np.array([w for w, _ in state.components])
     out = np.zeros((len(weights), c + 1, c + 1), dtype=complex)
     clipped = np.zeros(len(weights))
-    for _, swap, k, n, rows in _axis_rows(state, np.array([complex(T)]),
-                                         np.array([complex(R)]), phased=True):
+    for _, swap, k, n, rows in _axis_rows(state, np.array([d.T]), np.array([d.R]),
+                                         phased=True):
         rows, ka, kb = rows[0], k, n - k
         if swap[0]:  # rows behind (R*, -T*), then S|k, l> = (-1)^k |l, k>
             rows, ka, kb = rows * (1 - 2 * (k % 2)), kb, ka
@@ -810,7 +817,7 @@ class JointPhotonDistribution:
         object.__setattr__(self, "p", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("p must be a square matrix")
-        if p.min() < TOL.distribution_floor:
+        if not p.min() >= TOL.distribution_floor:  # NaN fails too
             raise ValueError(f"negative probability {p.min():.3e} in distribution")
 
     @property

@@ -27,7 +27,7 @@ from .fock import (
     _distribution_along,
     distribution_factorial_moment,
 )
-from .mgf import _check_points, char_fn, mgf_from_distribution
+from .mgf import _check_points, mgf_from_distribution
 
 NONCLASSICAL = "nonclassical"
 INCONCLUSIVE = "inconclusive"
@@ -89,7 +89,7 @@ def matrix_verdict(
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(matrix - matrix.conj().T)) > TOL.matrix_hermiticity:
+    if not np.max(np.abs(matrix - matrix.conj().T)) <= TOL.matrix_hermiticity:
         raise ValueError("matrix is not Hermitian within 1e-8")
     w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
     return CriterionReport(
@@ -128,13 +128,21 @@ def second_order_det(
 
 
 def char_fn_criterion(
-    state: TwoModeState, k, tolerance: float = TOL.verdict
+    source: TwoModeState | JointPhotonDistribution,
+    direction: MeasurementDirection,
+    k_norm: float = 1.0,
+    tolerance: float = TOL.verdict,
 ) -> CriterionReport:
-    """Classical characteristic functions obey |Phi(k)| <= 1.
+    """Classical characteristic functions obey |Phi(k e)| <= 1.
 
-    value = 1 - |Phi(k)|; a negative value is a nonclassicality witness.
+    value = 1 - |Phi(k_norm e)| with Phi(k e) = M(i k e; 0) along the
+    axis e of direction, and Phi(0) the trivial 1; a negative value is a
+    nonclassicality witness.  source is a TwoModeState, or its
+    JointPhotonDistribution along direction.
     """
-    value = 1.0 - abs(char_fn(state, k))
+    dist = _distribution_along(source, direction)
+    phi = mgf_from_distribution(dist, 1j * k_norm, 0.0) if k_norm != 0.0 else 1.0
+    value = 1.0 - abs(phi)
     return CriterionReport(
         value=value, verdict=_verdict(value, tolerance), tolerance=tolerance
     )

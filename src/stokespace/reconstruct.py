@@ -26,6 +26,7 @@ from .fock import (
     TwoModeState,
     _complex_from_json,
     _kernel_sums,
+    _mixture_weights,
     direction_to_beamsplitter,
     stokes_points,
 )
@@ -144,11 +145,9 @@ class CoherentEnsemble:
                 raise ValueError("points must have shape (m, 2)")
             object.__setattr__(self, "points", pts)
             if self.weights is not None:
-                w = np.asarray(self.weights, dtype=float)
+                w = _mixture_weights(self.weights)
                 if w.shape != (pts.shape[0],):
                     raise ValueError("weights must match the number of points")
-                if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-                    raise ValueError("weights must be nonnegative and sum to 1")
                 object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ValueError("weights require explicit points")
@@ -363,7 +362,7 @@ def invert_to_pess(
         np.max(np.abs(interior - np.conj(interior[::-1, ::-1, ::-1])))
     )
     data_peak = float(np.max(np.abs(data)))
-    if residue > 2.0 * TOL.pess_imag_residue * max(data_peak, 1e-300):
+    if not residue <= 2.0 * TOL.pess_imag_residue * max(data_peak, 1e-300):
         raise NumericalError(
             f"anti-Hermitian residue {residue:.3e} exceeds "
             f"{TOL.pess_imag_residue:.0e} of the spectrum peak {data_peak:.3e}"

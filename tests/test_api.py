@@ -1,4 +1,5 @@
-"""Guards on the public surface: exported names, traced layers, warnings."""
+"""Guards on the public surface: exported names, traced layers, warnings,
+and the input and output gates that NaN must fail."""
 
 import importlib
 import importlib.util
@@ -12,26 +13,39 @@ import pytest
 import stokespace
 from stokespace import (
     ClickDetectorConfig,
+    ClickDistribution,
+    CoherentEnsemble,
     CoherentSpec,
     ConvergenceWarning,
     Grid3,
+    JointPhotonDistribution,
     MeasurementDirection,
     MgfMatrixSpec,
     MgfQuery,
+    MixtureSpec,
+    NumericalError,
+    QuadratureError,
     TmsvSpec,
     TruncationWarning,
     TwoModeState,
     VacuumSpec,
+    beam_splitter,
+    char_fn_criterion,
+    click_distribution,
     direction_from_tr,
     direction_to_beamsplitter,
     dual_grid,
     find_node,
+    invert_to_pess,
     joint_photon_distribution,
     make_state,
+    matrix_verdict,
     mgf,
     mgf_closed_form,
     mgf_from_distribution,
     mgf_imaginary_grid,
+    mgf_via_husimi_quadrature,
+    sample_clicks,
     second_order_det,
     sphere_grid,
     surface_map,
@@ -156,9 +170,62 @@ def vacuum_along_z():
     lambda: ClickDetectorConfig(nu=NAN),
     lambda: ClickDetectorConfig(eta=NAN),
     lambda: ClickDetectorConfig(eps=NAN),
+    lambda: beam_splitter(make_state(VacuumSpec(), 2), NAN, 0.6),
+    lambda: beam_splitter(make_state(VacuumSpec(), 2), 0.8, NAN),
+    lambda: MixtureSpec(((NAN, 0.0, 0.0), (1.0, 0.5, 0.0))),
+    lambda: CoherentEnsemble(points=[[0, 0], [1, 0]], weights=[NAN, 1.0]),
+    lambda: char_fn_criterion(vacuum_along_z(), Z_AXIS, NAN),
 ], ids=["axis", "tr", "direction", "direction-e", "query-tau", "query-t", "query-inf",
         "from-distribution", "from-distribution-inf", "closed-form", "matrix-spec",
-        "k-grid", "tmsv", "nu", "eta", "eps"])
+        "k-grid", "tmsv", "nu", "eta", "eps", "splitter-t", "splitter-r",
+        "mixture-weight", "ensemble-weight", "char-fn-k"])
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+APD = ClickDetectorConfig(apds=1)
+
+
+def _clicks():
+    return click_distribution(vacuum_along_z(), Z_AXIS, APD, APD)
+
+
+def _nan_clicks():
+    clicks = _clicks()
+    clicks.c[0, 0] = NAN  # past the floor of ClickDistribution
+    return clicks
+
+
+def _nan_quadrature(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("stokespace.mgf"),
+                        "_husimi_quadrature_value", lambda *a: NAN)
+    mgf_via_husimi_quadrature(make_state(VacuumSpec(), 2), Z_AXIS, 0.0, 0.5)
+
+
+def _nan_click_matrix(monkeypatch):
+    detector = importlib.import_module("stokespace.detector")
+    monkeypatch.setattr(detector, "_click_matrix",
+                        lambda cfg, cutoff: np.full((2, cutoff + 1), NAN))
+    _clicks()
+
+
+@pytest.mark.parametrize("gate, error", [
+    (lambda mp: importlib.import_module("stokespace.fock")._check_norm(
+        1.0, np.array([NAN, 1.0])), NumericalError),
+    (lambda mp: JointPhotonDistribution(np.array([[NAN, 0.5], [0.25, 0.25]]), Z_AXIS),
+     ValueError),
+    (lambda mp: ClickDistribution(np.array([[NAN, 0.5], [0.25, 0.25]]), Z_AXIS, APD, APD),
+     NumericalError),
+    (_nan_click_matrix, NumericalError),
+    (lambda mp: sample_clicks(_nan_clicks(), 10, 0), ValueError),
+    (_nan_quadrature, QuadratureError),
+    (lambda mp: matrix_verdict(np.array([[NAN, 0.0], [0.0, 1.0]])), ValueError),
+    (lambda mp: invert_to_pess(np.full((8, 8, 8), NAN), Grid3.cube(2.0, 8), 0.1),
+     NumericalError),
+], ids=["check-norm", "distribution-floor", "click-floor", "click-norm", "sample-norm",
+        "quadrature", "hermiticity", "pess-residue"])
+def test_nan_fails_every_tolerance_gate(monkeypatch, gate, error):
+    # a gate written as value > bound is False for NaN and would let it pass
+    with pytest.raises(error):
+        gate(monkeypatch)

@@ -204,6 +204,27 @@ def test_nctest_battery(tmp_path, monkeypatch):
     }
 
 
+def test_nctest_char_fn_row_reads_the_criterion(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+
+    # a seeded benchmark op (TMSV at cutoff 42, off-axis); its char_fn row
+    # read 0.36004101592950788 while the command summed M(i k e; 0) itself
+    argv = ["nctest", "--state", '{"kind": "tmsv", "xi": 0.6883519772529766}',
+            "--cutoff", "42",
+            "--direction=0.79489184133687596,0.14149979974724872,0.59002098881951603",
+            "--t=0.07745752382897915", "--tau=0.10413367825121288",
+            "--t2=0.090996162347555851", "--tau2=0.21306106499516458"]
+    reports = []
+    criterion = cli.char_fn_criterion
+    monkeypatch.setattr(cli, "char_fn_criterion",
+                        lambda *a: reports.append(criterion(*a)) or reports[-1])
+    assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
+    with open(tmp_path / "nctest.csv") as fh:
+        rows = {r["criterion"]: r for r in csv.DictReader(fh)}
+    assert len(reports) == 1 and float(rows["char_fn"]["value"]) == reports[0].value
+    assert abs(reports[0].value - 0.36004101592950788) <= 1e-12
+
+
 def test_clicks_moments_and_sampling(tmp_path):
     assert main(["clicks", "--state", TMSV, "--out", str(tmp_path),
                  "--cutoff", "40", "--apds-a", "2", "--apds-b", "2",
@@ -418,6 +439,7 @@ def test_oracle_without_ensemble_fails_before_the_inversion(tmp_path):
     ["--ensemble", '{"points": [[0.5, 0.5]]}', "--mc-oracle", "9999"],
     ["--ensemble", '{"points": [[0.5, 0.5]]}', "--mc-oracle", "-1"],
     ["--ensemble", '{"points": [[0.5, 0.5]]}', "--state", VAC],
+    ["--ensemble", '{"points": [[0.5, 0.5], [0.1, 0.2]], "weights": [NaN, 1.0]}'],
 ])
 def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypatch,
                                                               argv):

@@ -1,7 +1,11 @@
-"""Dead-code lint over the package sources, on the standard library's ast.
+"""Dead-code and NaN-gate lint over the package sources, on the standard
+library's ast.
 
-Two rules: no module imports a name it never reads, and no module-level
-private name goes unread across the package.
+Three rules: no module imports a name it never reads, no module-level
+private name goes unread across the package, and no raise is guarded by
+a bare ordering comparison with a TOL bound.  NaN makes every such
+comparison False, so `if value > TOL.bound: raise` lets NaN through;
+`if not value <= TOL.bound: raise` stops it.
 """
 
 import ast
@@ -64,3 +68,42 @@ def test_every_private_module_name_is_read_somewhere():
     unread = [f"{module}:{line} {name}" for module, tree in TREES.items()
               for name, line in _private_definitions(tree) if name not in read]
     assert unread == []
+
+
+_ORDERING = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)
+
+
+def _nan_blind_gates(tree: ast.Module):
+    """Line of every if whose body raises and whose test is, or joins with
+    and/or, a bare ordering comparison that reads TOL."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If)
+                and any(isinstance(stmt, ast.Raise) for stmt in node.body)):
+            continue
+        tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
+        if any(isinstance(test, ast.Compare)
+               and any(isinstance(op, _ORDERING) for op in test.ops)
+               and any(getattr(n, "id", None) == "TOL" for n in ast.walk(test))
+               for test in tests):
+            yield node.lineno
+
+
+def test_nan_blind_gate_rule_flags_a_bare_comparison():
+    tree = ast.parse(
+        "def check(x, y):\n"
+        "    if x > TOL.bound:\n"                      # line 2: NaN passes
+        "        raise ValueError\n"
+        "    if y < 0 or abs(y - 1) >= TOL.window:\n"  # line 4: NaN passes
+        "        raise ValueError\n"
+        "    if not x <= TOL.bound:\n"                 # NaN fails
+        "        raise ValueError\n"
+        "    if x > TOL.bound:\n"                      # warns, does not raise
+        "        warn()\n"
+    )
+    assert list(_nan_blind_gates(tree)) == [2, 4]
+
+
+def test_every_tolerance_gate_fails_on_nan():
+    blind = [f"{module}:{line}" for module, tree in TREES.items()
+             for line in _nan_blind_gates(tree)]
+    assert blind == []

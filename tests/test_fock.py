@@ -100,6 +100,20 @@ class TestBeamSplitter:
         state = random_low_state(rng, cutoff=2, n_max=2)
         with pytest.raises(ValueError):
             beam_splitter(state, 0.9, 0.9)
+        with pytest.raises(ValueError):  # just outside the 1e-9 window
+            beam_splitter(state, 0.8, 0.6 * (1 + 1e-8))
+
+    @pytest.mark.parametrize("scale", [1 - 4e-10, 1 + 4e-10])
+    def test_raw_parameters_take_the_direction_rule(self, rng, scale):
+        # |T|^2 + |R|^2 misses 1 by 8e-10: inside the 1e-9 window of
+        # direction_from_tr, which renormalizes (T, R)
+        state = random_low_state(rng, cutoff=4, n_max=4)
+        T, R = 0.6 * scale * np.exp(0.3j), 0.8 * scale * np.exp(-1.1j)
+        d = direction_from_tr(T, R)
+        out = beam_splitter(state, T, R)
+        ref = beam_splitter(state, d.T, d.R)
+        assert np.max(np.abs(out.components[0][1] - ref.components[0][1])) <= 1e-15
+        assert abs(out.trace - state.trace) < 1e-14
 
     def test_corner_support_leaks(self):
         # a photon pair at the truncation corner spills out of the box
@@ -340,6 +354,18 @@ class TestCoherentAmplitudes:
 
     def test_vacuum_amplitudes(self):
         assert np.array_equal(coherent_amplitudes(0.0, 5), np.eye(6)[0])
+
+    def test_an_array_gives_the_scalar_rows(self, rng):
+        alphas = np.r_[rng.normal(0, 3, 39) + 1j * rng.normal(0, 3, 39), 0, 14, -15j]
+        rows = coherent_amplitudes(alphas.reshape(3, -1), 120)
+        assert rows.shape == (3, alphas.size // 3, 121)
+        for alpha, row in zip(alphas, rows.reshape(-1, 121)):
+            assert np.array_equal(row, coherent_amplitudes(alpha, 120))
+        assert np.array_equal(coherent_amplitudes([0.0, 0j], 5), [np.eye(6)[0]] * 2)
+        # |alpha|^n overflows at the auto cutoff of |alpha| = 14; the rows do not
+        rows = coherent_amplitudes([14, 14j, -14], auto_cutoff(CoherentSpec(14, 0)))
+        assert np.all(np.isfinite(rows))
+        assert np.allclose(np.sum(np.abs(rows) ** 2, axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_large_amplitude_at_its_auto_cutoff_stays_finite(self):
         # |alpha|^n overflows at this cutoff; the amplitudes do not

@@ -275,6 +275,31 @@ class TestHusimiQuadrature:
         # the beta integral contributes pi for the vacuum mode; fold it in
         assert q * math.pi == pytest.approx(1.0, abs=1e-6)
 
+    def test_husimi_q_on_arrays_is_the_product_grid(self, rng):
+        from stokespace import husimi_q
+
+        spec = MixtureSpec(((0.4, 0.9 - 0.3j, 0.2), (0.6, -0.5, 1.1j)))
+        state = make_state(spec, 25)
+        alphas = rng.normal(0, 1.5, 7) + 1j * rng.normal(0, 1.5, 7)
+        betas = np.r_[rng.normal(0, 1.5, 4) + 1j * rng.normal(0, 1.5, 4), 0.0]
+        q = husimi_q(state, alphas, betas)
+        assert q.shape == (7, 5)
+        for (i, j), value in np.ndenumerate(q):
+            scalar = husimi_q(state, alphas[i], betas[j])
+            assert type(scalar) is float
+            assert abs(value - scalar) <= 1e-13 * scalar + 1e-18  # BLAS order only
+
+    def test_quadrature_reads_q_through_husimi_q(self, monkeypatch, rng):
+        mgf_module = sys.modules["stokespace.mgf"]
+        shapes = []
+        q = mgf_module.husimi_q
+        monkeypatch.setattr(mgf_module, "husimi_q", lambda s, a, b:
+                            shapes.append((a.shape, b.shape)) or q(s, a, b))
+        state = make_state(CoherentSpec(0.7, 0.4j), cutoff=12)
+        mgf_via_husimi_quadrature(state, random_direction(rng), 0.1, 0.3)
+        # the coarse and the fine node sets, each one product grid
+        assert shapes == [((48 * 27,), (48 * 27,)), ((64 * 31,), (64 * 31,))]
+
 
 class TestFindNode:
     def test_hom_node_along_z(self):

@@ -11,6 +11,7 @@ from stokespace import (
     MgfMatrixSpec,
     MixtureSpec,
     TmsvSpec,
+    TruncationWarning,
     char_fn_criterion,
     cross_correlation_det,
     direction_to_beamsplitter,
@@ -135,15 +136,24 @@ class TestSecondOrderDet:
 class TestCharFnCriterion:
     def test_photon_pair_exceeds_classical_bound(self):
         state = make_state(HomInputSpec(), cutoff=4)
-        report = char_fn_criterion(state, [0.0, 0.0, 1.3])
+        report = char_fn_criterion(state, D_Z, 1.3)
         assert report.value == pytest.approx(1.0 - (1.0 + 1.69), abs=1e-10)
         assert report.verdict == NONCLASSICAL
 
     def test_coherent_inconclusive(self):
         state = make_state(CoherentSpec(0.5, 0.3), cutoff=25)
-        report = char_fn_criterion(state, [0.4, -0.2, 0.1])
+        k = np.array([0.4, -0.2, 0.1])
+        d = direction_to_beamsplitter(k / np.linalg.norm(k))
+        report = char_fn_criterion(state, d, np.linalg.norm(k))
         assert abs(report.value) < 1e-8
         assert report.verdict == INCONCLUSIVE
+
+    def test_zero_argument_is_the_trivial_bound(self):
+        # Phi(0) = 1 exactly, though the truncated state misses some mass
+        with pytest.warns(TruncationWarning):
+            state = make_state(TmsvSpec(0.6), cutoff=10)
+        assert state.trace < 1.0 - 1e-7
+        assert char_fn_criterion(state, D_X, 0.0).value == 0.0
 
 
 class TestMomentCriteria:
@@ -207,8 +217,11 @@ class TestDistributionInput:
         assert second_order_det(dist, d, *args) == second_order_det(state, d, *args)
         assert variance_criteria(dist, d) == variance_criteria(state, d)
         assert cross_correlation_det(dist, d) == cross_correlation_det(state, d)
+        assert char_fn_criterion(dist, d, 0.7) == char_fn_criterion(state, d, 0.7)
 
     def test_distribution_of_another_axis_rejected(self):
         dist = joint_photon_distribution(make_state(HomInputSpec(), cutoff=2), D_X)
         with pytest.raises(ValueError):
             variance_criteria(dist, D_Z)
+        with pytest.raises(ValueError):
+            char_fn_criterion(dist, D_Z)

@@ -223,6 +223,17 @@ def recording_routes(monkeypatch):
     return routes
 
 
+@pytest.mark.parametrize("gamma", [fock._GEMM_COST, 0.0])
+def test_beam_splitter_keeps_the_recurrence(monkeypatch, gamma):
+    # for one axis n W_rec <= W_build, so the phased rows never meet the
+    # GEMM route, whatever it costs
+    monkeypatch.setattr(fock, "_GEMM_COST", gamma)
+    routes = recording_routes(monkeypatch)
+    d = direction_to_beamsplitter((0.6, 0.0, 0.8))
+    beam_splitter(make_state(CoherentSpec(1.5, 1.2j), 24), d.T, d.R)
+    assert routes == ["recurrence"]
+
+
 def test_plan_chunking_leaves_p_bit_identical(monkeypatch, rng):
     recurrence_only(monkeypatch)  # the GEMM route has a twin below
     spec = MixtureSpec(((0.3, 1.0 + 0.5j, -0.4j), (0.7, -0.6, 0.9 + 0.2j)))
