@@ -37,6 +37,7 @@ from .fock import (
 from .mgf import _check_points, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
+    _tolerance,
     _verdict,
     char_fn_criterion,
     cross_correlation_det,
@@ -230,6 +231,7 @@ def cmd_tmsv_scan(args) -> int:
 
 
 def cmd_nctest(args) -> int:
+    _tolerance(args.tolerance)
     state, _, _ = _build_state(args)
     d = direction_to_beamsplitter(args.direction)
     t, tau, t2, tau2 = args.t, args.tau, args.t2, args.tau2

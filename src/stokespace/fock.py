@@ -117,73 +117,56 @@ def _complex_from_json(obj) -> complex:
     return complex(obj)
 
 
+_COMPLEX = (_complex_to_json, _complex_from_json)
+_COMPONENTS = (
+    lambda comps: [{"weight": float(w), "alpha": _complex_to_json(a),
+                    "beta": _complex_to_json(b)} for w, a, b in comps],
+    lambda objs: tuple((float(c["weight"]), _complex_from_json(c["alpha"]),
+                        _complex_from_json(c["beta"])) for c in objs),
+)
+# the JSON form of each state kind: kind -> (spec class, {field: (to_json,
+# from_json)}), fields in the order the JSON text lists them
+_KINDS = {
+    "vacuum": (VacuumSpec, {}),
+    "coherent": (CoherentSpec, {"alpha": _COMPLEX, "beta": _COMPLEX}),
+    "hom_input": (HomInputSpec, {}),
+    "tmsv": (TmsvSpec, {"xi": (float, float)}),
+    "mixture": (MixtureSpec, {"components": _COMPONENTS}),
+}
+
+
 def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
     """JSON-ready dict for a state spec, optionally embedding a cutoff."""
-    if isinstance(spec, VacuumSpec):
-        out = {"kind": "vacuum"}
-    elif isinstance(spec, CoherentSpec):
-        out = {
-            "kind": "coherent",
-            "alpha": _complex_to_json(spec.alpha),
-            "beta": _complex_to_json(spec.beta),
-        }
-    elif isinstance(spec, HomInputSpec):
-        out = {"kind": "hom_input"}
-    elif isinstance(spec, TmsvSpec):
-        out = {"kind": "tmsv", "xi": float(spec.xi)}
-    elif isinstance(spec, MixtureSpec):
-        out = {
-            "kind": "mixture",
-            "components": [
-                {
-                    "weight": float(w),
-                    "alpha": _complex_to_json(a),
-                    "beta": _complex_to_json(b),
-                }
-                for w, a, b in spec.components
-            ],
-        }
-    else:
+    cls, fields = _KINDS.get(getattr(spec, "kind", None), (None, None))
+    if cls is None or not isinstance(spec, cls):
         raise ValueError(f"unknown state spec {spec!r}")
+    out = {"kind": spec.kind}
+    out.update((name, enc(getattr(spec, name))) for name, (enc, _) in fields.items())
     if cutoff is not None:
         out["cutoff"] = int(cutoff)
     return out
 
 
 def spec_from_json(obj) -> tuple[StateSpec, int | None]:
-    """Parse a state spec dict (or JSON string).  Returns (spec, cutoff or None)."""
+    """Parse a state spec dict (or JSON string).  Returns (spec, cutoff or None).
+
+    An unknown kind or a missing or mistyped field raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("state spec must be an object with a 'kind' field")
     kind = obj["kind"]
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ValueError(f"unknown state kind {kind!r}")
+    cls, fields = _KINDS[kind]
     cutoff = obj.get("cutoff")
-    if cutoff is not None:
-        cutoff = int(cutoff)
-    if kind == "vacuum":
-        return VacuumSpec(), cutoff
-    if kind == "coherent":
-        return (
-            CoherentSpec(
-                _complex_from_json(obj["alpha"]), _complex_from_json(obj["beta"])
-            ),
-            cutoff,
-        )
-    if kind == "hom_input":
-        return HomInputSpec(), cutoff
-    if kind == "tmsv":
-        return TmsvSpec(float(obj["xi"])), cutoff
-    if kind == "mixture":
-        comps = tuple(
-            (
-                float(c["weight"]),
-                _complex_from_json(c["alpha"]),
-                _complex_from_json(c["beta"]),
-            )
-            for c in obj["components"]
-        )
-        return MixtureSpec(comps), cutoff
-    raise ValueError(f"unknown state kind {kind!r}")
+    try:
+        args = [from_json(obj[name]) for name, (_, from_json) in fields.items()]
+        cutoff = None if cutoff is None else int(cutoff)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} state spec "
+                         f"({type(exc).__name__}: {exc})") from exc
+    return cls(*args), cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +340,20 @@ def _coherent_terms(spec: StateSpec):
     return None
 
 
+def _leakage_table(spec: StateSpec, top: int):
+    """(weights, L) of a spec's components: L[i, c] the mass component i
+    leaves outside the box at cutoff c, for c = 0..top."""
+    terms = _coherent_terms(spec)
+    if terms is not None:
+        return (np.array([w for w, _, _ in terms]),
+                np.array([_coherent_leakages(a, b, top) for _, a, b in terms]))
+    if isinstance(spec, HomInputSpec):  # |1,1> fits from cutoff 1 on
+        return np.ones(1), np.eye(1, top + 1)
+    if isinstance(spec, TmsvSpec):  # the diagonal terms past c
+        return np.ones(1), math.tanh(spec.xi) ** (2.0 * np.arange(1, top + 2))[None]
+    raise ValueError(f"unknown state spec {spec!r}")
+
+
 def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     """Build the truncated state a StateSpec describes.
 
@@ -365,28 +362,23 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
+    weights, table = _leakage_table(spec, cutoff)
+    leak = float(weights @ table[:, cutoff])
     n = cutoff + 1
     terms = _coherent_terms(spec)
     if terms is not None:
         comps = [(w, np.outer(coherent_amplitudes(a, cutoff),
                               coherent_amplitudes(b, cutoff))) for w, a, b in terms]
-        leak = sum(w * float(_coherent_leakages(a, b, cutoff)[cutoff])
-                   for w, a, b in terms)
-    elif isinstance(spec, HomInputSpec):
-        if cutoff < 1:
-            raise ValueError("hom_input needs cutoff >= 1")
+    else:  # one pure component
         amp = np.zeros((n, n), dtype=complex)
-        amp[1, 1] = 1.0
-        comps, leak = ((1.0, amp),), 0.0
-    elif isinstance(spec, TmsvSpec):
-        kappa = math.tanh(spec.xi)
-        amp = np.zeros((n, n), dtype=complex)
-        diag = _powers(-kappa, cutoff) / math.cosh(spec.xi)
-        amp[np.arange(n), np.arange(n)] = diag
         comps = ((1.0, amp),)
-        leak = kappa ** (2 * (cutoff + 1)) if kappa > 0 else 0.0
-    else:
-        raise ValueError(f"unknown state spec {spec!r}")
+        if isinstance(spec, HomInputSpec):
+            if cutoff < 1:
+                raise ValueError("hom_input needs cutoff >= 1")
+            amp[1, 1] = 1.0
+        else:  # TmsvSpec
+            diag = _powers(-math.tanh(spec.xi), cutoff) / math.cosh(spec.xi)
+            amp[np.arange(n), np.arange(n)] = diag
     if leak > TOL.leakage_bound:
         warnings.warn(
             f"cutoff {cutoff} leaves {leak:.3e} probability mass behind "
@@ -402,23 +394,11 @@ _MAX_AUTO_CUTOFF = 512
 
 
 def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
-    """Smallest cutoff whose analytic leakage estimate stays below bound,
-    at most _MAX_AUTO_CUTOFF."""
-    terms = _coherent_terms(spec)
-    if terms is not None:  # the first cutoff that holds every pair below bound
-        leak = [_coherent_leakages(a, b, _MAX_AUTO_CUTOFF) for _, a, b in terms]
-        below = np.flatnonzero(np.max(leak, axis=0)[2:] < bound)
-        return 2 + int(below[0]) if below.size else _MAX_AUTO_CUTOFF
-    if isinstance(spec, HomInputSpec):
-        return 2
-    if isinstance(spec, TmsvSpec):
-        kappa = math.tanh(spec.xi)
-        if kappa == 0.0:
-            return 2
-        # smallest c with kappa^(2 (c + 1)) < bound
-        c = int(math.ceil(math.log(bound) / (2.0 * math.log(kappa)) - 1.0))
-        return min(max(2, c), _MAX_AUTO_CUTOFF)
-    raise ValueError(f"unknown state spec {spec!r}")
+    """Smallest cutoff >= 2 at which every component's analytic leakage
+    stays below bound, at most _MAX_AUTO_CUTOFF."""
+    leak = np.max(_leakage_table(spec, _MAX_AUTO_CUTOFF)[1], axis=0)
+    below = np.flatnonzero(leak[2:] < bound)
+    return 2 + int(below[0]) if below.size else _MAX_AUTO_CUTOFF
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +591,16 @@ def _stepper(top, shapes, T, R):
     return steps
 
 
-def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
+def _wigner_rows(top, shapes, chunks, T, R, cut):
     """Rows behind splitters with |T| >= |R| > 0, amps at cutoff cut, from the
     built chunks of their plan: per chunk (k, n, rows), rows[i, :, j] =
     <k[j], n[j]-k[j]| U(T[i], R[i]) |amps> for each component, real parts
-    then imaginary parts without the output phase, or complex if phased."""
+    then imaginary parts without the output phase."""
     steps = _stepper(top, shapes, T, R)
-    # phases of uT and uR; each power is taken from its angle, since
+    # the input phase (uT uR*)^k, each power taken from its angle, since
     # products of unit numbers drift off the unit circle by an ulp per factor
-    arg_t, arg_r = np.angle(T)[:, None], np.angle(-R)[:, None]
-    phase_in = np.exp(1j * (arg_t - arg_r) * np.arange(cut + 1))
+    arg = (np.angle(T) - np.angle(-R))[:, None]
+    phase_in = np.exp(1j * arg * np.arange(cut + 1))
     for chunk in chunks:
         phi = phase_in[:, None, chunk.ka] * chunk.psi[None]
         phi = np.concatenate([phi.real, phi.imag], axis=1)
@@ -628,12 +608,7 @@ def _wigner_rows(top, shapes, chunks, T, R, phased, cut):
                in zip(chunk.blocks, steps(chunk)) if gemm]
         if not out:
             continue
-        rows = np.concatenate(out, axis=2)
-        if phased:
-            re, im = np.split(rows, 2, axis=1)
-            phase = np.exp(1j * ((arg_t + arg_r) * chunk.k - chunk.n * arg_t))
-            rows = (re + 1j * im) * phase[:, None, :]
-        yield chunk.k, chunk.n, rows
+        yield chunk.k, chunk.n, np.concatenate(out, axis=2)
 
 
 def _half_turns(top, shapes):
@@ -656,7 +631,7 @@ def _half_turns(top, shapes):
 
 
 def _half_turn_rows(top, shapes, chunks, T, R):
-    """The rows of _wigner_rows, unphased, up to a unit-modulus factor per row
+    """The rows of _wigner_rows, up to a unit-modulus factor per row
     and block: per chunk and batch of about _BUFFER_DOUBLES doubles of rows
     (at, k, n, rows), with at a slice of T and R."""
     deltas = _half_turns(top, shapes)
@@ -685,14 +660,14 @@ def _half_turn_rows(top, shapes, chunks, T, R):
             yield at, chunk.k, chunk.n, out.transpose(0, 2, 1, 3).reshape(-1, 2 * n_c, size)
 
 
-def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
+def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray):
     """Output rows of the components of state behind the splitters (T[i], R[i]),
     from one plan: per batch (at, swap, k, n, rows), rows[i, :, j] the
-    amplitude of |k[j], n[j] - k[j]> along axis at[i], complex if phased,
-    else real parts then imaginary parts without the unit-modulus phase of
-    the row.  Where swap[i], the rows are those behind (R*, -T*), and the
-    caller applies the mode swap S: U(T, R) = S U(R*, -T*) with
-    S|k, l> = (-1)^k |l, k>.  Unphased, the poles share one row set."""
+    amplitude of |k[j], n[j] - k[j]> along axis at[i], real parts then
+    imaginary parts, without the unit-modulus phase of the row.  Where
+    swap[i], the rows are those behind (R*, -T*), and the caller applies
+    the mode swap S: U(T, R) = S U(R*, -T*) with S|k, l> = (-1)^k |l, k>.
+    The poles share one row set."""
     amps = np.stack([amp for _, amp in state.components])
     c = state.cutoff
     swap = np.abs(R) > np.abs(T)  # then |R*| > |-T*|
@@ -700,18 +675,13 @@ def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
     pole, turn = np.flatnonzero(R == 0), np.flatnonzero(R != 0)
     if pole.size:  # per-mode phases a -> u a, b -> u* b, u = T/|T|: nothing moves
         ka, kb = np.divmod(np.arange((c + 1) ** 2), c + 1)
-        if phased:
-            u = T[pole, None] / np.abs(T[pole, None])
-            rows = amps.reshape(1, len(amps), -1) * (
-                _powers(u, c)[..., ka] * _powers(np.conj(u), c)[..., kb])
-        else:
-            rows = np.stack([amps.real, amps.imag]).reshape(1, 2 * len(amps), -1)
+        rows = np.stack([amps.real, amps.imag]).reshape(1, 2 * len(amps), -1)
         yield pole, swap[pole], ka, ka + kb, rows
     plan = _rotation_plan(amps) if turn.size else None
     if plan is None:
         return
     top, shapes, chunks, (w_rec, w_build, w_gemm) = plan
-    # one axis never takes the GEMMs, so beam_splitter's phased rows don't
+    # one axis never takes the GEMMs, so beam_splitter doesn't
     if turn.size * (w_rec - _GEMM_COST * w_gemm) > w_build:
         for at, k, n, rows in _half_turn_rows(top, shapes, chunks, T[turn], R[turn]):
             yield turn[at], swap[turn[at]], k, n, rows
@@ -722,19 +692,24 @@ def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray, phased=False):
         chunks = list(chunks)
     for lo in range(0, turn.size, step):
         at = turn[lo : lo + step]
-        for k, n, rows in _wigner_rows(top, shapes, chunks, T[at], R[at], phased, c):
+        for k, n, rows in _wigner_rows(top, shapes, chunks, T[at], R[at], c):
             yield at, swap[at], k, n, rows
 
 
 def _count_rows(state: TwoModeState, directions):
     """Photon counts along the axes of an iterable: per batch (at, swap, k, n,
     prob), prob[i, j] the probability of (k[j], n[j] - k[j]) counts along
-    axis at[i], or of the swapped counts where swap[i]."""
+    axis at[i], or of the swapped counts where swap[i].  After the last
+    batch, raises NumericalError if the mass along an axis misses the trace
+    by more than TOL.trace_window."""
     T, R = np.fromiter(((d.T, d.R) for d in directions), np.dtype((complex, 2))).T
     weights = np.array([w for w, _ in state.components])
+    mass = np.zeros(T.size)
     for at, swap, k, n, rows in _axis_rows(state, T, R):  # real, then imag
         prob = np.einsum("c,dck->dk", np.r_[weights, weights], rows**2)
+        mass[at] += prob.sum(axis=1)
         yield at, swap, k, n, np.broadcast_to(prob, (at.size, k.size))
+    _check_norm(state.trace, mass)
 
 
 def _check_norm(trace: float, total) -> None:
@@ -762,9 +737,14 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
     weights = np.array([w for w, _ in state.components])
     out = np.zeros((len(weights), c + 1, c + 1), dtype=complex)
     clipped = np.zeros(len(weights))
-    for _, swap, k, n, rows in _axis_rows(state, np.array([d.T]), np.array([d.R]),
-                                         phased=True):
-        rows, ka, kb = rows[0], k, n - k
+    for _, swap, k, n, rows in _axis_rows(state, np.array([d.T]), np.array([d.R])):
+        # the row phase (uT uR)^k uT*^N of the splitter (t, r) the rows are
+        # behind, from angles; a pole (r = 0) takes arg(-r) := arg t
+        t, r = (np.conj(d.R), -np.conj(d.T)) if swap[0] else (d.T, d.R)
+        arg_t, arg_r = np.angle(t), np.angle(-r if r else t)
+        re, im = np.split(rows[0], 2)
+        rows = (re + 1j * im) * np.exp(1j * ((arg_t + arg_r) * k - n * arg_t))
+        ka, kb = k, n - k
         if swap[0]:  # rows behind (R*, -T*), then S|k, l> = (-1)^k |l, k>
             rows, ka, kb = rows * (1 - 2 * (k % 2)), kb, ka
         inside = (ka <= c) & (kb <= c)  # rows that stay in the box
@@ -789,7 +769,6 @@ def rotate_many(state: TwoModeState, directions) -> np.ndarray:
     for at, sw, k, n, prob in _count_rows(state, directions):
         p[at[~sw, None], k, n - k] = prob[~sw]
         p[at[sw, None], n - k, k] = prob[sw]
-    _check_norm(state.trace, p.sum(axis=(1, 2)))
     return p
 
 
@@ -897,14 +876,12 @@ def _kernel_sums(state: TwoModeState, directions, z_a, z_b) -> np.ndarray:
     summed as it comes, so no photon distribution is stored.  The existence
     rule runs once, on every kernel.  A sum that is not finite raises."""
     _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
-    out, mass = np.zeros(len(z_a), dtype=complex), np.zeros(len(z_a))
+    out = np.zeros(len(z_a), dtype=complex)
     for at, sw, k, n, prob in _count_rows(state, directions):
         a, b = np.where(sw, z_b[at], z_a[at]), np.where(sw, z_a[at], z_b[at])
         with np.errstate(over="ignore", invalid="ignore"):
             kernel = _powers(a, n.max())[:, k] * _powers(b, n.max())[:, n - k]
             out[at] += np.einsum("dr,dr->d", prob, kernel)
-        mass[at] += prob.sum(axis=1)
-    _check_norm(state.trace, mass)
     return _finite(out)
 
 

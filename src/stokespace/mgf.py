@@ -135,16 +135,6 @@ def mgf_closed_form(
     raise ValueError(f"no closed form for spec {spec!r}")
 
 
-def char_fn(state: TwoModeState, k) -> complex:
-    """Characteristic function Phi(k) = M(i k; 0); Phi(0) is the trivial 1."""
-    k = np.asarray(k, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(k))
-    if norm == 0.0:
-        return 1.0 + 0.0j
-    direction = direction_to_beamsplitter(k / norm)
-    return mgf(state, MgfQuery(direction, t=1j * norm, tau=0.0))
-
-
 # ---------------------------------------------------------------------------
 # surface map
 

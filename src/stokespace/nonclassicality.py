@@ -14,6 +14,7 @@ never certified).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,8 +59,16 @@ class CriterionReport:
     witness: np.ndarray | None = None
 
 
+def _tolerance(tolerance: float) -> float:
+    """The one rule for a verdict tolerance: finite and >= 0 (NaN fails)."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(
+            f"verdict tolerance must be finite and >= 0, got {tolerance!r}")
+    return tolerance
+
+
 def _verdict(value: float, tolerance: float) -> str:
-    return NONCLASSICAL if value < -tolerance else INCONCLUSIVE
+    return NONCLASSICAL if value < -_tolerance(tolerance) else INCONCLUSIVE
 
 
 def mgf_matrix(
@@ -140,6 +149,7 @@ def char_fn_criterion(
     nonclassicality witness.  source is a TwoModeState, or its
     JointPhotonDistribution along direction.
     """
+    _tolerance(tolerance)
     dist = _distribution_along(source, direction)
     phi = mgf_from_distribution(dist, 1j * k_norm, 0.0) if k_norm != 0.0 else 1.0
     value = 1.0 - abs(phi)

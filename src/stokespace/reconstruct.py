@@ -156,23 +156,25 @@ class CoherentEnsemble:
 def ensemble_from_json(obj: dict) -> CoherentEnsemble:
     """Build an ensemble from {"points": [[a, b], ...], "weights": [...]}
     or {"gaussian": {"sigma": s, "mean_alpha": a, "mean_beta": b}} where
-    complex entries are {"re": x, "im": y}."""
-    if "gaussian" in obj:
-        g = obj["gaussian"]
-        return gaussian_ensemble(
-            float(g["sigma"]),
-            _complex_from_json(g.get("mean_alpha", 0.0)),
-            _complex_from_json(g.get("mean_beta", 0.0)),
-        )
-    if "points" in obj:
-        pts = np.array(
-            [[_complex_from_json(a), _complex_from_json(b)] for a, b in obj["points"]],
-            dtype=complex,
-        )
-        weights = obj.get("weights")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-        return CoherentEnsemble(points=pts, weights=weights)
+    complex entries are {"re": x, "im": y}.  A missing or mistyped field
+    raises ValueError."""
+    try:
+        if "gaussian" in obj:
+            g = obj["gaussian"]
+            return gaussian_ensemble(
+                float(g["sigma"]),
+                _complex_from_json(g.get("mean_alpha", 0.0)),
+                _complex_from_json(g.get("mean_beta", 0.0)),
+            )
+        if "points" in obj:
+            pts = np.array([[_complex_from_json(a), _complex_from_json(b)]
+                            for a, b in obj["points"]], dtype=complex)
+            weights = obj.get("weights")
+            if weights is not None:
+                weights = np.asarray(weights, dtype=float)
+            return CoherentEnsemble(points=pts, weights=weights)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed ensemble ({type(exc).__name__}: {exc})") from exc
     raise ValueError("ensemble JSON needs a 'points' or 'gaussian' entry")
 
 

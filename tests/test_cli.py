@@ -440,15 +440,39 @@ def test_oracle_without_ensemble_fails_before_the_inversion(tmp_path):
     ["--ensemble", '{"points": [[0.5, 0.5]]}', "--mc-oracle", "-1"],
     ["--ensemble", '{"points": [[0.5, 0.5]]}', "--state", VAC],
     ["--ensemble", '{"points": [[0.5, 0.5], [0.1, 0.2]], "weights": [NaN, 1.0]}'],
+    # malformed fields: each raised KeyError or TypeError and exited 1
+    ["--ensemble", '{"gaussian": {}}'],
+    ["--ensemble", '{"points": [[{"re": "x"}, 0.5]]}'],
+    ["--state", '{"kind": "coherent", "beta": 0.5}'],
+    ["--state", '{"kind": "tmsv"}'],
+    ["--state", '{"kind": "mixture", "components": [{"weight": 1, "alpha": 0.5}]}'],
+    ["--state", '{"kind": "coherent", "alpha": [0.5, 0.1], "beta": 0}'],
 ])
 def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypatch,
-                                                              argv):
+                                                              capsys, argv):
     import stokespace.cli as cli
 
     calls = []
     monkeypatch.setattr(cli, "mgf_imaginary_grid", lambda *a: calls.append(a))
     assert main(["reconstruct", "--out", str(tmp_path), "--n-points", "8", *argv]) == 2
     assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_nctest_rejects_a_bad_tolerance_before_the_state(tmp_path, monkeypatch, capsys,
+                                                         tolerance):
+    # -1 marked every criterion of a state "nonclassical", and NaN marked
+    # the negative |1,1> determinant "inconclusive"
+    import stokespace.cli as cli
+
+    monkeypatch.setattr(cli, "_build_state", lambda args: pytest.fail("state built"))
+    assert main(["nctest", "--state", HOM, "--out", str(tmp_path),
+                 "--tolerance", tolerance, "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: verdict tolerance") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

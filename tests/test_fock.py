@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -262,6 +263,37 @@ class TestSpecs:
         with pytest.raises(ValueError):
             MixtureSpec(((0.5, 1.0, 0.0),))  # weights must sum to 1
 
+    @pytest.mark.parametrize("spec, text", [
+        (VacuumSpec(), '{"kind": "vacuum"}'),
+        (CoherentSpec(1.0 + 0.5j, -0.25j), '{"kind": "coherent", "alpha": '
+         '{"re": 1.0, "im": 0.5}, "beta": {"re": -0.0, "im": -0.25}}'),
+        (HomInputSpec(), '{"kind": "hom_input"}'),
+        (TmsvSpec(0.45), '{"kind": "tmsv", "xi": 0.45}'),
+        (MixtureSpec(((0.25, 1.0, 0.0), (0.75, 0.0, 0.5 - 0.5j))),
+         '{"kind": "mixture", "components": [{"weight": 0.25, "alpha": '
+         '{"re": 1.0, "im": 0.0}, "beta": {"re": 0.0, "im": 0.0}}, {"weight": 0.75, '
+         '"alpha": {"re": 0.0, "im": 0.0}, "beta": {"re": 0.5, "im": -0.5}}]}'),
+    ])
+    def test_json_text_is_pinned(self, spec, text):
+        # clicks.json and report.json echo this text
+        assert json.dumps(spec_to_json(spec)) == text
+        assert json.dumps(spec_to_json(spec, cutoff=12)) == text[:-1] + ', "cutoff": 12}'
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": ["coherent"]},
+        {"kind": "coherent", "beta": 0.0},
+        {"kind": "coherent", "alpha": [1.0, 2.0], "beta": 0.0},
+        {"kind": "coherent", "alpha": {"re": "x"}, "beta": 0.0},
+        {"kind": "tmsv"},
+        {"kind": "tmsv", "xi": [0.5]},
+        {"kind": "mixture", "components": [{"weight": 1.0, "alpha": 0.0}]},
+        {"kind": "mixture", "components": [[1.0, 0.0, 0.0]]},
+        {"kind": "vacuum", "cutoff": [3]},
+    ])
+    def test_malformed_json_raises_value_error(self, obj):
+        with pytest.raises(ValueError):
+            spec_from_json(obj)
+
     def test_auto_cutoff_is_minimal_for_coherent(self):
         spec = CoherentSpec(1.5, 0.9j)
         c = auto_cutoff(spec, bound=1e-10)
@@ -314,6 +346,34 @@ class TestSpecs:
         c = auto_cutoff(spec, bound=1e-10)
         assert math.tanh(0.55) ** (2 * (c + 1)) < 1e-10
         assert math.tanh(0.55) ** (2 * c) >= 1e-10
+
+    def test_auto_cutoff_tmsv_matches_the_log_formula(self):
+        def reference(xi, bound):  # tanh(xi)^(2 (c + 1)) < bound solved for c
+            kappa = math.tanh(xi)
+            if kappa == 0.0:
+                return 2
+            c = int(math.ceil(math.log(bound) / (2.0 * math.log(kappa)) - 1.0))
+            return min(max(2, c), 512)
+
+        for xi in np.r_[0.0, np.geomspace(1e-9, 19.0, 1500)]:
+            for bound in (1e-3, 1e-10, 1e-20):
+                assert auto_cutoff(TmsvSpec(xi), bound) == reference(xi, bound)
+
+    def test_auto_cutoff_holds_every_component_below_bound(self, rng):
+        # the leakage of a mixture is weighted, its cutoff is that of the
+        # worst component, whatever its weight
+        rare = MixtureSpec(((0.999, 0.1, 0.0), (0.001, 3.0, 1j)))
+        assert auto_cutoff(rare) == auto_cutoff(CoherentSpec(3.0, 1j)) > auto_cutoff(
+            CoherentSpec(0.1, 0.0))
+        for bound in (1e-3, 1e-10, 1e-20):
+            for n in (1, 2, 3):
+                w = rng.dirichlet(np.ones(n))
+                w[-1] = 1.0 - w[:-1].sum()
+                comps = tuple((float(x), *(rng.normal(0, 3, 2) @ (1, 1j) for _ in "ab"))
+                              for x in w)
+                single = [auto_cutoff(CoherentSpec(a, b), bound) for _, a, b in comps]
+                assert auto_cutoff(MixtureSpec(comps), bound) == max(single)
+        assert auto_cutoff(HomInputSpec()) == auto_cutoff(VacuumSpec()) == 2
 
     def test_truncation_warning_reports_leakage(self):
         with pytest.warns(TruncationWarning):

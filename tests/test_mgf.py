@@ -15,7 +15,6 @@ from stokespace import (
     TmsvSpec,
     TwoModeState,
     VacuumSpec,
-    char_fn,
     coherent_amplitudes,
     coherent_stokes,
     direction_to_beamsplitter,
@@ -167,10 +166,19 @@ class TestMgfStructure:
         assert q.z_b == pytest.approx(0.3 - 0.1j)
 
 
+def char_fn(state, k):
+    """Phi(k) = M(i k; 0), read by mgf along the axis of k."""
+    k = np.asarray(k, dtype=float)
+    d = direction_to_beamsplitter(k / np.linalg.norm(k))
+    return mgf(state, MgfQuery(d, 1j * np.linalg.norm(k), 0.0))
+
+
 class TestCharFn:
-    def test_origin_is_exactly_one(self, rng):
+    def test_origin_is_the_norm(self, rng):
         state = random_low_state(rng, cutoff=4, n_max=4)
-        assert char_fn(state, [0.0, 0.0, 0.0]) == 1.0 + 0.0j
+        for _ in range(4):
+            value = mgf(state, MgfQuery(random_direction(rng), 0j, 0.0))
+            assert abs(value - 1.0) < 1e-13
 
     def test_coherent_modulus_one(self, rng):
         state = make_state(CoherentSpec(0.6, 0.3 - 0.2j), cutoff=25)

@@ -83,6 +83,14 @@ class TestMgfMatrix:
         assert matrix_verdict(m, tolerance=1e-9).verdict == INCONCLUSIVE
         assert matrix_verdict(m, tolerance=1e-11).verdict == NONCLASSICAL
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        # -1 made every value "nonclassical"; NaN made every value "inconclusive"
+        with pytest.raises(ValueError, match="tolerance"):
+            matrix_verdict(np.diag([-15.0, 1.0]), tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            char_fn_criterion(make_state(HomInputSpec(), cutoff=4), D_Z, 1.3, tolerance)
+
 
 class TestSecondOrderDet:
     def test_equals_matrix_determinant(self, rng):

@@ -225,7 +225,7 @@ def recording_routes(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [fock._GEMM_COST, 0.0])
 def test_beam_splitter_keeps_the_recurrence(monkeypatch, gamma):
-    # for one axis n W_rec <= W_build, so the phased rows never meet the
+    # for one axis n W_rec <= W_build, so beam_splitter never meets the
     # GEMM route, whatever it costs
     monkeypatch.setattr(fock, "_GEMM_COST", gamma)
     routes = recording_routes(monkeypatch)
