@@ -24,9 +24,11 @@ import numpy as np
 from .config import TOL, NumericalError
 from .fock import (
     HomInputSpec,
+    MeasurementDirection,
     TmsvSpec,
     VacuumSpec,
     _distributions,
+    _splitters,
     auto_cutoff,
     direction_to_beamsplitter,
     joint_photon_distribution,
@@ -198,10 +200,8 @@ def cmd_hom_scan(args) -> int:
     ts = args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0]
     t2_grid = np.linspace(args.t2_min, args.t2_max, args.t2_steps)
     e_z = 2.0 * t2_grid - 1.0
-    axes = np.column_stack(
-        [np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z]
-    )
-    dists = _distributions(state, [direction_to_beamsplitter(e) for e in axes])
+    axes = np.column_stack([np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z])
+    dists = _distributions(state, map(MeasurementDirection, *_splitters(axes)))
     dets = [second_order_det(dist, dist.direction, ts, 0.0, 0.0, 0.0) for dist in dists]
     table = np.column_stack(
         [np.repeat(t2_grid, len(ts)), np.tile(ts, len(t2_grid)), np.ravel(dets)]

@@ -51,11 +51,21 @@ class VacuumSpec:
     kind: ClassVar[str] = "vacuum"
 
 
+def _check_finite(fields: dict) -> None:
+    """The finite-amplitude rule, which NaN fails: ValueError names the field."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=complex))):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class CoherentSpec:
     alpha: complex
     beta: complex
     kind: ClassVar[str] = "coherent"
+
+    def __post_init__(self):
+        _check_finite({"alpha": self.alpha, "beta": self.beta})
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,7 @@ class MixtureSpec:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         _mixture_weights([w for w, _, _ in self.components])
+        _check_finite({"mixture alpha and beta": [c[1:] for c in self.components]})
 
 
 StateSpec = VacuumSpec | CoherentSpec | HomInputSpec | TmsvSpec | MixtureSpec
@@ -187,8 +198,8 @@ def stokes_points(pairs: np.ndarray) -> np.ndarray:
     return np.stack(_stokes(pairs[:, 0], pairs[:, 1]), axis=1)
 
 
-def _stokes_axis(T: complex, R: complex) -> np.ndarray:  # that of (T*, R*)
-    return np.array(_stokes(T.conjugate(), R.conjugate()))
+def _stokes_axis(T, R) -> np.ndarray:  # that of (T*, R*), one row per entry
+    return np.stack(_stokes(np.conj(T), np.conj(R)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -213,24 +224,25 @@ class MeasurementDirection:
             raise ValueError("(T, R) does not realize the stored axis e")
 
 
-def direction_to_beamsplitter(e) -> MeasurementDirection:
-    """Splitter parameters for a Stokes axis.
-
-    Uses T = sqrt((1 + e_z)/2), R = sqrt((1 - e_z)/2) exp(-i phi) with
-    e = (sin theta cos phi, sin theta sin phi, cos theta), so T is exactly
-    0 at the south pole and R at the north pole.  Inputs within 1e-9 of
-    unit norm are renormalized; at the poles phi is fixed to 0.
-    """
-    e = np.asarray(e, dtype=float).reshape(3)
-    norm = np.linalg.norm(e)
-    if not abs(norm - 1.0) <= TOL.direction_input:  # NaN fails too
+def _splitters(axes):
+    """(e, T, R) for (n, 3) Stokes axes, the one axis-to-splitter map: T =
+    sqrt((1 + e_z)/2) and R = sqrt((1 - e_z)/2) exp(-i phi), phi the azimuth
+    (0 at the poles, where T or R is exactly 0); e holds the axes they realize.
+    Rows within 1e-9 of unit norm are renormalized; any other (NaN too) raises."""
+    e = np.asarray(axes, dtype=float).reshape(-1, 3)
+    norm = np.sqrt(e[:, None] @ e[:, :, None]).ravel()  # as np.linalg.norm of one row
+    if not np.all(np.abs(norm - 1.0) <= TOL.direction_input):  # NaN fails too
         raise ValueError("axis must be within 1e-9 of unit norm")
-    e = e / norm
-    e_z = min(1.0, max(-1.0, e[2]))
-    phi = math.atan2(e[1], e[0])
-    T = complex(math.sqrt((1.0 + e_z) / 2.0))
-    R = math.sqrt((1.0 - e_z) / 2.0) * complex(math.cos(phi), -math.sin(phi))
-    return MeasurementDirection(e=_stokes_axis(T, R), T=T, R=R)
+    e = e / norm[:, None]
+    e_z, phi = np.clip(e[:, 2], -1.0, 1.0), np.arctan2(e[:, 1], e[:, 0])
+    T = np.sqrt((1.0 + e_z) / 2.0).astype(complex)
+    R = np.sqrt((1.0 - e_z) / 2.0) * (np.cos(phi) - 1j * np.sin(phi))
+    return _stokes_axis(T, R), T, R
+
+
+def direction_to_beamsplitter(e) -> MeasurementDirection:
+    """Splitter parameters for one Stokes axis, the one-row case of _splitters."""
+    return MeasurementDirection(*(x[0] for x in _splitters(np.reshape(e, (1, 3)))))
 
 
 def direction_from_tr(T: complex, R: complex) -> MeasurementDirection:
@@ -696,13 +708,11 @@ def _axis_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray):
             yield at, swap[at], k, n, rows
 
 
-def _count_rows(state: TwoModeState, directions):
-    """Photon counts along the axes of an iterable: per batch (at, swap, k, n,
-    prob), prob[i, j] the probability of (k[j], n[j] - k[j]) counts along
-    axis at[i], or of the swapped counts where swap[i].  After the last
-    batch, raises NumericalError if the mass along an axis misses the trace
-    by more than TOL.trace_window."""
-    T, R = np.fromiter(((d.T, d.R) for d in directions), np.dtype((complex, 2))).T
+def _count_rows(state: TwoModeState, T: np.ndarray, R: np.ndarray):
+    """Photon counts behind the splitters (T[i], R[i]): per batch (at, swap, k,
+    n, prob), prob[i, j] the probability of (k[j], n[j] - k[j]) counts along
+    axis at[i], swapped where swap[i].  After the last batch, NumericalError
+    if the mass along an axis misses the trace by more than TOL.trace_window."""
     weights = np.array([w for w, _ in state.components])
     mass = np.zeros(T.size)
     for at, swap, k, n, rows in _axis_rows(state, T, R):  # real, then imag
@@ -764,9 +774,9 @@ def rotate_many(state: TwoModeState, directions) -> np.ndarray:
     every row of every block along directions[i].  Raises NumericalError
     if sum(p[i]) misses the trace by more than TOL.trace_window.
     """
-    directions = list(directions)
-    p = np.zeros((len(directions),) + (2 * state.cutoff + 1,) * 2)
-    for at, sw, k, n, prob in _count_rows(state, directions):
+    T, R = np.fromiter(((d.T, d.R) for d in directions), np.dtype((complex, 2))).T
+    p = np.zeros((T.size,) + (2 * state.cutoff + 1,) * 2)
+    for at, sw, k, n, prob in _count_rows(state, T, R):
         p[at[~sw, None], k, n - k] = prob[~sw]
         p[at[sw, None], n - k, k] = prob[sw]
     return p
@@ -870,18 +880,27 @@ def _warn_divergent(leakage: float, cutoff: int, z_a, z_b) -> None:
         )
 
 
-def _kernel_sums(state: TwoModeState, directions, z_a, z_b) -> np.ndarray:
-    """Entry i: the kernel sum of state with (z_a[i], z_b[i]) along the i-th
-    of len(z_a) directions, from any iterable.  Each batch of counts is
-    summed as it comes, so no photon distribution is stored.  The existence
-    rule runs once, on every kernel.  A sum that is not finite raises."""
+def _kernel_sums(state: TwoModeState, T, R, z_a, z_b) -> np.ndarray:
+    """Entry i: the kernel sum of state behind the splitter (T[i], R[i]) with
+    the kernel (z_a, z_b) if both are scalars, else (z_a[i], z_b[i]), summed
+    per batch of counts, so no photon distribution is stored.  A shared
+    kernel is one row per swap orientation and one real matrix product per
+    batch.  The existence rule runs once, on every kernel.  A sum that is
+    not finite raises."""
     _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
-    out = np.zeros(len(z_a), dtype=complex)
-    for at, sw, k, n, prob in _count_rows(state, directions):
-        a, b = np.where(sw, z_b[at], z_a[at]), np.where(sw, z_a[at], z_b[at])
+    shared = np.ndim(z_a) == 0
+    out = np.zeros(T.size, dtype=complex)
+    for at, sw, k, n, prob in _count_rows(state, T, R):
         with np.errstate(over="ignore", invalid="ignore"):
+            if shared:  # rows z_a^k z_b^(n-k), then z_b^k z_a^(n-k) for swapped axes
+                pw = _powers(np.array([z_a, z_b]), n.max())
+                rows = pw[:, k] * pw[::-1, n - k]
+                re0, re1, im0, im1 = (prob @ np.concatenate([rows.real, rows.imag]).T).T
+                out[at] += np.where(sw, re1 + 1j * im1, re0 + 1j * im0)
+                continue
+            a, b = np.where(sw, z_b[at], z_a[at]), np.where(sw, z_a[at], z_b[at])
             kernel = _powers(a, n.max())[:, k] * _powers(b, n.max())[:, n - k]
-            out[at] += np.einsum("dr,dr->d", prob, kernel)
+            out[at] += (prob * kernel).sum(axis=1)
     return _finite(out)
 
 
@@ -890,8 +909,8 @@ def power_expectation(state: TwoModeState, direction: MeasurementDirection,
     """Ordered moment <z_a^n_a z_b^n_b> of the output photon numbers as a
     one-axis kernel sum: no photon distribution is built, and a kernel
     outside the unit disc meets the existence rule of _kernel_sums."""
-    z_a, z_b = np.full(1, z_a), np.full(1, z_b)
-    return complex(_kernel_sums(state, [direction], z_a, z_b)[0])
+    T, R = np.array([direction.T]), np.array([direction.R])
+    return complex(_kernel_sums(state, T, R, complex(z_a), complex(z_b))[0])
 
 
 def _falling(n: np.ndarray, p: int) -> np.ndarray:

@@ -28,14 +28,15 @@ from .fock import (
     StateSpec,
     TmsvSpec,
     TwoModeState,
+    _BUFFER_DOUBLES,
     _coherent_terms,
     _kernel_sums,
     _power_sum,
+    _splitters,
     _warn_divergent,
     beam_splitter,
     coherent_amplitudes,
     coherent_stokes,
-    direction_to_beamsplitter,
     joint_photon_distribution,
     power_expectation,
 )
@@ -175,21 +176,16 @@ def surface_map(
     residue is dropped.  For genuinely complex t the complex value scales
     the axis.
     """
-    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
-    directions = [direction_to_beamsplitter(e) for e in axes]
-    if not directions:
-        return []
-    query = MgfQuery(directions[0], t, tau)
-    z_a, z_b = (np.full(len(directions), z) for z in (query.z_a, query.z_b))
+    axes, T, R = _splitters(axes)
+    t, tau = complex(t), float(tau)
+    _check_points(t, tau)
+    values = _kernel_sums(state, T, R, 1.0 + t - tau, 1.0 - t - tau) if T.size else []
     samples = []
-    for direction, value in zip(directions, _kernel_sums(state, directions, z_a, z_b)):
+    for e, value in zip(axes, values):
         value = complex(value)
         if abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)):
             value = value.real
-            mapped = value * direction.e
-        else:
-            mapped = value * direction.e.astype(complex)
-        samples.append(SurfaceSample(e=direction.e, value=value, mapped=mapped))
+        samples.append(SurfaceSample(e=e, value=value, mapped=value * e))
     return samples
 
 
@@ -247,9 +243,12 @@ def _mode_nodes(lam: float, cutoff: int, n_radial: int, n_phi: int):
 
 
 def _husimi_quadrature_value(rotated, lam_a, lam_b, n_radial, n_phi) -> float:
+    """w_a @ Q @ w_b, Q taken in blocks of alpha rows of _BUFFER_DOUBLES bra entries."""
     pts_a, w_a = _mode_nodes(lam_a, rotated.cutoff, n_radial, n_phi)
     pts_b, w_b = _mode_nodes(lam_b, rotated.cutoff, n_radial, n_phi)
-    return float(w_a @ husimi_q(rotated, pts_a, pts_b) @ w_b)
+    step = max(1, _BUFFER_DOUBLES // (rotated.cutoff + 1))
+    return float(sum(w_a[lo : lo + step] @ husimi_q(rotated, pts_a[lo : lo + step], pts_b)
+                     @ w_b for lo in range(0, pts_a.size, step)))
 
 
 def mgf_via_husimi_quadrature(

@@ -24,10 +24,11 @@ import numpy as np
 from .config import TOL, ConvergenceWarning, NumericalError
 from .fock import (
     TwoModeState,
+    _check_finite,
     _complex_from_json,
     _kernel_sums,
     _mixture_weights,
-    direction_to_beamsplitter,
+    _splitters,
     stokes_points,
 )
 from .mgf import _check_points
@@ -143,6 +144,7 @@ class CoherentEnsemble:
             pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise ValueError("points must have shape (m, 2)")
+            _check_finite({"ensemble points": pts})
             object.__setattr__(self, "points", pts)
             if self.weights is not None:
                 w = _mixture_weights(self.weights)
@@ -195,7 +197,8 @@ def gaussian_ensemble(
     the means and I0 their total intensity.  A matching sampler feeds
     the Monte-Carlo histogram oracle.
     """
-    if sigma <= 0:
+    _check_finite({"sigma": sigma, "mean_alpha": mean_alpha, "mean_beta": mean_beta})
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     mu = np.array([mean_alpha, mean_beta], dtype=complex)
     s0 = stokes_points(mu[None, :])[0]
@@ -261,8 +264,7 @@ def _state_grid_values(
     axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
-    vals = _kernel_sums(state, (direction_to_beamsplitter(e) for e in axes),
-                        z_a, z_b)
+    vals = _kernel_sums(state, *_splitters(axes)[1:], z_a, z_b)
     flat = np.empty(n, dtype=complex)
     flat[mirror[todo]] = np.conj(vals)
     flat[todo] = vals  # points that are their own mirror keep M, not M*

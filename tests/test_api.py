@@ -36,6 +36,7 @@ from stokespace import (
     direction_to_beamsplitter,
     dual_grid,
     find_node,
+    gaussian_ensemble,
     invert_to_pess,
     joint_photon_distribution,
     make_state,
@@ -181,6 +182,25 @@ def vacuum_along_z():
         "mixture-weight", "ensemble-weight", "char-fn-k"])
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: CoherentSpec(NAN, 0.5), "alpha"),
+    (lambda: CoherentSpec(0.5, complex(0.0, math.inf)), "beta"),
+    (lambda: MixtureSpec(((1.0, math.inf, 0.0),)), "mixture alpha and beta"),
+    (lambda: MixtureSpec(((0.5, 0.1, 0.2), (0.5, 0.3, NAN))), "mixture alpha and beta"),
+    (lambda: CoherentEnsemble(points=[[0.5, 0.5], [NAN, 0.0]]), "ensemble points"),
+    (lambda: CoherentEnsemble(points=[[0.5, complex(-math.inf, 0.0)]]), "ensemble points"),
+    (lambda: gaussian_ensemble(NAN), "sigma"),
+    (lambda: gaussian_ensemble(math.inf), "sigma"),
+    (lambda: gaussian_ensemble(0.5, mean_alpha=NAN), "mean_alpha"),
+    (lambda: gaussian_ensemble(0.5, mean_beta=complex(0.0, -math.inf)), "mean_beta"),
+], ids=["coherent-alpha", "coherent-beta", "mixture-alpha", "mixture-beta", "points-nan",
+        "points-inf", "sigma-nan", "sigma-inf", "mean-alpha", "mean-beta"])
+def test_non_finite_amplitudes_are_rejected_by_field(build, field):
+    # one finite-amplitude rule, checked where the amplitudes enter
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         build()
 
 

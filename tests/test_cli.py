@@ -461,6 +461,35 @@ def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypa
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["mgf", "--cutoff", "5", "--state", '{"kind": "mixture", "components": '
+      '[{"weight": 1, "alpha": {"re": Infinity}, "beta": 0}]}'], "mixture alpha and beta"),
+    (["mgf", "--state", '{"kind": "coherent", "alpha": {"re": NaN}, "beta": 0}'], "alpha"),
+    (["surface", "--state", '{"kind": "coherent", "alpha": 0, "beta": {"im": -Infinity}}'],
+     "beta"),
+    (["reconstruct", "--n-points", "8", "--ensemble", '{"gaussian": {"sigma": NaN}}'],
+     "sigma"),
+    (["reconstruct", "--n-points", "8", "--ensemble", '{"gaussian": {"sigma": Infinity}}'],
+     "sigma"),
+    (["reconstruct", "--n-points", "8", "--ensemble",
+      '{"gaussian": {"sigma": 0.5, "mean_alpha": NaN}}'], "mean_alpha"),
+    (["reconstruct", "--n-points", "8", "--ensemble", '{"points": [[{"re": NaN}, 0.5]]}'],
+     "ensemble points"),
+], ids=["mixture-inf", "coherent-nan", "coherent-inf", "sigma-nan", "sigma-inf",
+        "mean-nan", "point-nan"])
+def test_non_finite_amplitudes_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                      field):
+    import stokespace.cli as cli
+
+    calls = []
+    for name in ("auto_cutoff", "make_state", "mgf_imaginary_grid"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+    assert main([*argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == f"error: {field} must be finite\n"
+
+
 @pytest.mark.parametrize("tolerance", ["-1", "nan"])
 def test_nctest_rejects_a_bad_tolerance_before_the_state(tmp_path, monkeypatch, capsys,
                                                          tolerance):

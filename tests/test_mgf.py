@@ -15,10 +15,12 @@ from stokespace import (
     TmsvSpec,
     TwoModeState,
     VacuumSpec,
+    beam_splitter,
     coherent_amplitudes,
     coherent_stokes,
     direction_to_beamsplitter,
     find_node,
+    husimi_q,
     joint_photon_distribution,
     make_state,
     mgf,
@@ -249,6 +251,21 @@ class TestHusimiQuadrature:
             q = mgf_via_husimi_quadrature(state, d, t, tau)
             ref = mgf(state, MgfQuery(d, t, tau)).real
             assert abs(q - ref) < 1e-8 * max(1.0, abs(ref))
+
+    def test_q_is_taken_in_blocks_of_alpha_rows(self, monkeypatch):
+        # the node weights contract Q block by block, so no m x m grid is held
+        module = sys.modules["stokespace.mgf"]
+        state = beam_splitter(make_state(TmsvSpec(0.4), cutoff=12), 0.8, 0.6j)
+        pts_a, w_a = module._mode_nodes(0.2, 12, 16, 19)
+        pts_b, w_b = module._mode_nodes(0.4, 12, 16, 19)
+        whole = w_a @ husimi_q(state, pts_a, pts_b) @ w_b
+        rows, q = [], module.husimi_q
+        monkeypatch.setattr(module, "husimi_q",
+                            lambda s, a, b: rows.append(len(a)) or q(s, a, b))
+        monkeypatch.setattr(module, "_BUFFER_DOUBLES", 13 * 40)  # 40 rows at cutoff 12
+        got = module._husimi_quadrature_value(state, 0.2, 0.4, 16, 19)
+        assert rows == [40] * 7 + [16 * 19 - 280]
+        assert abs(got - whole) <= 1e-15 * abs(whole)
 
     def test_rejects_nonintegrable_kernel(self, rng):
         state = make_state(VacuumSpec(), cutoff=2)

@@ -1,6 +1,7 @@
 """The batched SU(2) block-rotation engine behind every splitter."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import stokespace.fock as fock
 from stokespace import (
     CoherentSpec,
+    ConvergenceWarning,
+    Grid3,
     HomInputSpec,
     MgfQuery,
     MixtureSpec,
@@ -19,14 +22,23 @@ from stokespace import (
     beam_splitter,
     direction_from_tr,
     direction_to_beamsplitter,
+    dual_grid,
     joint_photon_distribution,
     make_state,
     mgf,
     mgf_closed_form,
     mgf_from_distribution,
+    mgf_imaginary_grid,
     rotate_many,
+    sphere_grid,
+    surface_map,
 )
 from conftest import random_direction, random_low_state, splitter_oracle
+
+
+def splitters(dirs):
+    """The (T, R) arrays the private engine takes for a list of directions."""
+    return np.array([(d.T, d.R) for d in dirs]).T
 
 
 def random_tr(rng):
@@ -139,7 +151,7 @@ def test_norm_violation_raises(monkeypatch):
     with pytest.raises(NumericalError):
         beam_splitter(state, d.T, d.R)
     with pytest.raises(NumericalError):
-        fock._kernel_sums(state, [d], np.ones(1), np.ones(1))
+        fock._kernel_sums(state, *splitters([d]), np.ones(1), np.ones(1))
 
 
 def oracle_step_tables(dc, n):
@@ -330,7 +342,7 @@ def check_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
     want = fock._power_sum(rotate_many(state, dirs), z_a, z_b)
     plans = recording_plans(monkeypatch)
     monkeypatch.setattr(fock, "_BUFFER_DOUBLES", buffer)
-    got = fock._kernel_sums(state, iter(dirs), z_a, z_b)
+    got = fock._kernel_sums(state, *splitters(dirs), z_a, z_b)
     assert len(plans) == 1
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -446,7 +458,8 @@ def test_route_rule(monkeypatch, rng):
     assert tmsv.cutoff == 141
     routes.clear()
     ones = np.ones(112)
-    fock._kernel_sums(tmsv, [random_direction(rng) for _ in range(112)], ones, ones)
+    fock._kernel_sums(tmsv, *splitters([random_direction(rng) for _ in range(112)]),
+                      ones, ones)
     assert set(routes) == {"recurrence"}
 
 
@@ -463,5 +476,77 @@ def test_perturbed_half_turn_trips_the_norm_check(monkeypatch, rng):
     with pytest.raises(NumericalError):
         rotate_many(state, dirs)
     with pytest.raises(NumericalError):
-        fock._kernel_sums(state, dirs, np.ones(40), np.ones(40))
+        fock._kernel_sums(state, *splitters(dirs), np.ones(40), np.ones(40))
     assert built == [1, 1]
+
+
+def test_axis_array_maps_each_row_as_direction_to_beamsplitter(rng):
+    axes = rng.normal(size=(200, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    axes = np.vstack([axes, [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, -1, 0)]])
+    # rows 1e-10 off unit norm are renormalized, as one axis is
+    axes[:20] *= 1.0 + 1e-10 * rng.choice([-1.0, 1.0], size=(20, 1))
+    e, T, R = fock._splitters(axes)
+    assert e.shape == (len(axes), 3) and T.shape == R.shape == (len(axes),)
+    for row, e_i, T_i, R_i in zip(axes, e, T, R):
+        d = direction_to_beamsplitter(row)
+        assert np.array_equal(d.e, e_i) and d.T == T_i and d.R == R_i
+    assert T[-3] == 0 and R[-3] == 1 and R[-4] == 0  # exact at the poles
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0, 1), (math.inf, 0, 0), (0, -math.inf, 0),
+                                 (1, 1, 0), (0, 0, 1 + 2e-9), (0, 0, 0)],
+                         ids=["nan", "inf", "minus-inf", "long", "off-by-2e-9", "zero"])
+def test_bad_axis_rows_raise_before_any_rotation(monkeypatch, bad):
+    state = make_state(CoherentSpec(0.6 - 0.3j, 0.5j), 12)
+    axes = np.vstack([sphere_grid(3, 4), bad])
+
+    def forbidden(*args):
+        raise AssertionError("an axis batch reached the engine")
+
+    monkeypatch.setattr(fock, "_axis_rows", forbidden)
+    for call in (lambda: fock._splitters(axes), lambda: surface_map(state, 0.2, 0.5, axes),
+                 lambda: direction_to_beamsplitter(bad)):
+        with pytest.raises(ValueError, match="unit norm"):
+            call()
+
+
+@pytest.mark.parametrize("route", ["gemm", "recurrence"])
+def test_shared_kernel_sums_match_per_axis_kernel_sums(monkeypatch, rng, route):
+    # one (z_a, z_b) for every axis is one kernel row per swap orientation;
+    # the per-axis gather is the reference
+    spec = MixtureSpec(((0.4, 0.9 - 0.3j, 0.5j), (0.6, -0.4, 0.8 + 0.6j)))
+    state = make_state(spec, 12)
+    dirs = [random_direction(rng) for _ in range(30)]
+    dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1), (1, 0, 0))]
+    T, R = splitters(dirs)
+    swapped = np.abs(R) > np.abs(T)
+    assert 5 < swapped.sum() < len(dirs) - 5 and np.any(T.imag != 0)
+    if route == "recurrence":
+        recurrence_only(monkeypatch)
+    routes = recording_routes(monkeypatch)
+    for t, tau in ((0.3, 0.5), (-0.2 + 0.4j, 0.1), (0.7j, 0.0), (1.1 - 0.3j, 0.2)):
+        z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
+        full = np.full(len(dirs), z_a), np.full(len(dirs), z_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            want = fock._kernel_sums(state, T, R, *full)
+            got = fock._kernel_sums(state, T, R, complex(z_a), complex(z_b))
+        assert np.max(np.abs(got - want)) <= 1e-15
+    assert set(routes) == {route}
+
+
+def test_many_axis_paths_build_no_direction_objects(monkeypatch):
+    # surface_map and the state route of mgf_imaginary_grid map their axes
+    # as arrays: a MeasurementDirection per axis must not creep back
+    built = []
+    check = fock.MeasurementDirection.__post_init__
+    monkeypatch.setattr(fock.MeasurementDirection, "__post_init__",
+                        lambda self: built.append(1) or check(self))
+    state = make_state(HomInputSpec(), 4)  # no leakage: no existence warning
+    assert direction_to_beamsplitter((1, 0, 0)) and built == [1]  # the counter counts
+    built.clear()
+    assert len(surface_map(state, -0.2, 0.6, sphere_grid(7, 16))) == 112
+    values = mgf_imaginary_grid(state, dual_grid(Grid3.cube(3.0, 8)), 0.2)
+    assert values.shape == (8, 8, 8)
+    assert built == []
