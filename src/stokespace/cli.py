@@ -24,10 +24,9 @@ import numpy as np
 from .config import TOL, NumericalError
 from .fock import (
     HomInputSpec,
-    MeasurementDirection,
     TmsvSpec,
     VacuumSpec,
-    _distributions,
+    _kernel_sums,
     _splitters,
     auto_cutoff,
     direction_to_beamsplitter,
@@ -39,6 +38,7 @@ from .fock import (
 from .mgf import _check_points, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
+    _moment_det,
     _tolerance,
     _verdict,
     char_fn_criterion,
@@ -78,6 +78,13 @@ def _three_vector(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"need three components x,y,z, got {text!r}")
     return np.array(parts)
+
+
+def _steps(text: str) -> int:
+    """A scan's number of steps: an empty scan is an input error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need at least one step, got {text}")
+    return int(text)
 
 
 def _json_object(text: str):
@@ -196,16 +203,18 @@ def cmd_surface(args) -> int:
 
 
 def cmd_hom_scan(args) -> int:
-    state = make_state(HomInputSpec(), args.cutoff if args.cutoff is not None else 4)
-    ts = args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0]
+    ts = np.array(args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0])
+    _check_points(ts, 0.0)
     t2_grid = np.linspace(args.t2_min, args.t2_max, args.t2_steps)
     e_z = 2.0 * t2_grid - 1.0
     axes = np.column_stack([np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z])
-    dists = _distributions(state, map(MeasurementDirection, *_splitters(axes)))
-    dets = [second_order_det(dist, dist.direction, ts, 0.0, 0.0, 0.0) for dist in dists]
-    table = np.column_stack(
-        [np.repeat(t2_grid, len(ts)), np.tile(ts, len(t2_grid)), np.ravel(dets)]
-    )
+    _, T, R = _splitters(axes)
+    state = make_state(HomInputSpec(), args.cutoff if args.cutoff is not None else 4)
+    # second_order_det(t, 0, 0, 0) on every axis: M(2t; 0), M(0; 0), M(t; 0)
+    t, n = np.r_[2.0 * ts, 0.0, ts], ts.size
+    m = _kernel_sums(state, T, R, 1.0 + t, 1.0 - t)
+    dets = _moment_det(m[:, :n], m[:, n, None], m[:, n + 1 :])
+    table = np.column_stack([np.repeat(t2_grid, n), np.tile(ts, len(t2_grid)), dets.ravel()])
     print(_table(args, "hom_scan.csv", ["T2", "t", "determinant"], table))
     return 0
 
@@ -407,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="t value (repeatable; default sqrt2, sqrt3, 2)")
     p.add_argument("--t2-min", type=float, default=0.0, help="|T|^2 start")
     p.add_argument("--t2-max", type=float, default=1.0, help="|T|^2 end")
-    p.add_argument("--t2-steps", type=int, default=101)
+    p.add_argument("--t2-steps", type=_steps, default=101)
 
     p = sub.add_parser(
         "tmsv-scan", parents=[common],
@@ -415,10 +424,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "with t = -tau, t' = tau' = tau")
     p.add_argument("--kappa-min", type=float, default=0.05, help="tanh xi start")
     p.add_argument("--kappa-max", type=float, default=0.95, help="tanh xi end")
-    p.add_argument("--kappa-steps", type=int, default=19)
+    p.add_argument("--kappa-steps", type=_steps, default=19)
     p.add_argument("--tau-min", type=float, default=0.05)
     p.add_argument("--tau-max", type=float, default=0.5)
-    p.add_argument("--tau-steps", type=int, default=10)
+    p.add_argument("--tau-steps", type=_steps, default=10)
 
     p = sub.add_parser("nctest", parents=[common, state],
                        help="criteria battery at one axis and point pair")

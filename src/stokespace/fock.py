@@ -814,18 +814,11 @@ class JointPhotonDistribution:
         return self.p.shape[0] - 1
 
 
-def _distributions(state: TwoModeState, directions) -> list[JointPhotonDistribution]:
-    """Photon statistics along many axes from one batched rotation."""
-    directions = list(directions)
-    return [JointPhotonDistribution(p, d, state.leakage)
-            for p, d in zip(rotate_many(state, directions), directions)]
-
-
 def joint_photon_distribution(
     state: TwoModeState, direction: MeasurementDirection
 ) -> JointPhotonDistribution:
     """Photon statistics of the splitter outputs along a Stokes axis."""
-    return _distributions(state, [direction])[0]
+    return JointPhotonDistribution(rotate_many(state, [direction])[0], direction, state.leakage)
 
 
 def _distribution_along(
@@ -862,12 +855,12 @@ def _power_sum(p: np.ndarray, z_a, z_b):
         return _finite((va[..., None, :] @ pv)[..., 0, 0])
 
 
-def _warn_divergent(leakage: float, cutoff: int, z_a, z_b) -> None:
-    """The existence rule: one ConvergenceWarning when any kernel (z_a, z_b)
-    lies outside the unit disc and leakage r^(cutoff+1) exceeds
-    TOL.convergence_leakage, with r the largest |z_a|, |z_b|: the terms the
-    source truncation at cutoff drops hold more than cutoff photons, which
-    such a kernel can weigh by up to r^(cutoff+1).  z_a, z_b may be arrays."""
+def _check_kernels(leakage: float, cutoff: int, z_a, z_b) -> None:
+    """The kernel rules, r the largest |z_a|, |z_b| (arrays too), cutoff the
+    state's.  Existence: one ConvergenceWarning when r > 1 and leakage
+    r^(cutoff+1) exceeds TOL.convergence_leakage (the truncation drops terms of
+    more than cutoff photons).  Overflow, on both kernel-sum routes:
+    NumericalError if r^(2 cutoff), the top power of a count, is not finite."""
     r = max(np.max(np.abs(z_a), initial=0.0), np.max(np.abs(z_b), initial=0.0))
     # r^-(cutoff+1) underflows quietly to 0 where r^(cutoff+1) would overflow
     if r > 1.0 + 1e-12 and leakage > TOL.convergence_leakage * r ** -(cutoff + 1):
@@ -878,39 +871,41 @@ def _warn_divergent(leakage: float, cutoff: int, z_a, z_b) -> None:
             ConvergenceWarning,
             stacklevel=3,
         )
+    with np.errstate(over="ignore"):
+        _finite(r ** (2 * cutoff))
 
 
 def _kernel_sums(state: TwoModeState, T, R, z_a, z_b) -> np.ndarray:
-    """Entry i: the kernel sum of state behind the splitter (T[i], R[i]) with
-    the kernel (z_a, z_b) if both are scalars, else (z_a[i], z_b[i]), summed
-    per batch of counts, so no photon distribution is stored.  A shared
-    kernel is one row per swap orientation and one real matrix product per
-    batch.  The existence rule runs once, on every kernel.  A sum that is
-    not finite raises."""
-    _warn_divergent(state.leakage, state.cutoff, z_a, z_b)
-    shared = np.ndim(z_a) == 0
-    out = np.zeros(T.size, dtype=complex)
+    """Entry [i, j]: the kernel sum of state behind the splitter (T[i], R[i])
+    with the kernel (z_a[j], z_b[j]), shared by every axis, or (z_a[i, j],
+    z_b[i, j]), summed per batch of counts: no photon distribution is stored.
+    Shared kernels are one row per point and swap orientation a batch uses, in
+    one real matrix product.  _check_kernels runs once; a non-finite sum raises."""
+    _check_kernels(state.leakage, state.cutoff, z_a, z_b)
+    out = np.zeros((T.size, np.shape(z_a)[-1]), dtype=complex)
     for at, sw, k, n, prob in _count_rows(state, T, R):
         with np.errstate(over="ignore", invalid="ignore"):
-            if shared:  # rows z_a^k z_b^(n-k), then z_b^k z_a^(n-k) for swapped axes
+            if np.ndim(z_a) == 1:  # rows z_a^k z_b^(n-k), or z_b^k z_a^(n-k) if swapped
+                turns = np.flatnonzero([not sw.all(), sw.any()])  # orientations used
                 pw = _powers(np.array([z_a, z_b]), n.max())
-                rows = pw[:, k] * pw[::-1, n - k]
-                re0, re1, im0, im1 = (prob @ np.concatenate([rows.real, rows.imag]).T).T
-                out[at] += np.where(sw, re1 + 1j * im1, re0 + 1j * im0)
+                rows = (pw[turns][..., k] * pw[1 - turns][..., n - k]).reshape(-1, k.size)
+                sums = (prob @ np.concatenate([rows.real, rows.imag]).T).reshape(
+                    at.size, 2, turns.size, -1)[np.arange(at.size), :, sw - turns[0]]
+                out[at] += sums[:, 0] + 1j * sums[:, 1]
                 continue
-            a, b = np.where(sw, z_b[at], z_a[at]), np.where(sw, z_a[at], z_b[at])
-            kernel = _powers(a, n.max())[:, k] * _powers(b, n.max())[:, n - k]
-            out[at] += (prob * kernel).sum(axis=1)
+            a, b = (np.where(sw[:, None], x[at], y[at]) for x, y in ((z_b, z_a), (z_a, z_b)))
+            kernel = _powers(a, n.max())[..., k] * _powers(b, n.max())[..., n - k]
+            out[at] += (prob[:, None] * kernel).sum(axis=-1)
     return _finite(out)
 
 
 def power_expectation(state: TwoModeState, direction: MeasurementDirection,
                       z_a: complex, z_b: complex) -> complex:
     """Ordered moment <z_a^n_a z_b^n_b> of the output photon numbers as a
-    one-axis kernel sum: no photon distribution is built, and a kernel
-    outside the unit disc meets the existence rule of _kernel_sums."""
+    one-axis kernel sum: no photon distribution is built, and the kernel
+    meets the existence and overflow rules of _check_kernels."""
     T, R = np.array([direction.T]), np.array([direction.R])
-    return complex(_kernel_sums(state, T, R, complex(z_a), complex(z_b))[0])
+    return complex(_kernel_sums(state, T, R, np.array([z_a]), np.array([z_b]))[0, 0])
 
 
 def _falling(n: np.ndarray, p: int) -> np.ndarray:

@@ -29,11 +29,11 @@ from .fock import (
     TmsvSpec,
     TwoModeState,
     _BUFFER_DOUBLES,
+    _check_kernels,
     _coherent_terms,
     _kernel_sums,
     _power_sum,
     _splitters,
-    _warn_divergent,
     beam_splitter,
     coherent_amplitudes,
     coherent_stokes,
@@ -83,14 +83,14 @@ def mgf_from_distribution(
 
     t and tau broadcast against each other: scalars give a complex, arrays
     give an array of that shape from one kernel sum.  Raises ValueError
-    for any tau < 0 and any t or tau that is not finite.  Warns once when
-    a kernel leaves the unit disc and dist.leakage, weighed there, is not
-    negligible.
+    for any tau < 0 and any t or tau that is not finite.  The kernels meet
+    the rules of fock._check_kernels: existence (one warning) and overflow
+    (NumericalError), as on the streamed route.
     """
     t, tau = np.asarray(t), np.asarray(tau, dtype=float)
     _check_points(t, tau)
     z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
-    _warn_divergent(dist.leakage, dist.cutoff // 2, z_a, z_b)
+    _check_kernels(dist.leakage, dist.cutoff // 2, z_a, z_b)
     value = _power_sum(dist.p, z_a, z_b)
     return complex(value) if np.ndim(value) == 0 else value
 
@@ -179,7 +179,7 @@ def surface_map(
     axes, T, R = _splitters(axes)
     t, tau = complex(t), float(tau)
     _check_points(t, tau)
-    values = _kernel_sums(state, T, R, 1.0 + t - tau, 1.0 - t - tau) if T.size else []
+    values = _kernel_sums(state, T, R, *np.array([[1.0 + t - tau], [1.0 - t - tau]]))[:, 0]
     samples = []
     for e, value in zip(axes, values):
         value = complex(value)

@@ -131,9 +131,14 @@ def second_order_det(
         [2.0 * t.real, 2.0 * t2.real, np.conj(t) + t2],
         [2.0 * tau, 2.0 * tau2, tau + tau2],
     )
-    # x * x, not x**2: a scalar ** calls pow, which may miss by an ulp
-    det = m11.real * m22.real - (m12.real * m12.real + m12.imag * m12.imag)
+    det = _moment_det(m11, m22, m12)
     return float(det) if np.ndim(det) == 0 else det
+
+
+def _moment_det(m11, m22, m12):
+    """det [[M11, M12], [M12*, M22]] from its real diagonal, broadcast over arrays."""
+    # x * x, not x**2: a scalar ** calls pow, which may miss by an ulp
+    return m11.real * m22.real - (m12.real * m12.real + m12.imag * m12.imag)
 
 
 def char_fn_criterion(

@@ -264,7 +264,7 @@ def _state_grid_values(
     axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
-    vals = _kernel_sums(state, *_splitters(axes)[1:], z_a, z_b)
+    vals = _kernel_sums(state, *_splitters(axes)[1:], z_a[:, None], z_b[:, None])[:, 0]
     flat = np.empty(n, dtype=complex)
     flat[mirror[todo]] = np.conj(vals)
     flat[todo] = vals  # points that are their own mirror keep M, not M*

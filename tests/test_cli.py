@@ -103,7 +103,6 @@ def test_tmsv_scan_spot_value(tmp_path):
 
 @pytest.mark.parametrize("argv, calls_expected, rows", [
     (["tmsv-scan", "--kappa-steps", "3", "--tau-steps", "4"], 3, 12),  # per kappa
-    (["hom-scan", "--t2-steps", "5"], 5, 15),  # per axis
 ])
 def test_scans_take_one_determinant_call_per_distribution(
         tmp_path, monkeypatch, argv, calls_expected, rows):
@@ -121,6 +120,44 @@ def test_scans_take_one_determinant_call_per_distribution(
     assert len(calls) == calls_expected
     _, body = read_csv(tmp_path / f"{argv[0].replace('-', '_')}.csv")
     assert len(body) == rows
+
+
+def test_hom_scan_is_one_kernel_sum_over_all_axes(tmp_path, monkeypatch):
+    import stokespace.cli as cli
+    import stokespace.fock as fock
+
+    sums, plans, rotations = [], [], []
+    kernel_sums, axis_rows = cli._kernel_sums, fock._axis_rows
+    monkeypatch.setattr(cli, "_kernel_sums", lambda *a: sums.append(a) or kernel_sums(*a))
+    monkeypatch.setattr(fock, "_axis_rows", lambda *a: plans.append(a) or axis_rows(*a))
+    monkeypatch.setattr(fock, "rotate_many", lambda *a: rotations.append(a))
+    assert main(["hom-scan", "--t2-steps", "5", "--out", str(tmp_path),
+                 "--no-timestamp"]) == 0
+    assert len(sums) == len(plans) == 1 and rotations == []
+    _, T, _, z_a, _ = sums[0]
+    assert T.shape == (5,) and z_a.shape == (7,)  # 5 axes, 2 * 3 + 1 shared points
+    _, body = read_csv(tmp_path / "hom_scan.csv")
+    assert len(body) == 15
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hom-scan", "--t", "nan"], "error: t must be finite"),
+    (["hom-scan", "--t", "1", "--t", "inf"], "error: t must be finite"),
+    (["hom-scan", "--t2-steps", "0"], "--t2-steps: need at least one step, got 0"),
+    (["tmsv-scan", "--kappa-steps", "0"], "--kappa-steps: need at least one step, got 0"),
+    (["tmsv-scan", "--tau-steps", "0"], "--tau-steps: need at least one step, got 0"),
+    (["tmsv-scan", "--tau-steps", "-2"], "--tau-steps: need at least one step, got -2"),
+], ids=["t-nan", "t-inf", "t2-steps", "kappa-steps", "tau-steps", "negative-steps"])
+def test_scans_reject_bad_input_before_the_state(tmp_path, monkeypatch, capsys, argv,
+                                                 message):
+    # zero steps wrote a header-only table with exit 0, and a non-finite t
+    # was caught only after the rotation
+    import stokespace.cli as cli
+
+    monkeypatch.setattr(cli, "make_state", lambda *a: pytest.fail("state built"))
+    assert main([*argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tmsv_scan_checks_the_whole_range_first(tmp_path, monkeypatch):

@@ -7,14 +7,18 @@ from scipy.optimize import brentq
 
 from stokespace import (
     CoherentSpec,
+    ConvergenceWarning,
     HomInputSpec,
     MgfQuery,
     MixtureSpec,
+    NumericalError,
     QuadratureError,
     TOL,
     TmsvSpec,
+    TruncationWarning,
     TwoModeState,
     VacuumSpec,
+    auto_cutoff,
     beam_splitter,
     coherent_amplitudes,
     coherent_stokes,
@@ -161,6 +165,24 @@ class TestMgfStructure:
             mgf_from_distribution(dist, 0, -0.5)
         with pytest.raises(ValueError):
             mgf_from_distribution(dist, [0.0, 0.1], [0.2, -1e-3])
+
+    def test_kernel_powers_overflow_alike_on_both_routes(self):
+        # at the cap of 512 photons a mode, |z_a| = 2 overflows at the power
+        # 2 * 512; on the z axis the counts reach only 512 a mode, and the
+        # streamed sum read p(0, 0) = 4.5e-7 where the distribution raised
+        with pytest.warns(TruncationWarning):
+            state = make_state(TmsvSpec(8.0), auto_cutoff(TmsvSpec(8.0)))
+        assert state.cutoff == 512
+        pole, axis = (direction_to_beamsplitter(e) for e in ((0, 0, 1), (0.6, 0, 0.8)))
+        dist = joint_photon_distribution(state, pole)
+        calls = [lambda: mgf(state, MgfQuery(pole, 1.0, 0.0)),
+                 lambda: mgf_from_distribution(dist, 1.0, 0.0),
+                 lambda: mgf(state, MgfQuery(axis, 1.0, 0.0)),
+                 lambda: surface_map(state, 1.0, 0.0, [(0, 0, 1), (0, 0, -1)])]
+        for call in calls:
+            with pytest.warns(ConvergenceWarning), pytest.raises(NumericalError,
+                                                                 match="not finite"):
+                call()
 
     def test_query_coordinates(self, rng):
         q = MgfQuery(random_direction(rng), 0.2 + 0.1j, 0.5)

@@ -33,6 +33,7 @@ from stokespace import (
     sphere_grid,
     surface_map,
 )
+from stokespace.cli import main
 from conftest import random_direction, random_low_state, splitter_oracle
 
 
@@ -336,14 +337,14 @@ def check_kernel_sums_read_the_rows_of_one_plan(monkeypatch, rng, buffer):
     state = make_state(spec, 12)
     dirs = [random_direction(rng) for _ in range(9)]
     dirs += [direction_to_beamsplitter(e) for e in ((0, 0, 1), (0, 0, -1))]
-    # kernels inside the unit disc, one pair per axis
-    z_a, z_b = rng.uniform(0.0, 1.0, (2, len(dirs))) * np.exp(
-        2j * np.pi * rng.uniform(0.0, 1.0, (2, len(dirs))))
-    want = fock._power_sum(rotate_many(state, dirs), z_a, z_b)
+    # kernels inside the unit disc, three pairs per axis
+    z_a, z_b = rng.uniform(0.0, 1.0, (2, len(dirs), 3)) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, (2, len(dirs), 3)))
+    want = fock._power_sum(rotate_many(state, dirs)[:, None], z_a, z_b)
     plans = recording_plans(monkeypatch)
     monkeypatch.setattr(fock, "_BUFFER_DOUBLES", buffer)
     got = fock._kernel_sums(state, *splitters(dirs), z_a, z_b)
-    assert len(plans) == 1
+    assert got.shape == (len(dirs), 3) and len(plans) == 1
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -457,7 +458,7 @@ def test_route_rule(monkeypatch, rng):
     tmsv = make_state(spec, auto_cutoff(spec))
     assert tmsv.cutoff == 141
     routes.clear()
-    ones = np.ones(112)
+    ones = np.ones((112, 1))
     fock._kernel_sums(tmsv, *splitters([random_direction(rng) for _ in range(112)]),
                       ones, ones)
     assert set(routes) == {"recurrence"}
@@ -476,7 +477,7 @@ def test_perturbed_half_turn_trips_the_norm_check(monkeypatch, rng):
     with pytest.raises(NumericalError):
         rotate_many(state, dirs)
     with pytest.raises(NumericalError):
-        fock._kernel_sums(state, *splitters(dirs), np.ones(40), np.ones(40))
+        fock._kernel_sums(state, *splitters(dirs), np.ones((40, 1)), np.ones((40, 1)))
     assert built == [1, 1]
 
 
@@ -513,8 +514,8 @@ def test_bad_axis_rows_raise_before_any_rotation(monkeypatch, bad):
 
 @pytest.mark.parametrize("route", ["gemm", "recurrence"])
 def test_shared_kernel_sums_match_per_axis_kernel_sums(monkeypatch, rng, route):
-    # one (z_a, z_b) for every axis is one kernel row per swap orientation;
-    # the per-axis gather is the reference
+    # (z_a, z_b) shared by every axis are one kernel row per swap orientation
+    # and point; the per-axis gather is the reference
     spec = MixtureSpec(((0.4, 0.9 - 0.3j, 0.5j), (0.6, -0.4, 0.8 + 0.6j)))
     state = make_state(spec, 12)
     dirs = [random_direction(rng) for _ in range(30)]
@@ -525,28 +526,60 @@ def test_shared_kernel_sums_match_per_axis_kernel_sums(monkeypatch, rng, route):
     if route == "recurrence":
         recurrence_only(monkeypatch)
     routes = recording_routes(monkeypatch)
-    for t, tau in ((0.3, 0.5), (-0.2 + 0.4j, 0.1), (0.7j, 0.0), (1.1 - 0.3j, 0.2)):
-        z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
-        full = np.full(len(dirs), z_a), np.full(len(dirs), z_b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            want = fock._kernel_sums(state, T, R, *full)
-            got = fock._kernel_sums(state, T, R, complex(z_a), complex(z_b))
-        assert np.max(np.abs(got - want)) <= 1e-15
+    t = np.array([0.3, -0.2 + 0.4j, 0.7j, 1.1 - 0.3j])
+    tau = np.array([0.5, 0.1, 0.0, 0.2])
+    z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        # every axis, and batches of one swap orientation; all points, and one
+        for axes in (np.full(len(dirs), True), swapped, ~swapped):
+            for at in (slice(None), *(slice(j, j + 1) for j in range(t.size))):
+                full = (np.tile(z[at], (axes.sum(), 1)) for z in (z_a, z_b))
+                want = fock._kernel_sums(state, T[axes], R[axes], *full)
+                got = fock._kernel_sums(state, T[axes], R[axes], z_a[at], z_b[at])
+                assert got.shape == want.shape == (axes.sum(), z_a[at].size)
+                assert np.max(np.abs(got - want)) <= 1e-15
     assert set(routes) == {route}
 
 
-def test_many_axis_paths_build_no_direction_objects(monkeypatch):
-    # surface_map and the state route of mgf_imaginary_grid map their axes
-    # as arrays: a MeasurementDirection per axis must not creep back
+def test_many_axis_paths_build_no_direction_objects(monkeypatch, tmp_path):
+    # surface_map, the state route of mgf_imaginary_grid and hom-scan map
+    # their axes as arrays: a MeasurementDirection (or a photon distribution)
+    # per axis must not creep back
     built = []
-    check = fock.MeasurementDirection.__post_init__
-    monkeypatch.setattr(fock.MeasurementDirection, "__post_init__",
-                        lambda self: built.append(1) or check(self))
+    for cls in (fock.MeasurementDirection, fock.JointPhotonDistribution):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: built.append(1) or check(self))
     state = make_state(HomInputSpec(), 4)  # no leakage: no existence warning
     assert direction_to_beamsplitter((1, 0, 0)) and built == [1]  # the counter counts
     built.clear()
     assert len(surface_map(state, -0.2, 0.6, sphere_grid(7, 16))) == 112
     values = mgf_imaginary_grid(state, dual_grid(Grid3.cube(3.0, 8)), 0.2)
     assert values.shape == (8, 8, 8)
+    assert main(["hom-scan", "--out", str(tmp_path), "--no-timestamp"]) == 0
     assert built == []
+    assert joint_photon_distribution(state, direction_to_beamsplitter((1, 0, 0)))
+    assert built == [1, 1]  # both counters count
+
+
+def splitter_matrix(T, R):
+    return np.array([[T, R], [-np.conj(R), np.conj(T)]])
+
+
+@pytest.mark.parametrize("cutoff", [24, 60])
+def test_splitters_compose_as_su2(rng, cutoff):
+    # rotate_many(beam_splitter(psi, U1), U2) = rotate_many(psi, U2 U1): the
+    # engine checked against itself, with no closed form.  psi fills every
+    # block that fits the box, so beam_splitter keeps all of it
+    psi = random_low_state(rng, cutoff, cutoff)
+    u1 = splitter_matrix(*random_tr(rng))
+    eps = 1e-7  # |R| or |T| of about eps: axes next to the poles
+    north = splitter_matrix(math.cos(eps), math.sin(eps) * np.exp(2.0j))
+    south = splitter_matrix(math.sin(eps) * np.exp(-1.0j), math.cos(eps))
+    # U2 random and near both poles, then U2 U1 near both poles
+    u2s = [splitter_matrix(*random_tr(rng)), north, south,
+           north @ u1.conj().T, south @ u1.conj().T]
+    first = beam_splitter(psi, *u1[0])
+    lhs = rotate_many(first, [direction_from_tr(*u[0]) for u in u2s])
+    rhs = rotate_many(psi, [direction_from_tr(*(u @ u1)[0]) for u in u2s])
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(lhs)
