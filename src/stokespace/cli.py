@@ -191,8 +191,9 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    state, _, _ = _build_state(args)
     axes = sphere_grid(args.n_theta, args.n_phi)
+    _check_points(args.t, args.tau)  # the grid and point are checked before any work
+    state, _, _ = _build_state(args)
     samples = surface_map(state, args.t, args.tau, axes)
     e = np.array([s.e for s in samples]).reshape(-1, 3)
     value = np.array([complex(s.value) for s in samples])
@@ -205,6 +206,8 @@ def cmd_surface(args) -> int:
 def cmd_hom_scan(args) -> int:
     ts = np.array(args.t or [math.sqrt(2.0), math.sqrt(3.0), 2.0])
     _check_points(ts, 0.0)
+    if not (0.0 <= args.t2_min <= 1.0 and 0.0 <= args.t2_max <= 1.0):  # NaN fails too
+        raise ValueError("|T|^2 range (--t2-min, --t2-max) must lie in [0, 1]")
     t2_grid = np.linspace(args.t2_min, args.t2_max, args.t2_steps)
     e_z = 2.0 * t2_grid - 1.0
     axes = np.column_stack([np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z])
@@ -240,18 +243,23 @@ def cmd_tmsv_scan(args) -> int:
 
 
 def cmd_nctest(args) -> int:
+    # the tolerance, axis and points are checked before any work
     _tolerance(args.tolerance)
-    state, _, _ = _build_state(args)
     d = direction_to_beamsplitter(args.direction)
     t, tau, t2, tau2 = args.t, args.tau, args.t2, args.tau2
+    spec = MgfMatrixSpec(d, ((t, tau), (t2, tau2)))
+    _check_points(1j * args.k_norm, 0.0)
+    state, _, _ = _build_state(args)
     # every criterion reads the one distribution along d
     dist = joint_photon_distribution(state, d)
     var_s, var_n = variance_criteria(dist, d)
     cross = cross_correlation_det(dist, d)
-    matrix = mgf_matrix(dist, MgfMatrixSpec(d, ((t, tau), (t2, tau2))))
-    # the first two criteria read M at the point pair; the rest read none
+    matrix = mgf_matrix(dist, spec)
+    # the first two criteria read M at the point pair, both off this one
+    # matrix (its 2 x 2 determinant is second_order_det); the rest read none
+    det = _moment_det(matrix[0, 0], matrix[1, 1], matrix[0, 1])
     criteria = [
-        ("second_order_det", second_order_det(dist, d, t, tau, t2, tau2)),
+        ("second_order_det", float(det)),
         ("matrix_min_eigenvalue", matrix_verdict(matrix).value),
         ("char_fn", char_fn_criterion(dist, d, args.k_norm).value),
         ("variance_stokes", var_s),
@@ -272,9 +280,9 @@ def cmd_nctest(args) -> int:
 
 
 def cmd_clicks(args) -> int:
+    # the sample count, axis and detector configs are checked before any work
     if args.samples < 0:
         raise ValueError("--samples must be >= 0")
-    state, spec, cutoff = _build_state(args)
     d = direction_to_beamsplitter(args.direction)
     cfg_a = ClickDetectorConfig(
         apds=args.apds_a, eta=args.eta_a, nu=args.nu_a, eps=args.eps_a
@@ -282,6 +290,7 @@ def cmd_clicks(args) -> int:
     cfg_b = ClickDetectorConfig(
         apds=args.apds_b, eta=args.eta_b, nu=args.nu_b, eps=args.eps_b
     )
+    state, spec, cutoff = _build_state(args)
     # the click table and the direct M column share one distribution
     dist = joint_photon_distribution(state, d)
     clicks = click_distribution(dist, d, cfg_a, cfg_b)
@@ -327,6 +336,7 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"--mc-oracle needs at least {ORACLE_MIN_SAMPLES} samples")
     grid = Grid3(tuple(args.s_min), tuple(args.s_max), (args.n_points,) * 3)
     tau = args.tau if args.tau is not None else default_tau(grid)
+    _check_points(0.0, tau)  # before the source is built
 
     if args.ensemble is not None:
         source = ensemble_from_json(args.ensemble)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 class Tolerances:
     # rotated mass vs trace(rho); beam_splitter adds the rows it clips
     trace_window: float = 1e-10
-    unit_vector: float = 1e-12          # | ||e|| - 1 | on a stored direction
+    unit_vector: float = 1e-12          # | |T|^2 + |R|^2 - 1 | of a stored direction
     direction_input: float = 1e-9       # renormalization slack for a raw axis or (T, R)
     distribution_floor: float = -1e-12  # photon probabilities may dip this low
     leakage_bound: float = 1e-10        # default acceptable truncated mass

@@ -169,69 +169,21 @@ def click_moment_to_mgf_point(
 
 
 @dataclass(frozen=True)
-class AccessibleRegion:
-    """(t, tau) points reachable by click moments of one detector pair.
-
-    lattice holds one (k, l, t, tau) record per moment order; with an
-    attenuation sweep (eps in (0, 1]) the reachable set becomes the
-    filled rectangle 0 <= (tau - t)/2 <= u_max, 0 <= (tau + t)/2 <= v_max.
-    """
-
-    lattice: tuple[tuple[int, int, float, float], ...]
-    swept: bool
-    u_max: float
-    v_max: float
-
-    def contains(self, t: float, tau: float, tol: float = 1e-12) -> bool:
-        u = 0.5 * (tau - t)
-        v = 0.5 * (tau + t)
-        if self.swept:
-            return (
-                -tol <= u <= self.u_max + tol and -tol <= v <= self.v_max + tol
-            )
-        return any(
-            abs(t - tp) <= tol and abs(tau - taup) <= tol
-            for _, _, tp, taup in self.lattice
-        )
-
-
-def accessible_region(
-    config_a: ClickDetectorConfig,
-    config_b: ClickDetectorConfig,
-    eps_sweep: bool = False,
-) -> AccessibleRegion:
-    """Enumerate the moment lattice of a detector pair.
-
-    eps_sweep=True describes the continuous region reachable by varying
-    the attenuations, whose corners are set by the efficiencies alone.
-    """
-    lattice = []
-    for k in range(config_a.apds + 1):
-        for l in range(config_b.apds + 1):
-            t, tau = click_moment_to_mgf_point(k, l, config_a, config_b)
-            lattice.append((k, l, t, tau))
-    u_max = (config_a.eta if eps_sweep else config_a.eps * config_a.eta) / 2.0
-    v_max = (config_b.eta if eps_sweep else config_b.eps * config_b.eta) / 2.0
-    return AccessibleRegion(
-        lattice=tuple(lattice), swept=eps_sweep, u_max=u_max, v_max=v_max
-    )
-
-
-@dataclass(frozen=True)
 class ClickSampleSet:
-    """Multinomial click counts from n_total simulated runs."""
+    """Multinomial click counts from n_total = counts.sum() simulated runs."""
 
     counts: np.ndarray
-    n_total: int
     seed: int
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 2:
             raise ValueError("counts must be a 2-d array")
-        if counts.sum() != self.n_total:
-            raise ValueError("counts must sum to n_total")
         object.__setattr__(self, "counts", counts)
+
+    @property
+    def n_total(self) -> int:
+        return int(self.counts.sum())
 
 
 def sample_clicks(clicks: ClickDistribution, n: int, seed: int) -> ClickSampleSet:
@@ -247,7 +199,7 @@ def sample_clicks(clicks: ClickDistribution, n: int, seed: int) -> ClickSampleSe
     p = p / p.sum()
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = rng.multinomial(n, p).reshape(clicks.c.shape)
-    return ClickSampleSet(counts=counts, n_total=n, seed=seed)
+    return ClickSampleSet(counts=counts, seed=seed)
 
 
 def estimate_mgf_from_samples(

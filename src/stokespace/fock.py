@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
@@ -187,7 +187,7 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
 def _stokes(a, b):
     """The Stokes vector (2 Re a* b, 2 Im a* b, |a|^2 - |b|^2) of the coherent
     pair (a, b), for complex numbers and arrays alike: the one formula behind
-    splitter axes, coherent_stokes and stokes_points."""
+    splitter axes, stokes_points and mgf_closed_form."""
     cross = np.conj(a) * b
     return 2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2
 
@@ -204,24 +204,21 @@ def _stokes_axis(T, R) -> np.ndarray:  # that of (T*, R*), one row per entry
 
 @dataclass(frozen=True)
 class MeasurementDirection:
-    """Unit Stokes axis e together with the splitter (T, R) realizing it."""
+    """Splitter (T, R) and the unit Stokes axis e it realizes, derived from
+    (T, R) by the one-row case of the array map that _splitters uses."""
 
-    e: np.ndarray
     T: complex
     R: complex
+    e: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=float).reshape(3)
-        object.__setattr__(self, "e", e)
         object.__setattr__(self, "T", complex(self.T))
         object.__setattr__(self, "R", complex(self.R))
-        # each check is written so that NaN fails it
-        if not abs(np.linalg.norm(e) - 1.0) <= TOL.unit_vector:
-            raise ValueError("direction axis must be a unit vector")
+        # written so that NaN fails it
         if not abs(abs(self.T) ** 2 + abs(self.R) ** 2 - 1.0) <= TOL.unit_vector:
             raise ValueError("|T|^2 + |R|^2 must equal 1")
-        if not np.max(np.abs(_stokes_axis(self.T, self.R) - e)) <= TOL.unit_vector:
-            raise ValueError("(T, R) does not realize the stored axis e")
+        e = _stokes_axis(np.array([self.T]), np.array([self.R]))[0]
+        object.__setattr__(self, "e", e)
 
 
 def _splitters(axes):
@@ -242,7 +239,8 @@ def _splitters(axes):
 
 def direction_to_beamsplitter(e) -> MeasurementDirection:
     """Splitter parameters for one Stokes axis, the one-row case of _splitters."""
-    return MeasurementDirection(*(x[0] for x in _splitters(np.reshape(e, (1, 3)))))
+    _, T, R = _splitters(np.reshape(e, (1, 3)))
+    return MeasurementDirection(T[0], R[0])
 
 
 def direction_from_tr(T: complex, R: complex) -> MeasurementDirection:
@@ -250,8 +248,7 @@ def direction_from_tr(T: complex, R: complex) -> MeasurementDirection:
     s = math.sqrt(abs(T) ** 2 + abs(R) ** 2)
     if not abs(s - 1.0) <= TOL.direction_input:
         raise ValueError("|T|^2 + |R|^2 must be within 1e-9 of 1")
-    T, R = complex(T) / s, complex(R) / s
-    return MeasurementDirection(e=_stokes_axis(T, R), T=T, R=R)
+    return MeasurementDirection(complex(T) / s, complex(R) / s)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +404,9 @@ _MAX_AUTO_CUTOFF = 512
 
 def auto_cutoff(spec: StateSpec, bound: float = TOL.leakage_bound) -> int:
     """Smallest cutoff >= 2 at which every component's analytic leakage
-    stays below bound, at most _MAX_AUTO_CUTOFF."""
+    stays below bound, at most _MAX_AUTO_CUTOFF; bound must be > 0."""
+    if not bound > 0:  # NaN fails too
+        raise ValueError(f"leakage bound must be > 0, got {bound!r}")
     leak = np.max(_leakage_table(spec, _MAX_AUTO_CUTOFF)[1], axis=0)
     below = np.flatnonzero(leak[2:] < bound)
     return 2 + int(below[0]) if below.size else _MAX_AUTO_CUTOFF
@@ -920,25 +919,3 @@ def distribution_factorial_moment(
 ) -> float:
     n = np.arange(dist.cutoff + 1)
     return float(_falling(n, p) @ (dist.p @ _falling(n, q)))
-
-
-# ---------------------------------------------------------------------------
-# Stokes vectors
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Mean Stokes vector S and total mean photon number S0 = <n_a + n_b>."""
-
-    S: np.ndarray
-    S0: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=float).reshape(3))
-
-
-def coherent_stokes(alpha: complex, beta: complex) -> StokesVector:
-    """Stokes vector of a coherent pair; here ||S|| = |alpha|^2 + |beta|^2."""
-    return StokesVector(S=np.array(_stokes(alpha, beta)),
-                        S0=abs(alpha) ** 2 + abs(beta) ** 2)
-

@@ -34,9 +34,9 @@ from .fock import (
     _kernel_sums,
     _power_sum,
     _splitters,
+    _stokes,
     beam_splitter,
     coherent_amplitudes,
-    coherent_stokes,
     joint_photon_distribution,
     power_expectation,
 )
@@ -110,9 +110,9 @@ def mgf_closed_form(
     terms = _coherent_terms(spec)
     if terms is not None:
         total = 0.0 + 0.0j
-        for w, a, b in terms:
-            sv = coherent_stokes(a, b)
-            total += w * complex(np.exp(t * float(e @ sv.S) - tau * sv.S0))
+        for w, a, b in terms:  # ||S|| = |a|^2 + |b|^2 for a coherent pair
+            s = float(e @ np.array(_stokes(a, b)))
+            total += w * complex(np.exp(t * s - tau * (abs(a) ** 2 + abs(b) ** 2)))
         return total
     if isinstance(spec, HomInputSpec):
         return (1.0 - tau) ** 2 + (1.0 - 2.0 * e[2] ** 2) * t * t
@@ -261,7 +261,7 @@ def mgf_via_husimi_quadrature(
     for real t with 0 <= lambda_a, lambda_b < 1.  Raises
     QuadratureError if node refinement does not confirm the value.
     """
-    if abs(complex(t).imag) > 1e-12:
+    if not abs(complex(t).imag) <= 1e-12:  # NaN fails too
         raise ValueError("Husimi quadrature requires real t")
     t = complex(t).real
     lam_a, lam_b = tau - t, tau + t

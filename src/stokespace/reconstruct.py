@@ -470,8 +470,8 @@ def classicality_check(
     """
     if tol is None:
         tol = 0.02 * pess.peak
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     min_value = pess.min_value
     return ClassicalityReport(
         min_value=min_value,

@@ -8,7 +8,6 @@ from stokespace import (
     Grid3,
     MeasurementDirection,
     PessGrid,
-    StokesVector,
     TwoModeState,
     direction_from_tr,
 )
@@ -68,9 +67,10 @@ def random_low_state(rng: np.random.Generator, cutoff: int, n_max: int) -> TwoMo
     return TwoModeState(cutoff=cutoff, components=((1.0, amp),), leakage=0.0)
 
 
-def stokes_mean(state: TwoModeState) -> StokesVector:
-    """Mean Stokes vector of the input modes (no splitter applied), read off
-    the amplitudes by the ladder operators: independent of the rotation."""
+def stokes_mean(state: TwoModeState) -> tuple[np.ndarray, float]:
+    """(S, S0): the mean Stokes vector of the input modes (no splitter
+    applied) and the mean total photon number, read off the amplitudes by
+    the ladder operators: independent of the rotation."""
     c = state.cutoff
     n = np.arange(c + 1, dtype=float)
     cross_w = np.sqrt(np.outer(n[1:], n[1:]))  # sqrt(n_a (n_b+1)) grid, shifted
@@ -86,9 +86,7 @@ def stokes_mean(state: TwoModeState) -> StokesVector:
         ab = np.sum(np.conj(amp[1:, :-1]) * cross_w * amp[:-1, 1:])
         sx += w * 2.0 * ab.real
         sy += w * 2.0 * ab.imag
-    return StokesVector(
-        S=np.array([sx, sy, na_mean - nb_mean]), S0=na_mean + nb_mean
-    )
+    return np.array([sx, sy, na_mean - nb_mean]), na_mean + nb_mean
 
 
 def gaussian_pess_exact(sigma: float, grid: Grid3) -> PessGrid:

@@ -156,8 +156,7 @@ def vacuum_along_z():
 @pytest.mark.parametrize("build", [
     lambda: direction_to_beamsplitter([NAN, 0, 1]),
     lambda: direction_from_tr(NAN, 0),
-    lambda: MeasurementDirection(e=[NAN, 0, 0], T=NAN, R=0),
-    lambda: MeasurementDirection(e=[NAN, 0, 0], T=1, R=0),
+    lambda: MeasurementDirection(T=NAN, R=0),
     lambda: MgfQuery(Z_AXIS, 0.1, NAN),
     lambda: MgfQuery(Z_AXIS, NAN, 0.1),
     lambda: MgfQuery(Z_AXIS, 0.1, math.inf),
@@ -176,7 +175,7 @@ def vacuum_along_z():
     lambda: MixtureSpec(((NAN, 0.0, 0.0), (1.0, 0.5, 0.0))),
     lambda: CoherentEnsemble(points=[[0, 0], [1, 0]], weights=[NAN, 1.0]),
     lambda: char_fn_criterion(vacuum_along_z(), Z_AXIS, NAN),
-], ids=["axis", "tr", "direction", "direction-e", "query-tau", "query-t", "query-inf",
+], ids=["axis", "tr", "direction", "query-tau", "query-t", "query-inf",
         "from-distribution", "from-distribution-inf", "closed-form", "matrix-spec",
         "k-grid", "tmsv", "nu", "eta", "eps", "splitter-t", "splitter-r",
         "mixture-weight", "ensemble-weight", "char-fn-k"])

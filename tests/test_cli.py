@@ -527,6 +527,82 @@ def test_non_finite_amplitudes_exit_2_before_any_work(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == f"error: {field} must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--t", "nan"],
+    ["surface", "--n-theta", "1"],
+    ["surface", "--tau", "-1"],
+    ["nctest", "--direction", "0,0,0"],
+    ["nctest", "--tau", "-1"],
+    ["nctest", "--t", "nan"],
+    ["nctest", "--k-norm", "nan"],
+    ["clicks", "--direction", "0,0,0"],
+    ["clicks", "--eta-a", "2"],
+    ["clicks", "--apds-a", "0"],
+    ["reconstruct", "--tau", "nan"],
+], ids=["surface-t", "surface-n-theta", "surface-tau", "nctest-direction", "nctest-tau",
+        "nctest-t", "nctest-k-norm", "clicks-direction", "clicks-eta", "clicks-apds",
+        "reconstruct-tau"])
+def test_state_commands_check_their_options_before_the_state(tmp_path, monkeypatch,
+                                                             argv):
+    # each exited 2, but only after make_state had run
+    import stokespace.cli as cli
+
+    calls = []
+    for name in ("auto_cutoff", "make_state"):
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(a))
+    assert main([*argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t2-max", "1.5"],
+    ["--t2-min", "1.0000000001", "--t2-max", "1.0000000001", "--t2-steps", "1"],
+    ["--t2-min", "nan"],
+    ["--t2-min", "-0.25"],
+], ids=["above-one", "just-above-one", "nan", "negative"])
+def test_hom_scan_rejects_a_transmittance_outside_the_unit_interval(
+        tmp_path, monkeypatch, capsys, argv):
+    # 1.5 was blamed on the axis norm, and 1.0000000001 wrote T2 = 1.0000000001
+    import stokespace.cli as cli
+
+    monkeypatch.setattr(cli, "make_state", lambda *a: pytest.fail("state built"))
+    assert main(["hom-scan", *argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
+    assert "|T|^2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--state", HOM, "--direction", "1,0,0"],
+    # a seeded benchmark op: TMSV at cutoff 42, off-axis
+    ["--state", '{"kind": "tmsv", "xi": 0.6883519772529766}', "--cutoff", "42",
+     "--direction=0.79489184133687596,0.14149979974724872,0.59002098881951603",
+     "--t=0.07745752382897915", "--tau=0.10413367825121288",
+     "--t2=0.090996162347555851", "--tau2=0.21306106499516458"],
+], ids=["hom", "tmsv"])
+def test_nctest_reads_its_determinant_off_the_matrix(tmp_path, monkeypatch, argv):
+    # two kernel sums, the matrix and the characteristic function, and the
+    # second_order_det row equals the criterion bit for bit
+    import stokespace.cli as cli
+    import stokespace.nonclassicality as nc
+    from stokespace import joint_photon_distribution, make_state, second_order_det
+
+    sums, original = [], nc.mgf_from_distribution
+    for module in (cli, nc):
+        monkeypatch.setattr(module, "mgf_from_distribution",
+                            lambda *a: sums.append(a) or original(*a))
+    assert main(["nctest", *argv, "--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert len(sums) == 2
+    args = cli._build_parser().parse_args(["nctest", *argv])
+    state, _, _ = cli._build_state(args)
+    d = cli.direction_to_beamsplitter(args.direction)
+    det = second_order_det(joint_photon_distribution(state, d), d, args.t, args.tau,
+                           args.t2, args.tau2)
+    with open(tmp_path / "nctest.csv") as fh:
+        rows = {r["criterion"]: r for r in csv.DictReader(fh)}
+    assert float(rows["second_order_det"]["value"]) == det
+
+
 @pytest.mark.parametrize("tolerance", ["-1", "nan"])
 def test_nctest_rejects_a_bad_tolerance_before_the_state(tmp_path, monkeypatch, capsys,
                                                          tolerance):

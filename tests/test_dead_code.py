@@ -3,9 +3,9 @@ library's ast.
 
 Three rules: no module imports a name it never reads, no module-level
 private name goes unread across the package, and no raise is guarded by
-a bare ordering comparison with a TOL bound.  NaN makes every such
-comparison False, so `if value > TOL.bound: raise` lets NaN through;
-`if not value <= TOL.bound: raise` stops it.
+a bare ordering comparison with a TOL bound or on a parameter annotated
+float.  NaN makes every such comparison False, so `if value > TOL.bound:
+raise` lets NaN through; `if not value <= TOL.bound: raise` stops it.
 """
 
 import ast
@@ -73,17 +73,33 @@ def test_every_private_module_name_is_read_somewhere():
 _ORDERING = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)
 
 
+def _float_parameters(func) -> set[str]:
+    """Parameters of a function whose annotation names float."""
+    args = func.args
+    return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            if a.annotation is not None
+            and any(getattr(n, "id", None) == "float" for n in ast.walk(a.annotation))}
+
+
 def _nan_blind_gates(tree: ast.Module):
     """Line of every if whose body raises and whose test is, or joins with
-    and/or, a bare ordering comparison that reads TOL."""
+    and/or, a bare ordering comparison that reads TOL or a float-annotated
+    parameter of a function around it."""
+    watched = {}  # node -> TOL and the float parameters in scope
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = _float_parameters(func)
+            for node in ast.walk(func):
+                watched.setdefault(node, {"TOL"}).update(names)
     for node in ast.walk(tree):
         if not (isinstance(node, ast.If)
                 and any(isinstance(stmt, ast.Raise) for stmt in node.body)):
             continue
+        names = watched.get(node, {"TOL"})
         tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
         if any(isinstance(test, ast.Compare)
                and any(isinstance(op, _ORDERING) for op in test.ops)
-               and any(getattr(n, "id", None) == "TOL" for n in ast.walk(test))
+               and any(getattr(n, "id", None) in names for n in ast.walk(test))
                for test in tests):
             yield node.lineno
 
@@ -101,6 +117,24 @@ def test_nan_blind_gate_rule_flags_a_bare_comparison():
         "        warn()\n"
     )
     assert list(_nan_blind_gates(tree)) == [2, 4]
+
+
+def test_nan_blind_gate_rule_flags_a_float_parameter():
+    tree = ast.parse(
+        "def check(x: float, y: float | None, n: int):\n"
+        "    if x < 0:\n"                     # line 2: NaN passes
+        "        raise ValueError\n"
+        "    if abs(complex(y).imag) > 1e-12:\n"  # line 4: NaN passes
+        "        raise ValueError\n"
+        "    if not x >= 0:\n"                # NaN fails
+        "        raise ValueError\n"
+        "    if n < 1:\n"                     # an int is never NaN
+        "        raise ValueError\n"
+        "    def inner(z: float):\n"
+        "        if x > z:\n"                 # line 11: both in scope
+        "            raise ValueError\n"
+    )
+    assert list(_nan_blind_gates(tree)) == [2, 4, 11]
 
 
 def test_every_tolerance_gate_fails_on_nan():

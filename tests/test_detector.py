@@ -8,13 +8,13 @@ import pytest
 from stokespace import (
     ClickDetectorConfig,
     ClickDistribution,
+    ClickSampleSet,
     CoherentSpec,
     HomInputSpec,
     MgfQuery,
     NumericalError,
     TruncationWarning,
     VacuumSpec,
-    accessible_region,
     click_distribution,
     click_moment_to_mgf_point,
     clicks_to_json,
@@ -191,37 +191,21 @@ class TestClickMoments:
         assert moments_from_clicks(clicks, 1, 0) == pytest.approx(
             raw * math.exp(0.3), abs=1e-12)
 
+    def test_unit_efficiency_lattice_over_indices(self):
+        # the whole moment lattice in one call, as the clicks command reads it
+        cfg = ClickDetectorConfig(apds=4, eta=1.0)
+        k, l = np.indices((5, 5))
+        t, tau = click_moment_to_mgf_point(k, l, cfg, cfg)
+        assert np.max(np.abs(t - (l - k) / 8.0)) <= 1e-15
+        assert np.max(np.abs(tau - (l + k) / 8.0)) <= 1e-15
+        assert np.all(np.abs(t) <= tau + 1e-15)
+
     def test_lattice_bounds_checked(self):
         cfg = ClickDetectorConfig(apds=2)
         with pytest.raises(ValueError):
             click_moment_to_mgf_point(3, 0, cfg, cfg)
         with pytest.raises(ValueError):
             click_moment_to_mgf_point(0, -1, cfg, cfg)
-
-
-class TestAccessibleRegion:
-    def test_unit_efficiency_lattice(self):
-        cfg = ClickDetectorConfig(apds=4, eta=1.0)
-        region = accessible_region(cfg, cfg)
-        assert len(region.lattice) == 25
-        for k, l, t, tau in region.lattice:
-            assert t == pytest.approx((l - k) / 8.0, abs=1e-15)
-            assert tau == pytest.approx((l + k) / 8.0, abs=1e-15)
-            assert abs(t) <= tau + 1e-15
-        assert region.contains(-0.125, 0.125)  # the (k=1, l=0) moment
-        assert not region.contains(0.06, 0.125)  # off-lattice point
-
-    def test_attenuation_sweep_fills_rectangle(self):
-        cfg_a = ClickDetectorConfig(apds=2, eta=0.8, eps=0.5)
-        cfg_b = ClickDetectorConfig(apds=2, eta=0.6, eps=0.5)
-        region = accessible_region(cfg_a, cfg_b, eps_sweep=True)
-        assert region.u_max == pytest.approx(0.4)
-        assert region.v_max == pytest.approx(0.3)
-        assert region.contains(0.1, 0.3)
-        assert not region.contains(0.0, 0.9)
-        # without the sweep the corners shrink by the attenuation
-        fixed = accessible_region(cfg_a, cfg_b)
-        assert fixed.u_max == pytest.approx(0.2)
 
 
 class TestSampling:
@@ -280,6 +264,14 @@ class TestSampling:
             estimate_mgf_from_samples(samples, 1, 1, ClickDetectorConfig(apds=3), cfg)
 
 
+def test_n_total_is_the_count_sum():
+    clicks = click_distribution(make_state(HomInputSpec(), cutoff=2), D_X,
+                                ClickDetectorConfig(apds=2), ClickDetectorConfig(apds=2))
+    samples = sample_clicks(clicks, 777, seed=5)
+    assert samples.n_total == samples.counts.sum() == 777
+    assert ClickSampleSet(counts=[[1, 2], [3, 4]], seed=0).n_total == 10
+
+
 class TestSerialization:
     def test_clicks_json(self):
         state = make_state(VacuumSpec(), cutoff=2)
@@ -296,6 +288,6 @@ class TestSerialization:
         clicks = click_distribution(state, D_X, cfg, cfg)
         samples = sample_clicks(clicks, 1000, seed=3)
         obj = samples_to_json(samples)
-        assert obj["n_total"] == 1000
+        assert obj["n_total"] == 1000 and isinstance(obj["n_total"], int)
         assert obj["seed"] == 3
         assert int(np.sum(obj["counts"])) == 1000

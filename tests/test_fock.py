@@ -16,7 +16,6 @@ from stokespace import (
     auto_cutoff,
     beam_splitter,
     coherent_amplitudes,
-    coherent_stokes,
     direction_from_tr,
     direction_to_beamsplitter,
     distribution_factorial_moment,
@@ -26,8 +25,9 @@ from stokespace import (
     power_expectation,
     spec_from_json,
     spec_to_json,
+    stokes_points,
 )
-from stokespace.fock import _poisson_tails
+from stokespace.fock import MeasurementDirection, _poisson_tails, _splitters
 from conftest import (
     random_direction,
     random_low_state,
@@ -133,9 +133,9 @@ class TestPhotonStatistics:
         for _ in range(3):
             d = random_direction(rng)
             dist = joint_photon_distribution(state, d)
-            sv = coherent_stokes(alpha, beta)
-            mean_a = 0.5 * (sv.S0 + float(d.e @ sv.S))
-            mean_b = 0.5 * (sv.S0 - float(d.e @ sv.S))
+            S, S0 = stokes_points([alpha, beta])[0], abs(alpha) ** 2 + abs(beta) ** 2
+            mean_a = 0.5 * (S0 + float(d.e @ S))
+            mean_b = 0.5 * (S0 - float(d.e @ S))
             n = np.arange(26)
             pois_a = np.exp(-mean_a + n * np.log(mean_a) - [math.lgamma(i + 1) for i in n])
             pois_b = np.exp(-mean_b + n * np.log(mean_b) - [math.lgamma(i + 1) for i in n])
@@ -193,6 +193,26 @@ class TestDirections:
             d = direction_to_beamsplitter(v)
             assert np.max(np.abs(d.e - v)) < 1e-12
 
+    def test_the_axis_is_the_one_row_splitter_map_bit_for_bit(self, rng):
+        # MeasurementDirection derives e from (T, R); the e columns of mgf.csv
+        # and nctest.csv and the axis in clicks.json read it, so it must be
+        # the axis that _splitters maps the same row to
+        v = rng.normal(size=(2000, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        equator = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
+        for e in np.vstack([v, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], equator]):
+            assert np.array_equal(direction_to_beamsplitter(e).e, _splitters(e)[0][0])
+
+    def test_the_axis_is_derived_not_given(self):
+        d = MeasurementDirection(0.6, 0.8j)
+        # e = (2 Re T R*, 2 Im T R*, |T|^2 - |R|^2)
+        assert np.max(np.abs(d.e - (0.0, -0.96, -0.28))) <= 1e-15
+        with pytest.raises(TypeError):
+            MeasurementDirection(0.6, 0.8j, e=(0.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            MeasurementDirection(0.6, 0.6)
+
     def test_slightly_off_unit_is_renormalized(self):
         d = direction_to_beamsplitter([1.0 + 5e-10, 0.0, 0.0])
         assert abs(np.linalg.norm(d.e) - 1.0) < 1e-15
@@ -218,27 +238,27 @@ class TestDirections:
 
 class TestStokesMean:
     def test_coherent(self):
-        sv = stokes_mean(make_state(CoherentSpec(0.7 + 0.2j, -0.3 + 0.5j), cutoff=20))
-        ref = coherent_stokes(0.7 + 0.2j, -0.3 + 0.5j)
-        assert np.max(np.abs(sv.S - ref.S)) < 1e-10
-        assert abs(sv.S0 - ref.S0) < 1e-10
+        alpha, beta = 0.7 + 0.2j, -0.3 + 0.5j
+        S, S0 = stokes_mean(make_state(CoherentSpec(alpha, beta), cutoff=20))
+        assert np.max(np.abs(S - stokes_points([alpha, beta])[0])) < 1e-10
+        assert abs(S0 - (abs(alpha) ** 2 + abs(beta) ** 2)) < 1e-10
 
     def test_hom_and_tmsv_are_unpolarized(self):
         for spec, s0 in ((HomInputSpec(), 2.0), (TmsvSpec(0.5), 2 * math.sinh(0.5) ** 2)):
-            sv = stokes_mean(make_state(spec, cutoff=40))
-            assert np.max(np.abs(sv.S)) < 1e-10
-            assert abs(sv.S0 - s0) < 1e-9
+            S, S0 = stokes_mean(make_state(spec, cutoff=40))
+            assert np.max(np.abs(S)) < 1e-10
+            assert abs(S0 - s0) < 1e-9
 
     def test_consistent_with_distribution_means(self, rng):
         state = random_low_state(rng, cutoff=6, n_max=6)
-        sv = stokes_mean(state)
+        S, S0 = stokes_mean(state)
         for _ in range(4):
             d = random_direction(rng)
             dist = joint_photon_distribution(state, d)
             f10 = distribution_factorial_moment(dist, 1, 0)
             f01 = distribution_factorial_moment(dist, 0, 1)
-            assert abs((f10 - f01) - float(d.e @ sv.S)) < 1e-11
-            assert abs((f10 + f01) - sv.S0) < 1e-11
+            assert abs((f10 - f01) - float(d.e @ S)) < 1e-11
+            assert abs((f10 + f01) - S0) < 1e-11
 
 
 class TestSpecs:
@@ -313,6 +333,12 @@ class TestSpecs:
         for alpha in np.linspace(0.0, 12.0, 241):
             for beta in (0.0, 0.5, 3.0):
                 assert auto_cutoff(CoherentSpec(alpha, beta)) == reference(alpha, beta)
+
+    @pytest.mark.parametrize("bound", [math.nan, -1.0, 0.0])
+    def test_auto_cutoff_rejects_a_bound_that_is_not_positive(self, bound):
+        # NaN and -1 returned the cap, 512, without a word
+        with pytest.raises(ValueError, match="leakage bound must be > 0"):
+            auto_cutoff(CoherentSpec(1.0, 0.5), bound)
 
     def test_poisson_tail_matches_regularized_gamma(self):
         c = np.arange(601)

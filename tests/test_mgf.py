@@ -21,7 +21,6 @@ from stokespace import (
     auto_cutoff,
     beam_splitter,
     coherent_amplitudes,
-    coherent_stokes,
     direction_to_beamsplitter,
     find_node,
     husimi_q,

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from stokespace import (
     NumericalError,
     VacuumSpec,
     classicality_check,
-    coherent_stokes,
     default_tau,
     dual_grid,
     ensemble_from_json,
@@ -100,7 +100,10 @@ class TestEnsembles:
         pairs = np.array([[0.8 + 0.1j, -0.3j], [1.0, 0.5]], dtype=complex)
         svec = stokes_points(pairs)
         for row, (a, b) in zip(svec, pairs):
-            assert np.max(np.abs(row - coherent_stokes(a, b).S)) < 1e-14
+            a, b = complex(a), complex(b)
+            cross = a.conjugate() * b
+            ref = (2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2)
+            assert np.max(np.abs(row - ref)) < 1e-14
 
 
 class TestMgfGrid:
@@ -345,6 +348,16 @@ class TestOracleAndReports:
         assert classicality_check(pess).min_value == pytest.approx(-0.005)
         with pytest.raises(ValueError):
             classicality_check(pess, tol=-1.0)
+
+    def test_classicality_check_rejects_a_nan_tolerance(self):
+        # tol < 0 let NaN through, and an all-positive grid read not classical
+        from stokespace import PessGrid
+
+        g = Grid3.cube(1.0, 8)
+        pess = PessGrid(grid=g, values=np.full(g.ns, 0.5), tau_used=0.0, window="none",
+                        label="test")
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            classicality_check(pess, tol=math.nan)
 
     def test_l1_distance_requires_matching_grids(self):
         a = gaussian_pess_exact(1.0, Grid3.cube(4.0, 8))
