@@ -35,7 +35,7 @@ from .fock import (
     spec_from_json,
     spec_to_json,
 )
-from .mgf import _check_points, mgf_from_distribution, sphere_grid, surface_map
+from .mgf import _check_points, _kernels, mgf_from_distribution, sphere_grid, surface_map
 from .nonclassicality import (
     MgfMatrixSpec,
     _moment_det,
@@ -215,7 +215,7 @@ def cmd_hom_scan(args) -> int:
     state = make_state(HomInputSpec(), args.cutoff if args.cutoff is not None else 4)
     # second_order_det(t, 0, 0, 0) on every axis: M(2t; 0), M(0; 0), M(t; 0)
     t, n = np.r_[2.0 * ts, 0.0, ts], ts.size
-    m = _kernel_sums(state, T, R, 1.0 + t, 1.0 - t)
+    m = _kernel_sums(state, T, R, *_kernels(t, 0.0))
     dets = _moment_det(m[:, :n], m[:, n, None], m[:, n + 1 :])
     table = np.column_stack([np.repeat(t2_grid, n), np.tile(ts, len(t2_grid)), dets.ravel()])
     print(_table(args, "hom_scan.csv", ["T2", "t", "determinant"], table))
@@ -295,18 +295,18 @@ def cmd_clicks(args) -> int:
     dist = joint_photon_distribution(state, d)
     clicks = click_distribution(dist, d, cfg_a, cfg_b)
     i, j = np.indices(clicks.c.shape)
-    _table(args, "clicks.csv", ["i", "j", "probability"],
-           np.column_stack([i.ravel(), j.ravel(), clicks.c.ravel()]))
-
     samples = sample_clicks(clicks, args.samples, args.seed) if args.samples else None
     k, l = i.ravel(), j.ravel()
     t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
+    # every number is computed before the first file is written
     mu = moments_from_clicks(clicks, k, l)
     direct = mgf_from_distribution(dist, t, tau).real
     if samples is not None:
         est, err = estimate_mgf_from_samples(samples, k, l, cfg_a, cfg_b)
     else:
         est = err = ("",) * k.size
+    _table(args, "clicks.csv", ["i", "j", "probability"],
+           np.column_stack([k, l, clicks.c.ravel()]))
     _table(args, "moments.csv",
            ["k", "l", "t", "tau", "mu", "mgf", "estimate", "std_error"],
            list(zip(k, l, t, tau, mu, direct, est, err)))

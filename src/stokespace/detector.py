@@ -35,13 +35,13 @@ class ClickDetectorConfig:
     eps: float = 1.0
 
     def __post_init__(self):
-        if int(self.apds) != self.apds or self.apds < 1:
+        if not (1 <= self.apds < math.inf and int(self.apds) == self.apds):  # NaN fails
             raise ValueError("apds must be a positive integer")
         object.__setattr__(self, "apds", int(self.apds))
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if not self.nu >= 0.0:  # NaN fails too, as it does the ranges
-            raise ValueError("nu must be >= 0")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("nu must be finite and >= 0")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
 
@@ -137,6 +137,15 @@ def _moment_orders(
     return k, l
 
 
+def _dark_corrected(moments, k, l, cfg_a: ClickDetectorConfig, cfg_b: ClickDetectorConfig):
+    """moments * exp(k nu_a + l nu_b); NumericalError where one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = moments * np.exp(k * cfg_a.nu + l * cfg_b.nu)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("a dark-corrected moment is not finite: exp(k nu) overflows")
+    return out
+
+
 def moments_from_clicks(
     clicks: ClickDistribution, k, l
 ) -> float | np.ndarray:
@@ -151,7 +160,7 @@ def moments_from_clicks(
     cfg_a, cfg_b = clicks.config_a, clicks.config_b
     k, l = _moment_orders(k, l, cfg_a, cfg_b)
     table = _moment_weights(cfg_a.apds).T @ clicks.c @ _moment_weights(cfg_b.apds)
-    return table[k, l] * np.exp(k * cfg_a.nu + l * cfg_b.nu)
+    return _dark_corrected(table[k, l], k, l, cfg_a, cfg_b)
 
 
 def click_moment_to_mgf_point(
@@ -229,8 +238,8 @@ def estimate_mgf_from_samples(
         var = np.maximum(square - n * mean**2, 0.0) / (n - 1)
     else:
         var = np.zeros_like(mean)
-    scale = np.exp(k * config_a.nu + l * config_b.nu)
-    return mean * scale, np.sqrt(var / n) * scale
+    return tuple(_dark_corrected(np.array([mean, np.sqrt(var / n)]), k, l,
+                                 config_a, config_b))
 
 
 def _config_to_json(cfg: ClickDetectorConfig) -> dict:

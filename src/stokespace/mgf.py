@@ -49,6 +49,13 @@ def _check_points(t, tau) -> None:
         raise ValueError("t must be finite and tau finite and >= 0")
 
 
+def _kernels(t, tau) -> tuple:
+    """The kernels (1 + t - tau, 1 - t - tau) of M at checked, broadcast points."""
+    _check_points(t, tau)
+    t, tau = np.asarray(t), np.asarray(tau, dtype=float)
+    return 1.0 + t - tau, 1.0 - t - tau
+
+
 @dataclass(frozen=True)
 class MgfQuery:
     """One evaluation point: axis, finite complex t, finite damping tau >= 0."""
@@ -62,18 +69,10 @@ class MgfQuery:
         object.__setattr__(self, "tau", float(self.tau))
         _check_points(self.t, self.tau)
 
-    @property
-    def z_a(self) -> complex:
-        return 1.0 + self.t - self.tau
-
-    @property
-    def z_b(self) -> complex:
-        return 1.0 - self.t - self.tau
-
 
 def mgf(state: TwoModeState, query: MgfQuery) -> complex:
     """Evaluate M through the truncated Fock pipeline."""
-    return power_expectation(state, query.direction, query.z_a, query.z_b)
+    return power_expectation(state, query.direction, *_kernels(query.t, query.tau))
 
 
 def mgf_from_distribution(
@@ -87,9 +86,7 @@ def mgf_from_distribution(
     the rules of fock._check_kernels: existence (one warning) and overflow
     (NumericalError), as on the streamed route.
     """
-    t, tau = np.asarray(t), np.asarray(tau, dtype=float)
-    _check_points(t, tau)
-    z_a, z_b = 1.0 + t - tau, 1.0 - t - tau
+    z_a, z_b = _kernels(t, tau)
     _check_kernels(dist.leakage, dist.cutoff // 2, z_a, z_b)
     value = _power_sum(dist.p, z_a, z_b)
     return complex(value) if np.ndim(value) == 0 else value
@@ -177,9 +174,7 @@ def surface_map(
     the axis.
     """
     axes, T, R = _splitters(axes)
-    t, tau = complex(t), float(tau)
-    _check_points(t, tau)
-    values = _kernel_sums(state, T, R, *np.array([[1.0 + t - tau], [1.0 - t - tau]]))[:, 0]
+    values = _kernel_sums(state, T, R, *_kernels([complex(t)], float(tau)))[:, 0]
     samples = []
     for e, value in zip(axes, values):
         value = complex(value)
@@ -289,40 +284,31 @@ def find_node(
     tau: float,
     t_interval: tuple[float, float],
 ) -> float | None:
-    """First sign-change root of t -> M(t e; tau) on a real interval.
+    """First sign-change root of t -> M(t e; tau) on a finite real interval.
 
-    Pre-scans a uniform grid (TOL.node_scan_points points) and bisects
-    the first bracket whose ends differ in sign until it is no wider than
-    TOL.node_xtol; its midpoint is returned.  Returns None when M does
-    not change sign on the grid.  The pre-scan holds both ends of the
-    interval, so its one existence warning covers every later point.
-    """
+    Scans TOL.node_scan_points points in one kernel sum, then rescans the first
+    bracket with a sign change until it is at most TOL.node_xtol wide or holds
+    no double.  Returns its midpoint, an exact zero at a scan point, or None if
+    the first scan finds no sign change; that scan holds both ends, so its one
+    existence warning covers every later point."""
     a, b = float(t_interval[0]), float(t_interval[1])
+    _check_points((a, b), tau)
     if not b > a:
         raise ValueError("t_interval must satisfy t_min < t_max")
     dist = joint_photon_distribution(state, direction)
     ts = np.linspace(a, b, TOL.node_scan_points)
     vals = mgf_from_distribution(dist, ts, tau).real
-
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0:
-            return float(ts[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            lo, hi, negative = float(ts[i]), float(ts[i + 1]), vals[i] < 0.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConvergenceWarning)
-                while hi - lo > TOL.node_xtol:
-                    mid = 0.5 * (lo + hi)
-                    if mid in (lo, hi):  # no double left between the ends
-                        break
-                    val = mgf_from_distribution(dist, mid, tau).real
-                    if val == 0.0:
-                        return mid
-                    if (val < 0.0) == negative:
-                        lo = mid
-                    else:
-                        hi = mid
-            return 0.5 * (lo + hi)
-    if vals[-1] == 0.0:
-        return float(ts[-1])
-    return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        while True:
+            hit = (vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)
+            if not hit.any():  # only on the first scan: a rescan repeats its ends
+                return None
+            i = int(np.argmax(hit))
+            if vals[i] == 0.0:
+                return float(ts[i])
+            lo, hi = ts[i], ts[i + 1]
+            if hi - lo <= TOL.node_xtol or np.nextafter(lo, hi) == hi:
+                return float(0.5 * (lo + hi))
+            ts = np.linspace(lo, hi, TOL.node_scan_points)
+            vals = mgf_from_distribution(dist, ts, tau).real

@@ -31,7 +31,7 @@ from .fock import (
     _splitters,
     stokes_points,
 )
-from .mgf import _check_points
+from .mgf import _check_points, _kernels
 
 _WINDOWS = ("raised-cosine", "none")
 # complex entries of one point chunk's phase table in _kernel_from_points (32 MB)
@@ -263,8 +263,8 @@ def _state_grid_values(
     norms = np.linalg.norm(k_flat[todo], axis=1)
     axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
-    z_a, z_b = 1.0 + 1j * norms - tau, 1.0 - 1j * norms - tau
-    vals = _kernel_sums(state, *_splitters(axes)[1:], z_a[:, None], z_b[:, None])[:, 0]
+    z_a, z_b = _kernels(1j * norms[:, None], tau)
+    vals = _kernel_sums(state, *_splitters(axes)[1:], z_a, z_b)[:, 0]
     flat = np.empty(n, dtype=complex)
     flat[mirror[todo]] = np.conj(vals)
     flat[todo] = vals  # points that are their own mirror keep M, not M*

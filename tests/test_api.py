@@ -3,6 +3,7 @@ and the input and output gates that NaN must fail."""
 
 import importlib
 import importlib.util
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -14,16 +15,19 @@ import stokespace
 from stokespace import (
     ClickDetectorConfig,
     ClickDistribution,
+    ClickSampleSet,
     CoherentEnsemble,
     CoherentSpec,
     ConvergenceWarning,
     Grid3,
+    HomInputSpec,
     JointPhotonDistribution,
     MeasurementDirection,
     MgfMatrixSpec,
     MgfQuery,
     MixtureSpec,
     NumericalError,
+    PessGrid,
     QuadratureError,
     TmsvSpec,
     TruncationWarning,
@@ -48,6 +52,8 @@ from stokespace import (
     mgf_via_husimi_quadrature,
     sample_clicks,
     second_order_det,
+    spec_from_json,
+    spec_to_json,
     sphere_grid,
     surface_map,
 )
@@ -70,6 +76,19 @@ def test_every_traced_layer_is_a_callable():
         mod = importlib.import_module(f"stokespace.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+    # it also reads these arguments by position, or by name if passed so
+    for module, name, index, param in [
+        ("fock", "make_state", 1, "cutoff"),
+        ("fock", "joint_photon_distribution", 0, "state"),
+        ("fock", "joint_photon_distribution", 1, "direction"),
+        ("reconstruct", "mgf_imaginary_grid", 1, "k_grid"),
+        ("cli", "_write_csv", 0, "path"),
+        ("cli", "_write_csv", 2, "rows"),
+        ("cli", "_write_json", 0, "path"),
+    ]:
+        fn = getattr(importlib.import_module(f"stokespace.{module}"), name)
+        params = list(inspect.signature(fn).parameters)
+        assert params[index : index + 1] == [param], f"{module}.{name} {params}"
 
 
 def _leaky_state():
@@ -175,10 +194,38 @@ def vacuum_along_z():
     lambda: MixtureSpec(((NAN, 0.0, 0.0), (1.0, 0.5, 0.0))),
     lambda: CoherentEnsemble(points=[[0, 0], [1, 0]], weights=[NAN, 1.0]),
     lambda: char_fn_criterion(vacuum_along_z(), Z_AXIS, NAN),
+    lambda: ClickDetectorConfig(apds=math.inf),
+    lambda: ClickDetectorConfig(apds=NAN),
+    lambda: ClickDetectorConfig(nu=math.inf),
+    # the other input gates, each a ValueError
+    lambda: TwoModeState(-1, ()),
+    lambda: TwoModeState(1, ((1.0, np.zeros((3, 3))),)),
+    lambda: TwoModeState(1, ((-1.0, np.zeros((2, 2))),)),
+    lambda: TwoModeState(1, (), leakage=2.0),
+    lambda: spec_from_json("[]"),
+    lambda: spec_to_json(object()),
+    lambda: make_state(HomInputSpec(), 0),
+    lambda: MixtureSpec(()),
+    lambda: sample_clicks(_clicks(), 0, 0),
+    lambda: ClickSampleSet(np.zeros(3), 0),
+    lambda: Grid3((-1, -1), (1, 1), (8, 8)),
+    lambda: PessGrid(Grid3.cube(1.0, 8), np.zeros((8, 8)), 0.1, "none", ""),
+    lambda: CoherentEnsemble(points=np.zeros((2, 3))),
+    lambda: CoherentEnsemble(points=[[0, 0], [1, 0]], weights=[1.0]),
+    lambda: CoherentEnsemble(weights=[1.0], char_kernel=lambda k, tau: 1.0),
+    lambda: gaussian_ensemble(0.0),
+    lambda: mgf_closed_form(object(), Z_AXIS, 0.1, 0.2),
+    lambda: mgf_via_husimi_quadrature(make_state(VacuumSpec(), 2), Z_AXIS, 0.1j, 0.5),
+    lambda: JointPhotonDistribution(np.zeros((2, 3)), Z_AXIS),
 ], ids=["axis", "tr", "direction", "query-tau", "query-t", "query-inf",
         "from-distribution", "from-distribution-inf", "closed-form", "matrix-spec",
         "k-grid", "tmsv", "nu", "eta", "eps", "splitter-t", "splitter-r",
-        "mixture-weight", "ensemble-weight", "char-fn-k"])
+        "mixture-weight", "ensemble-weight", "char-fn-k", "apds-inf", "apds-nan",
+        "nu-inf", "state-cutoff", "state-shape", "state-weight", "state-leakage",
+        "spec-json-list", "spec-to-json", "hom-cutoff", "mixture-empty", "sample-count",
+        "sample-counts-1d", "grid-two-axes", "pess-shape", "ensemble-points-shape",
+        "ensemble-weight-count", "ensemble-weights-alone", "sigma-zero",
+        "closed-form-spec", "husimi-complex-t", "distribution-not-square"])
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -215,6 +215,14 @@ def test_clicks_rejects_negative_samples_before_writing(tmp_path):
     assert not (tmp_path / "clicks.csv").exists()
 
 
+def test_clicks_exits_3_on_a_dark_correction_that_overflows(tmp_path, capsys):
+    # exp(4 nu_a) overflows a double: no NaN rows, no file, no numpy warning
+    assert main(["clicks", "--state", HOM, "--out", str(tmp_path), "--nu-a", "800",
+                 "--no-timestamp"]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: a dark-corrected moment")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nctest_battery(tmp_path, monkeypatch):
     import stokespace.cli as cli
 
@@ -539,9 +547,10 @@ def test_non_finite_amplitudes_exit_2_before_any_work(tmp_path, monkeypatch, cap
     ["clicks", "--eta-a", "2"],
     ["clicks", "--apds-a", "0"],
     ["reconstruct", "--tau", "nan"],
+    ["clicks", "--state", HOM, "--nu-a", "inf"],
 ], ids=["surface-t", "surface-n-theta", "surface-tau", "nctest-direction", "nctest-tau",
         "nctest-t", "nctest-k-norm", "clicks-direction", "clicks-eta", "clicks-apds",
-        "reconstruct-tau"])
+        "reconstruct-tau", "clicks-nu-inf"])
 def test_state_commands_check_their_options_before_the_state(tmp_path, monkeypatch,
                                                              argv):
     # each exited 2, but only after make_state had run

@@ -191,6 +191,18 @@ class TestClickMoments:
         assert moments_from_clicks(clicks, 1, 0) == pytest.approx(
             raw * math.exp(0.3), abs=1e-12)
 
+    def test_dark_correction_that_overflows_raises(self):
+        # exp(k nu) overflows at k >= 1, where the raw moment is 0: 0 * inf
+        state = make_state(VacuumSpec(), cutoff=2)
+        cfg = ClickDetectorConfig(apds=2, nu=800.0)
+        clicks = click_distribution(state, D_Z, cfg, ClickDetectorConfig())
+        samples = sample_clicks(clicks, 100, seed=1)
+        assert moments_from_clicks(clicks, 0, 0) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericalError, match="dark-corrected moment is not finite"):
+            moments_from_clicks(clicks, [0, 1], 0)
+        with pytest.raises(NumericalError, match="dark-corrected moment is not finite"):
+            estimate_mgf_from_samples(samples, [0, 1], 0, cfg, ClickDetectorConfig())
+
     def test_unit_efficiency_lattice_over_indices(self):
         # the whole moment lattice in one call, as the clicks command reads it
         cfg = ClickDetectorConfig(apds=4, eta=1.0)

@@ -183,10 +183,10 @@ class TestMgfStructure:
                                                                  match="not finite"):
                 call()
 
-    def test_query_coordinates(self, rng):
-        q = MgfQuery(random_direction(rng), 0.2 + 0.1j, 0.5)
-        assert q.z_a == pytest.approx(0.7 + 0.1j)
-        assert q.z_b == pytest.approx(0.3 - 0.1j)
+    def test_query_coordinates(self):
+        z_a, z_b = sys.modules["stokespace.mgf"]._kernels(0.2 + 0.1j, 0.5)
+        assert z_a == pytest.approx(0.7 + 0.1j)
+        assert z_b == pytest.approx(0.3 - 0.1j)
 
 
 def char_fn(state, k):
@@ -395,3 +395,42 @@ class TestFindNode:
         d = direction_to_beamsplitter([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             find_node(state, d, tau=0.0, t_interval=(1.0, 1.0))
+
+    @pytest.mark.parametrize("tau, interval", [
+        (0.2, (0.0, math.inf)),
+        (0.2, (math.nan, 1.0)),
+        (-0.1, (0.0, 1.0)),
+        (math.nan, (0.0, 1.0)),
+    ], ids=["infinite-end", "nan-end", "negative-tau", "nan-tau"])
+    def test_bad_input_is_rejected_before_the_distribution(self, monkeypatch, tau,
+                                                           interval):
+        calls = []
+        monkeypatch.setattr(sys.modules["stokespace.mgf"], "joint_photon_distribution",
+                            lambda *a: calls.append(a))
+        state = make_state(HomInputSpec(), cutoff=3)
+        d = direction_to_beamsplitter([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            find_node(state, d, tau, interval)
+        assert calls == []
+
+    def test_scan_and_narrow_takes_at_most_six_kernel_sums(self, monkeypatch):
+        mgf_module = sys.modules["stokespace.mgf"]
+        calls = []
+        inner = mgf_module.mgf_from_distribution
+        monkeypatch.setattr(mgf_module, "mgf_from_distribution",
+                            lambda *a: calls.append(a) or inner(*a))
+        state = make_state(HomInputSpec(), cutoff=3)
+        d = direction_to_beamsplitter([0.0, 0.0, 1.0])
+        # M = (1 - tau)^2 - t^2 along z: the first node is at t = -0.7
+        node = find_node(state, d, tau=0.3, t_interval=(-3.0, 3.0))
+        assert node == pytest.approx(-0.7, abs=TOL.node_xtol)
+        assert 1 <= len(calls) <= 6
+
+    def test_an_exact_zero_at_a_scan_point_is_that_point(self):
+        state = make_state(HomInputSpec(), cutoff=3)
+        d = direction_to_beamsplitter([0.0, 0.0, 1.0])
+        # M = 1 - t^2 along z is exactly 0 at t = 1, scan point 256 here
+        t_max = (TOL.node_scan_points - 1) / 256
+        assert np.linspace(0.0, t_max, TOL.node_scan_points)[256] == 1.0
+        assert mgf_from_distribution(joint_photon_distribution(state, d), 1.0, 0.0) == 0.0
+        assert find_node(state, d, tau=0.0, t_interval=(0.0, t_max)) == 1.0
