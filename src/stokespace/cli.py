@@ -87,6 +87,13 @@ def _steps(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """An RNG seed: the Philox key takes 0 <= seed < 2**128."""
+    if not 0 <= int(text) < 2**128:
+        raise argparse.ArgumentTypeError(f"need 0 <= seed < 2**128, got {text}")
+    return int(text)
+
+
 def _json_object(text: str):
     """An inline JSON object, or the path of a file holding one."""
     text = text.strip()
@@ -393,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     state.add_argument("--state", type=_json_object,
                        help="state spec: JSON file path or inline JSON object")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="RNG seed")
+    seed.add_argument("--seed", type=_seed, default=0, help="RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="stokespace",

@@ -52,9 +52,12 @@ class VacuumSpec:
 
 
 def _check_finite(fields: dict) -> None:
-    """The finite-amplitude rule, which NaN fails: ValueError names the field."""
+    """The finite-amplitude rule, which NaN fails: each amplitude z, and so its
+    intensity |z|^2, must be finite.  ValueError names the field."""
     for name, value in fields.items():
-        if not np.all(np.isfinite(np.asarray(value, dtype=complex))):
+        with np.errstate(over="ignore"):
+            intensity = np.abs(np.asarray(value, dtype=complex)) ** 2
+        if not np.all(np.isfinite(intensity)):
             raise ValueError(f"{name} must be finite")
 
 

@@ -143,11 +143,13 @@ class SurfaceSample:
 
     e: np.ndarray
     value: complex
-    mapped: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "e", np.asarray(self.e, dtype=float).reshape(3))
-        object.__setattr__(self, "mapped", np.asarray(self.mapped).reshape(3))
+
+    @property
+    def mapped(self) -> np.ndarray:
+        return self.value * self.e
 
 
 def sphere_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -180,7 +182,7 @@ def surface_map(
         value = complex(value)
         if abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)):
             value = value.real
-        samples.append(SurfaceSample(e=e, value=value, mapped=value * e))
+        samples.append(SurfaceSample(e=e, value=value))
     return samples
 
 

@@ -54,9 +54,12 @@ class CriterionReport:
     """Outcome of one nonclassicality test."""
 
     value: float
-    verdict: str
     tolerance: float
     witness: np.ndarray | None = None
+
+    @property
+    def verdict(self) -> str:
+        return _verdict(self.value, self.tolerance)
 
 
 def _tolerance(tolerance: float) -> float:
@@ -95,18 +98,14 @@ def matrix_verdict(
     The witness is the eigenvector of the smallest eigenvalue; classical
     states keep all eigenvalues >= -tolerance.
     """
+    _tolerance(tolerance)
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     if not np.max(np.abs(matrix - matrix.conj().T)) <= TOL.matrix_hermiticity:
         raise ValueError("matrix is not Hermitian within 1e-8")
     w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
-    return CriterionReport(
-        value=float(w[0]),
-        verdict=_verdict(float(w[0]), tolerance),
-        tolerance=tolerance,
-        witness=v[:, 0],
-    )
+    return CriterionReport(value=float(w[0]), tolerance=tolerance, witness=v[:, 0])
 
 
 def second_order_det(
@@ -158,9 +157,7 @@ def char_fn_criterion(
     dist = _distribution_along(source, direction)
     phi = mgf_from_distribution(dist, 1j * k_norm, 0.0) if k_norm != 0.0 else 1.0
     value = 1.0 - abs(phi)
-    return CriterionReport(
-        value=value, verdict=_verdict(value, tolerance), tolerance=tolerance
-    )
+    return CriterionReport(value=value, tolerance=tolerance)
 
 
 class VarianceReport(NamedTuple):

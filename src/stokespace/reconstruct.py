@@ -7,9 +7,9 @@ essential phase-space density P(S) via
 
 discretized with an FFT on matched grids.  Data can come from a full
 two-mode state (one measurement rotation per k direction), from an
-explicit ensemble of coherent-state pairs, or from an analytic
-characteristic kernel when one is known.  An ensemble's sampler feeds
-only the Monte-Carlo histogram oracle.
+explicit point list of coherent-state pairs, or from the closed form of
+a Gaussian ensemble.  Each ensemble also draws pairs for the
+Monte-Carlo histogram oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,9 @@ class Grid3:
                 raise ValueError("axis max must exceed min")
             if n < 8 or n % 2:
                 raise ValueError("each axis needs an even point count >= 8")
+        # default_tau and the inversion square the extent: |S|^2 must stay finite
+        if not np.isfinite(sum(max(lo * lo, hi * hi) for lo, hi in zip(mins, maxs))):
+            raise ValueError(f"grid extent {mins} to {maxs} overflows |S|^2")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "ns", ns)
@@ -124,38 +127,81 @@ class PessGrid:
 
 @dataclass(frozen=True)
 class CoherentEnsemble:
-    """Classical ensemble of coherent pairs (alpha, beta).
+    """Classical ensemble of coherent pairs (alpha, beta): an (m, 2) point
+    list, equally weighted unless weights are given."""
 
-    Provide at least one of: explicit points (optionally weighted), a
-    sampler(rng, n) -> (n, 2) complex array, or an analytic kernel
-    char_kernel(k_points, tau) -> E[exp(i k.S - tau |S|)].  The k grid
-    reads the kernel or the points; only pess_mc_oracle reads the sampler.
-    """
-
-    points: np.ndarray | None = None
+    points: np.ndarray
     weights: np.ndarray | None = None
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    char_kernel: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.points is None and self.sampler is None and self.char_kernel is None:
-            raise ValueError("ensemble needs points, a sampler, or a kernel")
-        if self.points is not None:
-            pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValueError("points must have shape (m, 2)")
-            _check_finite({"ensemble points": pts})
-            object.__setattr__(self, "points", pts)
-            if self.weights is not None:
-                w = _mixture_weights(self.weights)
-                if w.shape != (pts.shape[0],):
-                    raise ValueError("weights must match the number of points")
-                object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
-            raise ValueError("weights require explicit points")
+        pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must have shape (m, 2)")
+        _check_finite({"ensemble points": pts})
+        object.__setattr__(self, "points", pts)
+        if self.weights is not None:
+            w = _mixture_weights(self.weights)
+            if w.shape != (pts.shape[0],):
+                raise ValueError("weights must match the number of points")
+            object.__setattr__(self, "weights", w)
+
+    def kernel(self, k_grid: Grid3, tau: float) -> np.ndarray:
+        return _kernel_from_points(k_grid.axes(), self.points, self.weights, tau)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        idx = rng.choice(self.points.shape[0], size=n, p=self.weights)
+        return self.points[idx]
 
 
-def ensemble_from_json(obj: dict) -> CoherentEnsemble:
+@dataclass(frozen=True)
+class _GaussianEnsemble:
+    """The three numbers of gaussian_ensemble.  The kernel squares sigma^2,
+    so the finite-amplitude rule reads sigma^2 beside the two means."""
+
+    sigma: float
+    mean_alpha: complex
+    mean_beta: complex
+
+    def __post_init__(self):
+        _check_finite({"sigma": self.sigma * self.sigma, "mean_alpha": self.mean_alpha,
+                       "mean_beta": self.mean_beta})
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+
+    def kernel(self, k_grid: Grid3, tau: float) -> np.ndarray:
+        """E exp(i k.S - tau |S|) in closed form.  Since k.S and |S| are
+        quadratic forms in (alpha, beta), the Gaussian expectation reduces
+        to a 2x2 determinant and a noncentral exponent,
+
+            exp[(i k.S0 - (sigma^2 k^2 + tau (1 + sigma^2 tau)) I0) / d] / d,
+
+        with d = (1 + sigma^2 tau)^2 + sigma^4 k^2, S0 the Stokes vector of
+        the means and I0 their total intensity.  The Stokes support is
+        unbounded, so the expectation needs tau > 0.
+        """
+        if tau == 0:
+            raise ValueError("tau must be > 0 for ensembles with unbounded support")
+        sigma = self.sigma
+        mu = np.array([self.mean_alpha, self.mean_beta], dtype=complex)
+        s0 = stokes_points(mu[None, :])[0]
+        i0 = float(np.abs(mu[0]) ** 2 + np.abs(mu[1]) ** 2)
+        k_points = np.stack(np.meshgrid(*k_grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        k2 = np.sum(k_points**2, axis=1)
+        det = (1.0 + sigma**2 * tau) ** 2 + sigma**4 * k2
+        top = 1j * (k_points @ s0) - (
+            sigma**2 * k2 + tau * (1.0 + sigma**2 * tau)
+        ) * i0
+        return (np.exp(top / det) / det).reshape(k_grid.ns)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        mu = np.array([self.mean_alpha, self.mean_beta], dtype=complex)
+        vals = rng.normal(scale=self.sigma / np.sqrt(2.0), size=(n, 4))
+        a = mu[0] + vals[:, 0] + 1j * vals[:, 1]
+        b = mu[1] + vals[:, 2] + 1j * vals[:, 3]
+        return np.stack([a, b], axis=1)
+
+
+def ensemble_from_json(obj: dict) -> CoherentEnsemble | _GaussianEnsemble:
     """Build an ensemble from {"points": [[a, b], ...], "weights": [...]}
     or {"gaussian": {"sigma": s, "mean_alpha": a, "mean_beta": b}} where
     complex entries are {"re": x, "im": y}.  A missing or mistyped field
@@ -182,44 +228,14 @@ def ensemble_from_json(obj: dict) -> CoherentEnsemble:
 
 def gaussian_ensemble(
     sigma: float, mean_alpha: complex = 0.0, mean_beta: complex = 0.0
-) -> CoherentEnsemble:
+) -> _GaussianEnsemble:
     """Independent circular-Gaussian amplitudes with optional means.
 
-    Both noise terms have E|delta|^2 = sigma^2.  The damped
-    characteristic kernel is exact: since k.S and |S| are quadratic
-    forms in (alpha, beta), the Gaussian expectation reduces to a 2x2
-    determinant and a noncentral exponent,
-
-        E exp(i k.S - tau |S|)
-          = exp[(i k.S0 - (sigma^2 k^2 + tau (1 + sigma^2 tau)) I0) / d] / d,
-
-    with d = (1 + sigma^2 tau)^2 + sigma^4 k^2, S0 the Stokes vector of
-    the means and I0 their total intensity.  A matching sampler feeds
-    the Monte-Carlo histogram oracle.
+    Both noise terms have E|delta|^2 = sigma^2.  The record keeps the
+    three numbers; its kernel is exact and its draws feed the
+    Monte-Carlo histogram oracle.
     """
-    _check_finite({"sigma": sigma, "mean_alpha": mean_alpha, "mean_beta": mean_beta})
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    mu = np.array([mean_alpha, mean_beta], dtype=complex)
-    s0 = stokes_points(mu[None, :])[0]
-    i0 = float(np.abs(mu[0]) ** 2 + np.abs(mu[1]) ** 2)
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        vals = rng.normal(scale=sigma / np.sqrt(2.0), size=(n, 4))
-        a = mu[0] + vals[:, 0] + 1j * vals[:, 1]
-        b = mu[1] + vals[:, 2] + 1j * vals[:, 3]
-        return np.stack([a, b], axis=1)
-
-    def kernel(k_points: np.ndarray, tau: float) -> np.ndarray:
-        k_points = np.asarray(k_points, dtype=float)
-        k2 = np.sum(k_points**2, axis=1)
-        det = (1.0 + sigma**2 * tau) ** 2 + sigma**4 * k2
-        top = 1j * (k_points @ s0) - (
-            sigma**2 * k2 + tau * (1.0 + sigma**2 * tau)
-        ) * i0
-        return np.exp(top / det) / det
-
-    return CoherentEnsemble(sampler=sampler, char_kernel=kernel)
+    return _GaussianEnsemble(float(sigma), complex(mean_alpha), complex(mean_beta))
 
 
 def _kernel_from_points(
@@ -247,11 +263,11 @@ def _kernel_from_points(
     return out.reshape(kx.size, ky.size, kz.size)
 
 
-def _state_grid_values(
-    state: TwoModeState, k_flat: np.ndarray, ns: tuple[int, int, int], tau: float
-) -> np.ndarray:
+def _state_grid_values(state: TwoModeState, k_grid: Grid3, tau: float) -> np.ndarray:
     """One measurement rotation per k direction, all in batches; conjugate
     symmetry M(-k) = M(k)* halves the work.  Existence is judged once."""
+    ns = k_grid.ns
+    k_flat = np.stack(np.meshgrid(*k_grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
     n = k_flat.shape[0]
     i, j, l = np.unravel_index(np.arange(n), ns)
     inner = (i >= 1) & (j >= 1) & (l >= 1)
@@ -268,7 +284,7 @@ def _state_grid_values(
     flat = np.empty(n, dtype=complex)
     flat[mirror[todo]] = np.conj(vals)
     flat[todo] = vals  # points that are their own mirror keep M, not M*
-    return flat
+    return flat.reshape(ns)
 
 
 def default_tau(s_grid: Grid3) -> float:
@@ -282,50 +298,28 @@ def default_tau(s_grid: Grid3) -> float:
 def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
     """M(i k; tau) on a Cartesian k grid (the FFT dual of the target s grid).
 
-    source may be a TwoModeState (exact, one beam-splitter rotation per
-    k direction) or a CoherentEnsemble, which needs its analytic kernel
-    or an explicit point list, the kernel first.  An ensemble with only
-    a sampler raises ValueError: draw its points and pass them as
-    points=.  Output obeys M(-k) = M(k)* wherever the grid holds both
-    points.
-
-    Ensembles without an explicit point list have unbounded Stokes
-    support, where tau > 0 is required for the damped expectation to
-    exist; truncated states and finite point lists accept tau = 0.
+    source is a TwoModeState (exact, one beam-splitter rotation per k
+    direction) or an ensemble, CoherentEnsemble or gaussian_ensemble,
+    which sums itself on the grid.  Output obeys M(-k) = M(k)* wherever
+    the grid holds both points.  Truncated states and point lists accept
+    tau = 0; a Gaussian's unbounded support needs tau > 0.
     """
     _check_points(0.0, tau)
-    if not isinstance(source, (TwoModeState, CoherentEnsemble)):
-        raise TypeError("source must be a TwoModeState or a CoherentEnsemble")
-    if isinstance(source, CoherentEnsemble) and source.points is None:
-        if source.char_kernel is None:
-            raise ValueError("a sampler-only ensemble has no grid route; draw "
-                             "points from its sampler and pass them as points=")
-        if tau == 0:
-            raise ValueError("tau must be > 0 for ensembles with unbounded support")
-    kg = k_grid
-    k_flat = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
     if isinstance(source, TwoModeState):
-        flat = _state_grid_values(source, k_flat, kg.ns, tau)
-    elif source.char_kernel is not None:
-        flat = np.asarray(source.char_kernel(k_flat, tau), dtype=complex)
-    else:
-        flat = _kernel_from_points(kg.axes(), source.points, source.weights, tau)
-    return flat.reshape(kg.ns)
+        return _state_grid_values(source, k_grid, tau)
+    if isinstance(source, (CoherentEnsemble, _GaussianEnsemble)):
+        return source.kernel(k_grid, tau)
+    raise TypeError("source must be a TwoModeState or an ensemble")
 
 
-def invert_to_pess(
-    mgf_values: np.ndarray,
-    s_grid: Grid3,
-    tau: float,
-    window: str = "raised-cosine",
-    norm_tol: float = TOL.pess_norm,
-    k_cut: float | None = None,
-) -> PessGrid:
+def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
+                   window: str = "raised-cosine") -> PessGrid:
     """FFT inversion of damped Fourier data to the essential density.
 
-    A radial raised-cosine window suppresses ringing from the hard grid
-    cutoff; pass window="none" for the bare (unwindowed) transform.
-    Warns when the recovered mass drifts from 1 beyond norm_tol or when
+    A radial raised-cosine window, falling to zero at the dual grid's
+    edge, suppresses ringing from the hard grid cutoff; pass
+    window="none" for the bare (unwindowed) transform.  Warns when the
+    recovered mass drifts from 1 beyond TOL.pess_norm or when
     boundary mass suggests the grid extent is too small; data violating
     M(-k) = M(k)* beyond rounding raises NumericalError.
     """
@@ -341,8 +335,7 @@ def invert_to_pess(
         kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
     )
     if window == "raised-cosine":
-        if k_cut is None:
-            k_cut = min(-lo for lo in kg.mins)
+        k_cut = min(-lo for lo in kg.mins)
         w = np.where(
             k_norm < k_cut, np.cos(np.pi * k_norm / (2.0 * k_cut)) ** 2, 0.0
         )
@@ -389,9 +382,9 @@ def invert_to_pess(
         * signs[2][None, None, :]
     )
     total = float(values.sum()) * s_grid.cell_volume
-    if abs(total - 1.0) > norm_tol:
+    if abs(total - 1.0) > TOL.pess_norm:
         warnings.warn(
-            f"recovered mass {total:.6f} deviates from 1 beyond {norm_tol:.0e}",
+            f"recovered mass {total:.6f} deviates from 1 beyond {TOL.pess_norm:.0e}",
             ConvergenceWarning,
             stacklevel=2,
         )
@@ -417,7 +410,7 @@ ORACLE_MIN_SAMPLES = 10**4
 
 
 def pess_mc_oracle(
-    ensemble: CoherentEnsemble, s_grid: Grid3, n: int, seed: int
+    ensemble: CoherentEnsemble | _GaussianEnsemble, s_grid: Grid3, n: int, seed: int
 ) -> PessGrid:
     """Histogram density of Stokes vectors drawn from the ensemble.
 
@@ -427,16 +420,7 @@ def pess_mc_oracle(
     if n < ORACLE_MIN_SAMPLES:
         raise ValueError(f"need at least {ORACLE_MIN_SAMPLES} samples")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if ensemble.sampler is not None:
-        pts = np.asarray(ensemble.sampler(rng, n), dtype=complex)
-    elif ensemble.points is not None:
-        m = ensemble.points.shape[0]
-        w = ensemble.weights
-        idx = rng.choice(m, size=n, p=w)
-        pts = ensemble.points[idx]
-    else:
-        raise ValueError("ensemble has no sampler and no points")
-    svec = stokes_points(pts)
+    svec = stokes_points(ensemble.draw(rng, n))
     edges = [
         np.linspace(lo - h / 2.0, hi + h / 2.0, num + 1)
         for lo, hi, num, h in zip(

@@ -212,7 +212,6 @@ def vacuum_along_z():
     lambda: PessGrid(Grid3.cube(1.0, 8), np.zeros((8, 8)), 0.1, "none", ""),
     lambda: CoherentEnsemble(points=np.zeros((2, 3))),
     lambda: CoherentEnsemble(points=[[0, 0], [1, 0]], weights=[1.0]),
-    lambda: CoherentEnsemble(weights=[1.0], char_kernel=lambda k, tau: 1.0),
     lambda: gaussian_ensemble(0.0),
     lambda: mgf_closed_form(object(), Z_AXIS, 0.1, 0.2),
     lambda: mgf_via_husimi_quadrature(make_state(VacuumSpec(), 2), Z_AXIS, 0.1j, 0.5),
@@ -224,7 +223,7 @@ def vacuum_along_z():
         "nu-inf", "state-cutoff", "state-shape", "state-weight", "state-leakage",
         "spec-json-list", "spec-to-json", "hom-cutoff", "mixture-empty", "sample-count",
         "sample-counts-1d", "grid-two-axes", "pess-shape", "ensemble-points-shape",
-        "ensemble-weight-count", "ensemble-weights-alone", "sigma-zero",
+        "ensemble-weight-count", "sigma-zero",
         "closed-form-spec", "husimi-complex-t", "distribution-not-square"])
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError):
@@ -242,8 +241,17 @@ def test_non_finite_input_is_rejected(build):
     (lambda: gaussian_ensemble(math.inf), "sigma"),
     (lambda: gaussian_ensemble(0.5, mean_alpha=NAN), "mean_alpha"),
     (lambda: gaussian_ensemble(0.5, mean_beta=complex(0.0, -math.inf)), "mean_beta"),
+    # finite amplitudes whose intensity |z|^2 overflows
+    (lambda: CoherentSpec(1e200, 0.5), "alpha"),
+    (lambda: MixtureSpec(((1.0, 0.0, -1e200j),)), "mixture alpha and beta"),
+    (lambda: CoherentEnsemble(points=[[1e200, 0.0]]), "ensemble points"),
+    (lambda: gaussian_ensemble(1e200), "sigma"),
+    (lambda: gaussian_ensemble(1e100), "sigma"),  # its sigma^4 overflows
+    (lambda: gaussian_ensemble(0.5, mean_alpha=1e200), "mean_alpha"),
 ], ids=["coherent-alpha", "coherent-beta", "mixture-alpha", "mixture-beta", "points-nan",
-        "points-inf", "sigma-nan", "sigma-inf", "mean-alpha", "mean-beta"])
+        "points-inf", "sigma-nan", "sigma-inf", "mean-alpha", "mean-beta",
+        "coherent-intensity", "mixture-intensity", "points-intensity", "sigma-intensity",
+        "sigma-squared-intensity", "mean-intensity"])
 def test_non_finite_amplitudes_are_rejected_by_field(build, field):
     # one finite-amplitude rule, checked where the amplitudes enter
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -520,8 +521,19 @@ def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypa
       '{"gaussian": {"sigma": 0.5, "mean_alpha": NaN}}'], "mean_alpha"),
     (["reconstruct", "--n-points", "8", "--ensemble", '{"points": [[{"re": NaN}, 0.5]]}'],
      "ensemble points"),
+    # finite amplitudes whose intensity |z|^2 overflows
+    (["mgf", "--state", '{"kind": "coherent", "alpha": 1e200, "beta": 0}'], "alpha"),
+    (["reconstruct", "--n-points", "8", "--ensemble", '{"gaussian": {"sigma": 1e200}}'],
+     "sigma"),
+    (["reconstruct", "--n-points", "8", "--ensemble", '{"gaussian": {"sigma": 1e100}}'],
+     "sigma"),
+    (["reconstruct", "--n-points", "8", "--ensemble", '{"points": [[1e200, 0]]}'],
+     "ensemble points"),
+    (["reconstruct", "--n-points", "8", "--ensemble",
+      '{"gaussian": {"sigma": 0.5, "mean_alpha": 1e200}}'], "mean_alpha"),
 ], ids=["mixture-inf", "coherent-nan", "coherent-inf", "sigma-nan", "sigma-inf",
-        "mean-nan", "point-nan"])
+        "mean-nan", "point-nan", "coherent-intensity", "sigma-intensity",
+        "sigma-squared-intensity", "point-intensity", "mean-intensity"])
 def test_non_finite_amplitudes_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv,
                                                       field):
     import stokespace.cli as cli
@@ -548,9 +560,14 @@ def test_non_finite_amplitudes_exit_2_before_any_work(tmp_path, monkeypatch, cap
     ["clicks", "--apds-a", "0"],
     ["reconstruct", "--tau", "nan"],
     ["clicks", "--state", HOM, "--nu-a", "inf"],
+    ["reconstruct", "--ensemble", '{"points": [[0.5, 0]]}', "--n-points", "8",
+     "--mc-oracle", "10000", "--seed", "-1"],
+    ["clicks", "--samples", "10", "--seed", "-5"],
+    ["clicks", "--samples", "10", "--seed", str(2**128)],
 ], ids=["surface-t", "surface-n-theta", "surface-tau", "nctest-direction", "nctest-tau",
         "nctest-t", "nctest-k-norm", "clicks-direction", "clicks-eta", "clicks-apds",
-        "reconstruct-tau", "clicks-nu-inf"])
+        "reconstruct-tau", "clicks-nu-inf", "reconstruct-seed-negative",
+        "clicks-seed-negative", "clicks-seed-2-128"])
 def test_state_commands_check_their_options_before_the_state(tmp_path, monkeypatch,
                                                              argv):
     # each exited 2, but only after make_state had run
@@ -562,6 +579,44 @@ def test_state_commands_check_their_options_before_the_state(tmp_path, monkeypat
     assert main([*argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+_EXTREME = {
+    "grid-radius": ["reconstruct", "--s-min=-1e200,-8,-8", "--s-max", "1e200,8,8",
+                    "--n-points", "8"],
+    "grid-width": ["reconstruct", "--s-max", "1e308,8,8", "--tau", "0.1"],
+    "oracle-seed": ["reconstruct", "--ensemble", '{"points": [[0.5, 0]]}', "--n-points",
+                    "8", "--mc-oracle", "10000", "--seed", "-1"],
+    "clicks-seed": ["clicks", "--samples", "10", "--seed", "-5"],
+    "coherent-alpha": ["mgf", "--state", '{"kind": "coherent", "alpha": 1e200, "beta": 0}'],
+    "sigma": ["reconstruct", "--n-points", "8", "--ensemble", '{"gaussian": {"sigma": 1e200}}'],
+    "sigma-squared": ["reconstruct", "--n-points", "8", "--ensemble",
+                      '{"gaussian": {"sigma": 1e100}}'],
+    "point": ["reconstruct", "--n-points", "8", "--ensemble", '{"points": [[1e200, 0]]}'],
+    "mean-alpha": ["reconstruct", "--n-points", "8", "--ensemble",
+                   '{"gaussian": {"sigma": 0.5, "mean_alpha": 1e200}}'],
+}
+
+
+@pytest.mark.parametrize("argv", _EXTREME.values(), ids=_EXTREME.keys())
+def test_extreme_inputs_keep_the_exit_contract(tmp_path, capsys, argv):
+    # each ended in a traceback, numpy RuntimeWarnings or a file written
+    # before the failure; an option that argparse rejects prints its usage
+    # line before the one "stokespace <command>: error: ..." line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(tmp_path), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code in (2, 3)
+    assert "Traceback" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    lines = [line for line in err.splitlines()
+             if re.match(r"(stokespace [\w-]+: )?(error|numeric failure): ", line)]
+    assert len(lines) == 1
+    if code == 2:
+        assert list(tmp_path.iterdir()) == []
+    if "--s-max" in argv:
+        assert "grid extent" in lines[0]
 
 
 @pytest.mark.parametrize("argv", [
