@@ -35,6 +35,7 @@ from stokespace import (
     make_state,
     second_order_det,
     variance_criteria,
+    verdict,
 )
 
 
@@ -49,7 +50,7 @@ def battery(label, state, direction, probe):
     print(f"    var(e.S)        = {var.var_stokes:+.6f}")
     print(f"    var(N)          = {var.var_number:+.6f}")
     print(f"    matrix det      = {det:+.6f}   probe {probe}")
-    print(f"    char fn bound   = {cf.value:+.6f}  [{cf.verdict}]")
+    print(f"    char fn bound   = {cf:+.6f}  [{verdict(cf)}]")
     print(f"    photon-photon   = {cross.photon_photon:+.6f}")
     print(f"    number-Stokes   = {cross.number_stokes:+.6f}")
 

@@ -40,13 +40,13 @@ from .nonclassicality import (
     MgfMatrixSpec,
     _moment_det,
     _tolerance,
-    _verdict,
     char_fn_criterion,
     cross_correlation_det,
-    matrix_verdict,
     mgf_matrix,
+    min_eigenpair,
     second_order_det,
     variance_criteria,
+    verdict,
 )
 from .detector import (
     ClickDetectorConfig,
@@ -61,6 +61,7 @@ from .detector import (
 from .reconstruct import (
     ORACLE_MIN_SAMPLES,
     Grid3,
+    _check_damping,
     classicality_check,
     default_tau,
     dual_grid,
@@ -267,8 +268,8 @@ def cmd_nctest(args) -> int:
     det = _moment_det(matrix[0, 0], matrix[1, 1], matrix[0, 1])
     criteria = [
         ("second_order_det", float(det)),
-        ("matrix_min_eigenvalue", matrix_verdict(matrix).value),
-        ("char_fn", char_fn_criterion(dist, d, args.k_norm).value),
+        ("matrix_min_eigenvalue", min_eigenpair(matrix)[0]),
+        ("char_fn", char_fn_criterion(dist, d, args.k_norm)),
         ("variance_stokes", var_s),
         ("variance_number", var_n),
         ("cross_number_stokes", cross.number_stokes),
@@ -277,7 +278,7 @@ def cmd_nctest(args) -> int:
     pair = (t.real, t.imag, tau, t2.real, t2.imag, tau2)
     rows = [
         (name, *d.e, *(pair if i < 2 else ("",) * 6), value,
-         _verdict(value, args.tolerance))
+         verdict(value, args.tolerance))
         for i, (name, value) in enumerate(criteria)
     ]
     columns = ["criterion", "e_x", "e_y", "e_z", "t_re", "t_im", "tau",
@@ -343,7 +344,8 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"--mc-oracle needs at least {ORACLE_MIN_SAMPLES} samples")
     grid = Grid3(tuple(args.s_min), tuple(args.s_max), (args.n_points,) * 3)
     tau = args.tau if args.tau is not None else default_tau(grid)
-    _check_points(0.0, tau)  # before the source is built
+    _check_points(0.0, tau)  # tau and the damping rule before the source is built
+    _check_damping(tau, grid)
 
     if args.ensemble is not None:
         source = ensemble_from_json(args.ensemble)
@@ -352,13 +354,8 @@ def cmd_reconstruct(args) -> int:
         source, spec, cutoff = _build_state(args)
         source_json = spec_to_json(spec, cutoff)
 
-    values = mgf_imaginary_grid(source, dual_grid(grid), tau)
-    pess = invert_to_pess(values, grid, tau, window=args.window)
-    save_pess(pess, args.out / "pess.bin")
-    coords = [c.reshape(-1) for c in np.meshgrid(*grid.axes(), indexing="ij")]
-    _table(args, "pess.csv", ["S_x", "S_y", "S_z", "value"],
-           np.column_stack([*coords, pess.values.reshape(-1)]))
-
+    pess = invert_to_pess(mgf_imaginary_grid(source, dual_grid(grid), tau), grid, tau,
+                          window=args.window)
     report = classicality_check(pess)
     payload = {
         "config": {
@@ -378,8 +375,14 @@ def cmd_reconstruct(args) -> int:
     }
     if args.mc_oracle:
         oracle = pess_mc_oracle(source, grid, args.mc_oracle, args.seed)
-        save_pess(oracle, args.out / "oracle.bin")
         payload["l1_vs_oracle"] = l1_distance(pess, oracle)
+    # every number is computed before the first file is written
+    save_pess(pess, args.out / "pess.bin")
+    if args.mc_oracle:
+        save_pess(oracle, args.out / "oracle.bin")
+        del oracle  # not held while the table, the run's largest, is built
+    table = np.stack(np.broadcast_arrays(*np.ix_(*grid.axes()), pess.values), axis=-1)
+    _table(args, "pess.csv", ["S_x", "S_y", "S_z", "value"], table.reshape(-1, 4))
     _write_json(args.out / "report.json", payload, args.timestamp)
     print(args.out / "report.json")
     return 0

@@ -316,17 +316,21 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
 def _poisson_tails(mu: float, top: int) -> np.ndarray:
     """P(N > c) for c = 0..top, N Poisson with mean mu.
 
-    Each tail is the sum of the pmf terms above c, taken from their logs
-    and added smallest first, so a tiny tail keeps its relative
-    precision.  Terms past max(top, mu) + 10 sqrt(mu) + 40 are below
-    1e-20 of the smallest tail returned and are left out.
+    For c < mu - 1 the tail exceeds 1/4 and is 1 - P(N <= c), the pmf
+    summed from below.  From there on it is the sum of the pmf terms above
+    c, added smallest first so a tiny tail keeps its relative precision;
+    terms past max(top, mu) + 10 sqrt(mu) + 40 (below 1e-20 of the
+    smallest tail) are left out.  Either way, as that sum needs
+    mu <= top + 1, the terms span O(top + sqrt(top)) counts.
     """
     if mu == 0.0:
         return np.zeros(top + 1)
-    end = int(max(top, mu) + 10.0 * math.sqrt(mu)) + 40
+    below = min(top + 1, max(0, math.ceil(mu - 1.0)))  # the c < mu - 1
+    end = top if below > top else int(max(top, mu) + 10.0 * math.sqrt(mu)) + 40
     n = np.arange(end + 1)
     terms = np.exp(n * math.log(mu) - mu - _log_factorials(end))
-    return np.cumsum(terms[::-1])[::-1][1 : top + 2]
+    above = np.cumsum(terms[::-1])[::-1][below + 1 : top + 2]
+    return np.concatenate([1.0 - np.cumsum(terms[:below]), above])
 
 
 def _coherent_leakages(alpha: complex, beta: complex, top: int) -> np.ndarray:

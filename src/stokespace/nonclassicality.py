@@ -7,9 +7,9 @@ direct witness of quantum correlations in the phase-averaged photon
 statistics.  The same machinery yields characteristic-function,
 variance, cross-correlation, and Cauchy-Schwarz style tests.
 
-A criterion reports verdict "nonclassical" only when its value falls
-below -tolerance; everything else is "inconclusive" (classicality is
-never certified).
+Every criterion returns numbers.  One rule, verdict(value, tolerance),
+reads any of them: "nonclassical" only when the value falls below
+-tolerance, "inconclusive" otherwise (classicality is never certified).
 """
 
 from __future__ import annotations
@@ -49,19 +49,6 @@ class MgfMatrixSpec:
         _check_points([t for t, _ in pts], [tau for _, tau in pts])
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    """Outcome of one nonclassicality test."""
-
-    value: float
-    tolerance: float
-    witness: np.ndarray | None = None
-
-    @property
-    def verdict(self) -> str:
-        return _verdict(self.value, self.tolerance)
-
-
 def _tolerance(tolerance: float) -> float:
     """The one rule for a verdict tolerance: finite and >= 0 (NaN fails)."""
     if not 0.0 <= tolerance < math.inf:
@@ -70,7 +57,9 @@ def _tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def _verdict(value: float, tolerance: float) -> str:
+def verdict(value: float, tolerance: float = TOL.verdict) -> str:
+    """NONCLASSICAL iff a criterion value lies below -tolerance, else
+    INCONCLUSIVE; the tolerance must be finite and >= 0."""
     return NONCLASSICAL if value < -_tolerance(tolerance) else INCONCLUSIVE
 
 
@@ -90,22 +79,16 @@ def mgf_matrix(
     )
 
 
-def matrix_verdict(
-    matrix: np.ndarray, tolerance: float = TOL.verdict
-) -> CriterionReport:
-    """Minimum eigenvalue test of a Hermitian moment matrix.
-
-    The witness is the eigenvector of the smallest eigenvalue; classical
-    states keep all eigenvalues >= -tolerance.
-    """
-    _tolerance(tolerance)
+def min_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a Hermitian moment matrix and its eigenvector,
+    the witness; classical states keep every eigenvalue >= 0."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     if not np.max(np.abs(matrix - matrix.conj().T)) <= TOL.matrix_hermiticity:
         raise ValueError("matrix is not Hermitian within 1e-8")
     w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
-    return CriterionReport(value=float(w[0]), tolerance=tolerance, witness=v[:, 0])
+    return float(w[0]), v[:, 0]
 
 
 def second_order_det(
@@ -144,20 +127,17 @@ def char_fn_criterion(
     source: TwoModeState | JointPhotonDistribution,
     direction: MeasurementDirection,
     k_norm: float = 1.0,
-    tolerance: float = TOL.verdict,
-) -> CriterionReport:
+) -> float:
     """Classical characteristic functions obey |Phi(k e)| <= 1.
 
-    value = 1 - |Phi(k_norm e)| with Phi(k e) = M(i k e; 0) along the
+    Returns 1 - |Phi(k_norm e)| with Phi(k e) = M(i k e; 0) along the
     axis e of direction, and Phi(0) the trivial 1; a negative value is a
     nonclassicality witness.  source is a TwoModeState, or its
     JointPhotonDistribution along direction.
     """
-    _tolerance(tolerance)
     dist = _distribution_along(source, direction)
     phi = mgf_from_distribution(dist, 1j * k_norm, 0.0) if k_norm != 0.0 else 1.0
-    value = 1.0 - abs(phi)
-    return CriterionReport(value=value, tolerance=tolerance)
+    return float(1.0 - abs(phi))
 
 
 class VarianceReport(NamedTuple):

@@ -15,6 +15,7 @@ Monte-Carlo histogram oracle.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,12 +58,19 @@ class Grid3:
                 raise ValueError("axis max must exceed min")
             if n < 8 or n % 2:
                 raise ValueError("each axis needs an even point count >= 8")
-        # default_tau and the inversion square the extent: |S|^2 must stay finite
-        if not np.isfinite(sum(max(lo * lo, hi * hi) for lo, hi in zip(mins, maxs))):
-            raise ValueError(f"grid extent {mins} to {maxs} overflows |S|^2")
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "ns", ns)
+        # default_tau, the damping rule and the inversion read the radius
+        if not math.isfinite(self.radius):
+            raise ValueError(f"grid extent {mins} to {maxs} overflows |S|^2")
+        # the inversion squares the FFT dual's |k| too: its edge (n/2) 2 pi / (n h)
+        with np.errstate(divide="ignore", over="ignore"):
+            counts = np.array(ns)
+            edge = counts // 2 * (2.0 * np.pi / (counts * np.array(self.spacing())))
+            if not np.isfinite(np.sum(edge * edge)):
+                raise ValueError(f"grid extent {mins} to {maxs} over {ns} points is "
+                                 "too fine: its FFT dual overflows |k|^2")
 
     @classmethod
     def cube(cls, s_max: float, n: int) -> "Grid3":
@@ -78,6 +86,11 @@ class Grid3:
         return tuple(
             (hi - lo) / (n - 1) for lo, hi, n in zip(self.mins, self.maxs, self.ns)
         )
+
+    @property
+    def radius(self) -> float:
+        """The largest |S| on the grid, at its farthest corner."""
+        return math.sqrt(sum(max(lo * lo, hi * hi) for lo, hi in zip(self.mins, self.maxs)))
 
     @property
     def cell_volume(self) -> float:
@@ -266,33 +279,35 @@ def _kernel_from_points(
 def _state_grid_values(state: TwoModeState, k_grid: Grid3, tau: float) -> np.ndarray:
     """One measurement rotation per k direction, all in batches; conjugate
     symmetry M(-k) = M(k)* halves the work.  Existence is judged once."""
-    ns = k_grid.ns
-    k_flat = np.stack(np.meshgrid(*k_grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
-    n = k_flat.shape[0]
-    i, j, l = np.unravel_index(np.arange(n), ns)
-    inner = (i >= 1) & (j >= 1) & (l >= 1)
-    mirror = np.arange(n)
-    mirror[inner] = np.arange(n).reshape(ns)[
-        ns[0] - i[inner], ns[1] - j[inner], ns[2] - l[inner]
-    ]
-    todo = np.flatnonzero(mirror >= np.arange(n))
-    norms = np.linalg.norm(k_flat[todo], axis=1)
-    axes = np.where(norms[:, None] > 0.0, k_flat[todo], (0.0, 0.0, 1.0))
+    # k -> -k maps the block k[1:, 1:, 1:] onto itself and reverses its C
+    # order, so the block's second half mirrors its first; every point
+    # outside the block (no -k partner on the grid) is computed
+    todo = np.ones(k_grid.ns, dtype=bool)
+    todo[1:, 1:, 1:].flat[todo[1:, 1:, 1:].size // 2 + 1:] = False
+    kx, ky, kz = k_grid.axes()
+    i, j, l = np.nonzero(todo)
+    k = np.column_stack([kx[i], ky[j], kz[l]])
+    norms = np.linalg.norm(k, axis=1)
+    axes = np.where(norms[:, None] > 0.0, k, (0.0, 0.0, 1.0))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     z_a, z_b = _kernels(1j * norms[:, None], tau)
-    vals = _kernel_sums(state, *_splitters(axes)[1:], z_a, z_b)[:, 0]
-    flat = np.empty(n, dtype=complex)
-    flat[mirror[todo]] = np.conj(vals)
-    flat[todo] = vals  # points that are their own mirror keep M, not M*
-    return flat.reshape(ns)
+    out = np.empty(k_grid.ns, dtype=complex)
+    out[todo] = _kernel_sums(state, *_splitters(axes)[1:], z_a, z_b)[:, 0]
+    inner = out[1:, 1:, 1:]
+    np.copyto(inner, np.conj(inner[::-1, ::-1, ::-1]), where=~todo[1:, 1:, 1:])
+    return out
 
 
 def default_tau(s_grid: Grid3) -> float:
     """Damping exponent 1 / (2 r) for grid radius r, so exp(tau |S|) <= e^(1/2)."""
-    r = np.sqrt(
-        sum(max(lo**2, hi**2) for lo, hi in zip(s_grid.mins, s_grid.maxs))
-    )
-    return 0.5 / r
+    return 0.5 / s_grid.radius
+
+
+def _check_damping(tau: float, s_grid: Grid3) -> None:
+    """The damping rule: exp(tau |S|) must stay finite out to the grid radius."""
+    if not tau * s_grid.radius < np.log(np.finfo(float).max):
+        raise ValueError(f"tau {tau!r} times the grid radius {s_grid.radius!r} "
+                         "overflows exp(tau |S|)")
 
 
 def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
@@ -321,9 +336,11 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
     window="none" for the bare (unwindowed) transform.  Warns when the
     recovered mass drifts from 1 beyond TOL.pess_norm or when
     boundary mass suggests the grid extent is too small; data violating
-    M(-k) = M(k)* beyond rounding raises NumericalError.
+    M(-k) = M(k)* beyond rounding, or a density that is not finite,
+    raises NumericalError; a tau past the damping rule raises ValueError.
     """
     _check_points(0.0, tau)
+    _check_damping(tau, s_grid)
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     mgf_values = np.asarray(mgf_values, dtype=complex)
@@ -354,9 +371,8 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
     # of the corruption check.  Only the real part of the transform is
     # kept, which is the transform of the Hermitian part of the data, so
     # it is the exactly real symmetric Riemann sum
-    interior = data[1:, 1:, 1:]
     residue = float(
-        np.max(np.abs(interior - np.conj(interior[::-1, ::-1, ::-1])))
+        np.max(np.abs(data[1:, 1:, 1:] - np.conj(data[:0:-1, :0:-1, :0:-1])))
     )
     data_peak = float(np.max(np.abs(data)))
     if not residue <= 2.0 * TOL.pess_imag_residue * max(data_peak, 1e-300):
@@ -364,23 +380,20 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
             f"anti-Hermitian residue {residue:.3e} exceeds "
             f"{TOL.pess_imag_residue:.0e} of the spectrum peak {data_peak:.3e}"
         )
-    spectrum = np.fft.fftn(data)
     ax, ay, az = s_grid.axes()
     s_norm = np.sqrt(
         ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2
     )
-    signs = [1.0 - 2.0 * (np.arange(n) % 2) for n in s_grid.ns]
     scale = 1.0
     for h, n in zip(s_grid.spacing(), s_grid.ns):
         scale *= (2.0 * np.pi / (n * h)) / (2.0 * np.pi)
-    values = (
-        spectrum.real
-        * np.exp(tau * s_norm)
-        * scale
-        * signs[0][:, None, None]
-        * signs[1][None, :, None]
-        * signs[2][None, None, :]
-    )
+    # bin m holds k = (m - n/2) dk, and dk h = 2 pi / n: the shift that
+    # starts the sum at k = 0 takes the factor (-1)^j off S index j
+    data = np.fft.ifftshift(data)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+        values = np.fft.fftn(data).real * np.exp(tau * s_norm) * scale
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("the inverted density is not finite")
     total = float(values.sum()) * s_grid.cell_volume
     if abs(total - 1.0) > TOL.pess_norm:
         warnings.warn(
@@ -442,24 +455,18 @@ class ClassicalityReport(NamedTuple):
     essentially_classical: bool
 
 
-def classicality_check(
-    pess: PessGrid, tol: float | None = None
-) -> ClassicalityReport:
-    """Negativity test of a reconstructed density.
+# negativity, as a share of the peak, left to the band-limiting ringing
+# of a windowed reconstruction
+_RINGING_SLACK = 0.02
 
-    The flag is true iff the grid minimum stays >= -tol.  tol must
-    absorb band-limiting ringing: for windowed reconstructions 2% of
-    the peak is a good choice and is the default; exact or histogram
-    grids can use 0.
-    """
-    if tol is None:
-        tol = 0.02 * pess.peak
-    if not tol >= 0:  # NaN fails too
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+
+def classicality_check(pess: PessGrid) -> ClassicalityReport:
+    """Negativity test of a reconstructed density: the flag is true iff
+    the grid minimum stays >= -2% of the peak (NaN reads false)."""
     min_value = pess.min_value
     return ClassicalityReport(
         min_value=min_value,
-        essentially_classical=bool(min_value >= -tol),
+        essentially_classical=bool(min_value >= -_RINGING_SLACK * pess.peak),
     )
 
 

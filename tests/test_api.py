@@ -44,12 +44,12 @@ from stokespace import (
     invert_to_pess,
     joint_photon_distribution,
     make_state,
-    matrix_verdict,
     mgf,
     mgf_closed_form,
     mgf_from_distribution,
     mgf_imaginary_grid,
     mgf_via_husimi_quadrature,
+    min_eigenpair,
     sample_clicks,
     second_order_det,
     spec_from_json,
@@ -294,7 +294,7 @@ def _nan_click_matrix(monkeypatch):
     (_nan_click_matrix, NumericalError),
     (lambda mp: sample_clicks(_nan_clicks(), 10, 0), ValueError),
     (_nan_quadrature, QuadratureError),
-    (lambda mp: matrix_verdict(np.array([[NAN, 0.0], [0.0, 1.0]])), ValueError),
+    (lambda mp: min_eigenpair(np.array([[NAN, 0.0], [0.0, 1.0]])), ValueError),
     (lambda mp: invert_to_pess(np.full((8, 8, 8), NAN), Grid3.cube(2.0, 8), 0.1),
      NumericalError),
 ], ids=["check-norm", "distribution-floor", "click-floor", "click-norm", "sample-norm",

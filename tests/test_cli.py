@@ -267,8 +267,8 @@ def test_nctest_char_fn_row_reads_the_criterion(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
     with open(tmp_path / "nctest.csv") as fh:
         rows = {r["criterion"]: r for r in csv.DictReader(fh)}
-    assert len(reports) == 1 and float(rows["char_fn"]["value"]) == reports[0].value
-    assert abs(reports[0].value - 0.36004101592950788) <= 1e-12
+    assert len(reports) == 1 and float(rows["char_fn"]["value"]) == reports[0]
+    assert abs(reports[0] - 0.36004101592950788) <= 1e-12
 
 
 def test_clicks_moments_and_sampling(tmp_path):
@@ -617,6 +617,43 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, capsys, argv):
         assert list(tmp_path.iterdir()) == []
     if "--s-max" in argv:
         assert "grid extent" in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--s-max", "1e100,8,8", "--tau", "0.1"],
+     "error: tau 0.1 times the grid radius 1e+100 overflows exp(tau |S|)"),
+    (["--s-min=-1e-300,-8,-8", "--s-max", "1e-300,8,8"],
+     "error: grid extent (-1e-300, -8.0, -8.0) to (1e-300, 8.0, 8.0) over (8, 8, 8) "
+     "points is too fine"),
+], ids=["damping", "dual-grid"])
+def test_reconstruct_judges_its_grid_and_damping_before_the_source(
+        tmp_path, monkeypatch, capsys, argv, message):
+    # the first wrote pess.bin and pess.csv after a numpy RuntimeWarning and
+    # exited 2 with "tol must be >= 0, got nan"; the second named the extent
+    # of the dual grid, (-1.0995574287564276e+301, ...)
+    import stokespace.cli as cli
+
+    monkeypatch.setattr(cli, "_build_state", lambda args: pytest.fail("source built"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["reconstruct", *argv, "--n-points", "8", "--out", str(tmp_path),
+                     "--no-timestamp"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_reconstruct_writes_no_file(tmp_path, capsys):
+    # a point far outside the grid: the oracle finds no sample on it, which
+    # came after pess.bin and pess.csv were written
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)  # the inversion's
+        assert main(["reconstruct", "--out", str(tmp_path), "--n-points", "8",
+                     "--ensemble", '{"points": [[10, 0]]}', "--mc-oracle", "10000",
+                     "--no-timestamp"]) == 3
+    assert capsys.readouterr().err == "numeric failure: no samples landed on the grid\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -348,6 +348,24 @@ class TestSpecs:
             got = _poisson_tails(mu, 600)
             assert np.all(np.abs(got[keep] - ref[keep]) <= 1e-11 * ref[keep])
 
+    def test_poisson_tails_far_above_the_cutoff_are_summed_from_below(self, monkeypatch):
+        # at mu = 1e6 the terms ran to mu + 10 sqrt(mu) + 40: 1.7 s and 57 MB
+        # for auto_cutoff to return the cap
+        import stokespace.fock as fock
+
+        sizes, original = [], fock._log_factorials
+        monkeypatch.setattr(fock, "_log_factorials",
+                            lambda n: sizes.append(n) or original(n))
+        assert auto_cutoff(CoherentSpec(1000.0, 0.0)) == 512
+        assert auto_cutoff(MixtureSpec(((0.5, 1e4, 0.0), (0.5, 0.1, 0.2)))) == 512
+        assert max(sizes) <= 512 + 10.0 * math.sqrt(513.0) + 41
+        assert np.all(_poisson_tails(1e6, 512) == 1.0)  # 1 to double precision
+        c = np.arange(601)
+        for mu in (601.5, 700.0, 1500.0):
+            ref = gammainc(c + 1, mu)
+            got = _poisson_tails(mu, 600)
+            assert np.all(np.abs(got - ref) <= 1e-11 * ref)
+
     def test_coherent_leakage_keeps_tiny_tails(self):
         # 1 - P(N_a <= C) P(N_b <= C) cancels to rounding noise down here
         alpha, beta = 1.5, 0.9j

@@ -17,10 +17,11 @@ from stokespace import (
     direction_to_beamsplitter,
     joint_photon_distribution,
     make_state,
-    matrix_verdict,
     mgf_matrix,
+    min_eigenpair,
     second_order_det,
     variance_criteria,
+    verdict,
 )
 from conftest import random_direction, random_low_state
 
@@ -35,11 +36,11 @@ class TestMgfMatrix:
         spec = MgfMatrixSpec(D_X, ((math.sqrt(3.0), 0.0), (0.0, 0.0)))
         m = mgf_matrix(state, spec)
         assert np.max(np.abs(m - np.array([[13.0, 4.0], [4.0, 1.0]]))) < 1e-10
-        report = matrix_verdict(m)
-        assert report.verdict == NONCLASSICAL
-        assert report.value == pytest.approx((14.0 - math.sqrt(208.0)) / 2.0)
+        value, witness = min_eigenpair(m)
+        assert verdict(value) == NONCLASSICAL
+        assert value == pytest.approx((14.0 - math.sqrt(208.0)) / 2.0)
         # the witness is the eigenvector of the smallest eigenvalue
-        res = m @ report.witness - report.value * report.witness
+        res = m @ witness - value * witness
         assert np.max(np.abs(res)) < 1e-10
 
     def test_hermitian_by_construction(self, rng):
@@ -62,9 +63,9 @@ class TestMgfMatrix:
                  rng.uniform(0.0, 0.4))
                 for _ in range(3)
             )
-            report = matrix_verdict(mgf_matrix(state, MgfMatrixSpec(d, pts)))
-            assert report.verdict == INCONCLUSIVE
-            assert report.value > -1e-9
+            value, _ = min_eigenpair(mgf_matrix(state, MgfMatrixSpec(d, pts)))
+            assert verdict(value) == INCONCLUSIVE
+            assert value > -1e-9
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -74,22 +75,24 @@ class TestMgfMatrix:
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
-            matrix_verdict(np.ones((2, 3)))
+            min_eigenpair(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            matrix_verdict(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+            min_eigenpair(np.array([[1.0, 1.0], [-1.0, 1.0]]))
 
     def test_tolerance_separates_verdicts(self):
-        m = np.diag([-1e-10, 1.0])
-        assert matrix_verdict(m, tolerance=1e-9).verdict == INCONCLUSIVE
-        assert matrix_verdict(m, tolerance=1e-11).verdict == NONCLASSICAL
+        value, _ = min_eigenpair(np.diag([-1e-10, 1.0]))
+        assert verdict(value, tolerance=1e-9) == INCONCLUSIVE
+        assert verdict(value, tolerance=1e-11) == NONCLASSICAL
 
     @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
         # -1 made every value "nonclassical"; NaN made every value "inconclusive"
+        # on the values of both criteria, through the one verdict rule
         with pytest.raises(ValueError, match="tolerance"):
-            matrix_verdict(np.diag([-15.0, 1.0]), tolerance)
+            verdict(min_eigenpair(np.diag([-15.0, 1.0]))[0], tolerance)
         with pytest.raises(ValueError, match="tolerance"):
-            char_fn_criterion(make_state(HomInputSpec(), cutoff=4), D_Z, 1.3, tolerance)
+            verdict(char_fn_criterion(make_state(HomInputSpec(), cutoff=4), D_Z, 1.3),
+                    tolerance)
 
 
 class TestSecondOrderDet:
@@ -144,24 +147,25 @@ class TestSecondOrderDet:
 class TestCharFnCriterion:
     def test_photon_pair_exceeds_classical_bound(self):
         state = make_state(HomInputSpec(), cutoff=4)
-        report = char_fn_criterion(state, D_Z, 1.3)
-        assert report.value == pytest.approx(1.0 - (1.0 + 1.69), abs=1e-10)
-        assert report.verdict == NONCLASSICAL
+        value = char_fn_criterion(state, D_Z, 1.3)
+        assert type(value) is float  # a number, as second_order_det returns
+        assert value == pytest.approx(1.0 - (1.0 + 1.69), abs=1e-10)
+        assert verdict(value) == NONCLASSICAL
 
     def test_coherent_inconclusive(self):
         state = make_state(CoherentSpec(0.5, 0.3), cutoff=25)
         k = np.array([0.4, -0.2, 0.1])
         d = direction_to_beamsplitter(k / np.linalg.norm(k))
-        report = char_fn_criterion(state, d, np.linalg.norm(k))
-        assert abs(report.value) < 1e-8
-        assert report.verdict == INCONCLUSIVE
+        value = char_fn_criterion(state, d, np.linalg.norm(k))
+        assert abs(value) < 1e-8
+        assert verdict(value) == INCONCLUSIVE
 
     def test_zero_argument_is_the_trivial_bound(self):
         # Phi(0) = 1 exactly, though the truncated state misses some mass
         with pytest.warns(TruncationWarning):
             state = make_state(TmsvSpec(0.6), cutoff=10)
         assert state.trace < 1.0 - 1e-7
-        assert char_fn_criterion(state, D_X, 0.0).value == 0.0
+        assert char_fn_criterion(state, D_X, 0.0) == 0.0
 
 
 class TestMomentCriteria:

@@ -66,7 +66,46 @@ class TestGrids:
     def test_default_tau(self):
         g = Grid3((-3.0, -4.0, 0.0), (3.0, 2.0, 12.0), (8, 8, 8))
         r = np.sqrt(9.0 + 16.0 + 144.0)
+        assert g.radius == r
         assert default_tau(g) == pytest.approx(0.5 / r)
+
+    @pytest.mark.parametrize("mins, maxs", [
+        ((-1e-300, -8.0, -8.0), (1e-300, 8.0, 8.0)),  # 2 pi / (n h) ~ 1e300
+        ((0.0, -8.0, -8.0), (5e-324, 8.0, 8.0)),      # h rounds to 0
+    ])
+    def test_a_spacing_whose_dual_overflows_names_the_given_extent(self, mins, maxs):
+        # the message named the dual grid's extent, (-1.1e301, ...)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(ValueError, match="dual overflows") as err:
+                Grid3(mins, maxs, (8, 8, 8))
+        assert str(err.value).startswith(f"grid extent {mins} to {maxs}")
+
+    def test_a_fine_grid_whose_dual_fits_is_kept(self):
+        g = Grid3((-1e-150, -8.0, -8.0), (1e-150, 8.0, 8.0), (8, 8, 8))
+        assert np.isfinite(dual_grid(g).radius)
+
+
+class TestDampingRule:
+    def test_tau_times_radius_must_keep_the_damping_finite(self):
+        # exp(0.1 * 1e100) overflowed in the inversion, and a NaN density
+        # came out
+        g = Grid3((-8.0, -8.0, -8.0), (1e100, 8.0, 8.0), (8, 8, 8))
+        with pytest.raises(ValueError, match=r"tau 0\.1 times the grid radius 1e\+100"):
+            invert_to_pess(np.ones(g.ns, dtype=complex), g, 0.1)
+        small = Grid3.cube(1.0, 8)  # radius sqrt(3): 500 sqrt(3) > ln(max double)
+        with pytest.raises(ValueError, match="grid radius"):
+            invert_to_pess(np.ones(small.ns, dtype=complex), small, 500.0)
+        # 1/(2 r) keeps exp(tau |S|) <= e^(1/2) on any grid
+        assert default_tau(g) * g.radius == pytest.approx(0.5)
+
+    def test_a_density_that_is_not_finite_raises(self):
+        # the FFT of data near the top of the double range overflows
+        g = Grid3.cube(2.0, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                invert_to_pess(np.full(g.ns, 1e308, dtype=complex), g, 0.1, window="none")
 
 
 class TestEnsembles:
@@ -210,6 +249,26 @@ class TestPointKernel:
 
 
 class TestInversion:
+    def test_bare_inversion_is_the_direct_fourier_sum(self):
+        # an asymmetric, non-cubic grid off the origin pins the sign and
+        # phase convention: P(S) = e^(tau |S|) (2 pi)^-3 dk^3 Re sum_k M(i k) e^(-i k.S)
+        g = Grid3((-2.5, -1.0, 0.5), (3.0, 4.0, 6.0), (8, 10, 12))
+        pts = np.array([[0.9, 0.4j], [0.3 - 0.5j, 1.1], [1.2, 0.2]])
+        ens = CoherentEnsemble(points=pts, weights=np.array([0.5, 0.3, 0.2]))
+        tau = 0.7 * default_tau(g)
+        kg = dual_grid(g)
+        values = mgf_imaginary_grid(ens, kg, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)  # a coarse grid
+            pess = invert_to_pess(values, g, tau, window="none")
+        k = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        s = np.stack(np.meshgrid(*g.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        sums = (np.exp(-1j * (s @ k.T)) @ values.reshape(-1)).real
+        dk3 = float(np.prod(kg.spacing()))
+        direct = np.exp(tau * np.linalg.norm(s, axis=1)) * dk3 / (2 * np.pi) ** 3 * sums
+        err = np.max(np.abs(pess.values.reshape(-1) - direct))
+        assert err <= 1e-12 * np.max(np.abs(direct))
+
     def test_vacuum_peaks_at_origin(self):
         state = make_state(VacuumSpec(), cutoff=2)
         g = Grid3.cube(2.0, 16)
@@ -332,25 +391,31 @@ class TestOracleAndReports:
     def test_classicality_check(self):
         g = Grid3.cube(1.0, 8)
         values = np.full(g.ns, 0.5)
-        values[0, 0, 0] = -0.005  # 1% of the peak: inside the default 2% band
+        values[0, 0, 0] = -0.005  # 1% of the peak: inside the 2% band
         from stokespace import PessGrid
 
-        pess = PessGrid(grid=g, values=values, tau_used=0.0, window="none",
-                        label="test")
-        assert classicality_check(pess).essentially_classical
-        assert not classicality_check(pess, tol=0.001).essentially_classical
-        assert classicality_check(pess).min_value == pytest.approx(-0.005)
-        with pytest.raises(ValueError):
-            classicality_check(pess, tol=-1.0)
+        def check(low):
+            values[0, 0, 0] = low
+            return classicality_check(PessGrid(grid=g, values=values, tau_used=0.0,
+                                               window="none", label="test"))
 
-    def test_classicality_check_rejects_a_nan_tolerance(self):
-        # tol < 0 let NaN through, and an all-positive grid read not classical
+        assert check(-0.005).essentially_classical
+        assert check(-0.005).min_value == pytest.approx(-0.005)
+        # the band is 2% of the peak 0.5, edge included
+        assert check(-0.01).essentially_classical
+        assert not check(-0.0101).essentially_classical
+        assert not check(-0.4).essentially_classical
+
+    def test_classicality_check_takes_no_tolerance(self):
+        # a NaN tol read an all-positive grid as not classical; the 2% band
+        # is now a constant, not a parameter
         from stokespace import PessGrid
 
         g = Grid3.cube(1.0, 8)
         pess = PessGrid(grid=g, values=np.full(g.ns, 0.5), tau_used=0.0, window="none",
                         label="test")
-        with pytest.raises(ValueError, match="tol must be >= 0"):
+        assert classicality_check(pess).essentially_classical
+        with pytest.raises(TypeError):
             classicality_check(pess, tol=math.nan)
 
     def test_l1_distance_requires_matching_grids(self):
