@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -104,49 +105,38 @@ def _json_object(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-# rows formatted, joined and written at once by _write_csv
+# rows formatted and written at once by _write_csv
 _CSV_CHUNK_ROWS = 1 << 15
 
 
-def _column_text(col) -> np.ndarray:
-    """Fixed-width byte cells of a column chunk, every number as .17g text.
-    A float array is formatted once per distinct bit pattern (so -0.0, 0.0
-    and every NaN keep their own text), any other column cell by cell."""
-    if isinstance(col, np.ndarray):
-        bits = col.astype(float).view(np.uint64)
-        bits, inverse = np.unique(bits, return_inverse=True)
-        values = bits.view(np.float64).tolist()
-        text = ("%.17g\n" * len(values) % tuple(values)).encode().split(b"\n")
-        return np.array(text[:-1], dtype=bytes)[inverse]
-    return np.array(
-        [(v if isinstance(v, str) else format(float(v), ".17g")).encode() for v in col],
-        dtype=bytes,
-    )
-
-
-def _write_csv(path: Path, columns, rows, timestamp: bool) -> None:
-    """Write a table given as an (n, len(columns)) float array or as row
-    tuples of numbers and strings; see the CSV contract in the README."""
-    if isinstance(rows, np.ndarray):
-        cells = rows.reshape(len(rows), len(columns)).T
-    else:
-        cells = list(zip(*rows))
+def _write_csv(path: Path, columns, rows, timestamp: bool, axes=()) -> None:
+    """Write a table whose leading columns are the C-order product of `axes`
+    and whose other cells are `rows`, one row per grid point: an (n, k)
+    float array or row tuples of numbers and strings.  Each coordinate is
+    formatted once, as a literal of the %-template that formats a chunk of
+    whole runs of the last axis; see the CSV contract in the README."""
+    coords = [[format(float(v), ".17g") + "," for v in a] for a in axes]
+    last = coords.pop() if coords else [""]
+    heads = ["".join(h) for h in itertools.product(*coords)] if axes else [""] * len(rows)
+    step = max(1, _CSV_CHUNK_ROWS // len(last))
     with open(path, "wb") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode())
         fh.write((",".join(columns) + "\n").encode())
-        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-            # one byte row per table row: each cell NUL-padded to its
-            # column width, then a separator; dropping the NULs joins the row
-            n = min(_CSV_CHUNK_ROWS, len(rows) - lo)
-            block = [
-                _column_text(col[lo:lo + n]).view(np.uint8).reshape(n, -1)
-                for col in cells
-            ]
-            sep = np.full((n, 1), ord(","), dtype=np.uint8)
-            buf = np.hstack([a for c in block for a in (c, sep)])
-            buf[:, -1] = ord("\n")
-            fh.write(buf[buf != 0].tobytes())
+        for lo in range(0, len(heads), step):
+            part = rows[lo * len(last):(lo + step) * len(last)]
+            if isinstance(rows, np.ndarray):
+                fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+                runs, cells = itertools.repeat([c + fmt for c in last]), part.ravel().tolist()
+            else:  # each row its own cell formats
+                fmts = [",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+                        + "\n" for row in part]
+                runs = ([c + f for c, f in zip(last, fmts[i:i + len(last)])]
+                        for i in range(0, len(fmts), len(last)))
+                cells = [v for row in part for v in row]
+            # h + h.join(run) puts the head in front of every row of the run
+            text = "".join(h + h.join(run) for h, run in zip(heads[lo:lo + step], runs))
+            fh.write((text % tuple(cells)).encode())
 
 
 def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
@@ -172,9 +162,9 @@ def _echo(args) -> dict:
             "timestamp": args.timestamp}
 
 
-def _table(args, name: str, columns, rows) -> Path:
+def _table(args, name: str, columns, rows, axes=()) -> Path:
     path = args.out / name
-    _write_csv(path, columns, rows, args.timestamp)
+    _write_csv(path, columns, rows, args.timestamp, axes)
     return path
 
 
@@ -225,8 +215,8 @@ def cmd_hom_scan(args) -> int:
     t, n = np.r_[2.0 * ts, 0.0, ts], ts.size
     m = _kernel_sums(state, T, R, *_kernels(t, 0.0))
     dets = _moment_det(m[:, :n], m[:, n, None], m[:, n + 1 :])
-    table = np.column_stack([np.repeat(t2_grid, n), np.tile(ts, len(t2_grid)), dets.ravel()])
-    print(_table(args, "hom_scan.csv", ["T2", "t", "determinant"], table))
+    print(_table(args, "hom_scan.csv", ["T2", "t", "determinant"], dets.reshape(-1, 1),
+                 (t2_grid, ts)))
     return 0
 
 
@@ -243,10 +233,8 @@ def cmd_tmsv_scan(args) -> int:
         cutoff = args.cutoff if args.cutoff is not None else auto_cutoff(spec)
         dist = joint_photon_distribution(make_state(spec, cutoff), d)
         dets.append(second_order_det(dist, d, -taus, taus, taus, taus))
-    table = np.column_stack(
-        [np.repeat(kappas, len(taus)), np.tile(taus, len(kappas)), np.ravel(dets)]
-    )
-    print(_table(args, "tmsv_scan.csv", ["tanh_xi", "tau", "determinant"], table))
+    print(_table(args, "tmsv_scan.csv", ["tanh_xi", "tau", "determinant"],
+                 np.reshape(dets, (-1, 1)), (kappas, taus)))
     return 0
 
 
@@ -313,8 +301,8 @@ def cmd_clicks(args) -> int:
         est, err = estimate_mgf_from_samples(samples, k, l, cfg_a, cfg_b)
     else:
         est = err = ("",) * k.size
-    _table(args, "clicks.csv", ["i", "j", "probability"],
-           np.column_stack([k, l, clicks.c.ravel()]))
+    _table(args, "clicks.csv", ["i", "j", "probability"], clicks.c.reshape(-1, 1),
+           [np.arange(n) for n in clicks.c.shape])
     _table(args, "moments.csv",
            ["k", "l", "t", "tau", "mu", "mgf", "estimate", "std_error"],
            list(zip(k, l, t, tau, mu, direct, est, err)))
@@ -344,8 +332,9 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"--mc-oracle needs at least {ORACLE_MIN_SAMPLES} samples")
     grid = Grid3(tuple(args.s_min), tuple(args.s_max), (args.n_points,) * 3)
     tau = args.tau if args.tau is not None else default_tau(grid)
-    _check_points(0.0, tau)  # tau and the damping rule before the source is built
+    _check_points(0.0, tau)  # tau, the damping rule and the dual before the source
     _check_damping(tau, grid)
+    k_grid = dual_grid(grid)
 
     if args.ensemble is not None:
         source = ensemble_from_json(args.ensemble)
@@ -354,7 +343,7 @@ def cmd_reconstruct(args) -> int:
         source, spec, cutoff = _build_state(args)
         source_json = spec_to_json(spec, cutoff)
 
-    pess = invert_to_pess(mgf_imaginary_grid(source, dual_grid(grid), tau), grid, tau,
+    pess = invert_to_pess(mgf_imaginary_grid(source, k_grid, tau), grid, tau,
                           window=args.window)
     report = classicality_check(pess)
     payload = {
@@ -380,9 +369,9 @@ def cmd_reconstruct(args) -> int:
     save_pess(pess, args.out / "pess.bin")
     if args.mc_oracle:
         save_pess(oracle, args.out / "oracle.bin")
-        del oracle  # not held while the table, the run's largest, is built
-    table = np.stack(np.broadcast_arrays(*np.ix_(*grid.axes()), pess.values), axis=-1)
-    _table(args, "pess.csv", ["S_x", "S_y", "S_z", "value"], table.reshape(-1, 4))
+        del oracle  # not held while pess.csv, the run's largest file, is written
+    _table(args, "pess.csv", ["S_x", "S_y", "S_z", "value"], pess.values.reshape(-1, 1),
+           grid.axes())
     _write_json(args.out / "report.json", payload, args.timestamp)
     print(args.out / "report.json")
     return 0

@@ -64,13 +64,16 @@ class Grid3:
         # default_tau, the damping rule and the inversion read the radius
         if not math.isfinite(self.radius):
             raise ValueError(f"grid extent {mins} to {maxs} overflows |S|^2")
-        # the inversion squares the FFT dual's |k| too: its edge (n/2) 2 pi / (n h)
+        # the inversion squares the FFT dual's |k|, edge (n/2) 2 pi / (n h), and
+        # dual_grid's own check squares the dual of that dual, edge (n/2) h
         with np.errstate(divide="ignore", over="ignore"):
-            counts = np.array(ns)
-            edge = counts // 2 * (2.0 * np.pi / (counts * np.array(self.spacing())))
-            if not np.isfinite(np.sum(edge * edge)):
-                raise ValueError(f"grid extent {mins} to {maxs} over {ns} points is "
-                                 "too fine: its FFT dual overflows |k|^2")
+            counts, h = np.array(ns), np.array(self.spacing())
+            duals = [(2.0 * np.pi / (counts * h), "fine: its FFT dual overflows |k|^2"),
+                     (h, "coarse: the dual of its FFT dual overflows |S|^2")]
+            for edge, why in duals:
+                if not np.isfinite(np.sum((counts // 2 * edge) ** 2)):
+                    raise ValueError(f"grid extent {mins} to {maxs} over {ns} points is "
+                                     f"too {why}")
 
     @classmethod
     def cube(cls, s_max: float, n: int) -> "Grid3":

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -390,6 +391,31 @@ def test_columnar_writer_matches_row_formatter(tmp_path, n, timestamp):
     assert written(tmp_path / "m.csv", timestamp) == reference_csv(cols, rows)
 
 
+@pytest.mark.parametrize("shape, timestamp", [
+    ((len(SPECIAL),), False), ((len(SPECIAL), 3), False), ((3, 5, len(SPECIAL)), True),
+    ((len(SPECIAL), 1), False), ((3, 2, 1), True),
+    (((_CSV_CHUNK_ROWS + 1) // 7 + 1, 7), False), ((_CSV_CHUNK_ROWS + 1, 1), True),
+    ((2, _CSV_CHUNK_ROWS + 1), False)],
+    ids=["1-axis", "2-axis", "3-axis", "last-1", "3-axis-last-1", "chunks",
+         "chunks-last-1", "last-past-chunk"])
+def test_grid_writer_matches_row_formatter(tmp_path, shape, timestamp):
+    # the leading columns are the C-order product of the axes, last axis fastest
+    axes = [np.resize(np.array(SPECIAL[i:] + SPECIAL[:i]), n) for i, n in enumerate(shape)]
+    n = math.prod(shape)
+    coords = list(itertools.product(*axes))
+    cols = [f"x{i}" for i in range(len(shape))] + ["a", "b"]
+    table = np.resize(np.array(SPECIAL), (n, 2))
+    table[:, 1] = table[::-1, 0]
+    _write_csv(tmp_path / "f.csv", cols, table, timestamp, axes)
+    assert written(tmp_path / "f.csv", timestamp) == \
+        reference_csv(cols, [(*c, *r) for c, r in zip(coords, table)])
+    rows = mixed_rows(n)
+    cols = cols[:-2] + ["c", "d", "e", "f", "g"]
+    _write_csv(tmp_path / "m.csv", cols, rows, timestamp, axes)
+    assert written(tmp_path / "m.csv", timestamp) == \
+        reference_csv(cols, [(*c, *r) for c, r in zip(coords, rows)])
+
+
 def test_reconstruct_from_state(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the point density rings to the edge
@@ -402,13 +428,55 @@ def test_reconstruct_from_state(tmp_path):
     assert all(i in (7, 8) for i in idx)
 
 
+# one short run of every command that writes a grid table, and its tables
+GRID_RUNS = {
+    "reconstruct": (["reconstruct", "--n-points", "8"], ["pess.csv"]),
+    "hom-scan": (["hom-scan", "--t2-steps", "5"], ["hom_scan.csv"]),
+    "tmsv-scan": (["tmsv-scan", "--kappa-steps", "3", "--tau-steps", "4"],
+                  ["tmsv_scan.csv"]),
+    "clicks": (["clicks", "--state", TMSV, "--apds-a", "3", "--apds-b", "2"],
+               ["clicks.csv", "moments.csv"]),
+}
+
+
+def run_quietly(argv, out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the vacuum density rings to the 8^3 edge
+        assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
+
+
 def test_byte_identical_reruns(tmp_path):
     for sub in ("a", "b"):
         d = tmp_path / sub
         assert main(["surface", "--state", HOM, "--out", str(d),
                      "--n-theta", "3", "--n-phi", "4", "--no-timestamp"]) == 0
+        for argv, _ in GRID_RUNS.values():
+            run_quietly(argv, d / argv[0])
     assert (tmp_path / "a/surface.csv").read_bytes() == \
         (tmp_path / "b/surface.csv").read_bytes()
+    for argv, names in GRID_RUNS.values():
+        for name in names:
+            assert (tmp_path / "a" / argv[0] / name).read_bytes() == \
+                (tmp_path / "b" / argv[0] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, names", GRID_RUNS.values(), ids=GRID_RUNS.keys())
+def test_each_table_is_one_write_call_of_its_rows(tmp_path, monkeypatch, argv, names):
+    # the benchmark tracer counts cli.rows_written as len(rows) of each call
+    import stokespace.cli as cli
+
+    calls, write = [], cli._write_csv
+
+    def spy(path, columns, rows, timestamp, axes=()):
+        calls.append((Path(path).name, len(rows)))
+        write(path, columns, rows, timestamp, axes)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    run_quietly(argv, tmp_path)
+    assert sorted(calls) == sorted(
+        (name, len((tmp_path / name).read_text().splitlines()) - 1) for name in names)
+    if argv[0] == "reconstruct":
+        assert calls == [("pess.csv", 512)]
 
 
 def test_timestamp_emitted_by_default(tmp_path):
@@ -625,12 +693,16 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, capsys, argv):
     (["--s-min=-1e-300,-8,-8", "--s-max", "1e-300,8,8"],
      "error: grid extent (-1e-300, -8.0, -8.0) to (1e-300, 8.0, 8.0) over (8, 8, 8) "
      "points is too fine"),
-], ids=["damping", "dual-grid"])
+    (["--s-min=-7e153,-7e153,-7e153", "--s-max", "7e153,7e153,7e153"],
+     "error: grid extent (-7e+153, -7e+153, -7e+153) to (7e+153, 7e+153, 7e+153) over "
+     "(8, 8, 8) points is too coarse"),
+], ids=["damping", "dual-grid", "dual-of-dual"])
 def test_reconstruct_judges_its_grid_and_damping_before_the_source(
         tmp_path, monkeypatch, capsys, argv, message):
     # the first wrote pess.bin and pess.csv after a numpy RuntimeWarning and
     # exited 2 with "tol must be >= 0, got nan"; the second named the extent
-    # of the dual grid, (-1.0995574287564276e+301, ...)
+    # of the dual grid, (-1.0995574287564276e+301, ...); the third the extent of
+    # the dual grid too, (-1.5707963267948965e-153, ...), whose own dual overflowed
     import stokespace.cli as cli
 
     monkeypatch.setattr(cli, "_build_state", lambda args: pytest.fail("source built"))

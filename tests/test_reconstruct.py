@@ -85,6 +85,22 @@ class TestGrids:
         g = Grid3((-1e-150, -8.0, -8.0), (1e-150, 8.0, 8.0), (8, 8, 8))
         assert np.isfinite(dual_grid(g).radius)
 
+    @pytest.mark.parametrize("mins, maxs", [
+        ((-7e153,) * 3, (7e153,) * 3),                  # (n/2) h = 8e153 per axis
+        ((-1.3e154, -8.0, -8.0), (1.3e154, 8.0, 8.0)),  # |S|^2 fits, ((n/2) h)^2 not
+    ])
+    def test_an_extent_whose_dual_of_dual_overflows_names_the_given_extent(self, mins, maxs):
+        # dual_grid's own rule failed and named the k grid's extent, (-1.6e-153, ...)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too coarse") as err:
+                Grid3(mins, maxs, (8, 8, 8))
+        assert str(err.value).startswith(f"grid extent {mins} to {maxs}")
+
+    def test_a_coarse_grid_whose_dual_of_dual_fits_is_kept(self):
+        g = Grid3((-6.5e153,) * 3, (6.5e153,) * 3, (8, 8, 8))
+        assert np.isfinite(dual_grid(g).radius)
+
 
 class TestDampingRule:
     def test_tau_times_radius_must_keep_the_damping_finite(self):
