@@ -62,10 +62,9 @@ from .detector import (
 from .reconstruct import (
     ORACLE_MIN_SAMPLES,
     Grid3,
-    _check_damping,
+    _judge_inversion,
     classicality_check,
     default_tau,
-    dual_grid,
     ensemble_from_json,
     invert_to_pess,
     l1_distance,
@@ -210,7 +209,8 @@ def cmd_hom_scan(args) -> int:
     e_z = 2.0 * t2_grid - 1.0
     axes = np.column_stack([np.sqrt(np.maximum(0.0, 1.0 - e_z**2)), np.zeros_like(e_z), e_z])
     _, T, R = _splitters(axes)
-    state = make_state(HomInputSpec(), args.cutoff if args.cutoff is not None else 4)
+    spec = HomInputSpec()
+    state = make_state(spec, args.cutoff if args.cutoff is not None else auto_cutoff(spec))
     # second_order_det(t, 0, 0, 0) on every axis: M(2t; 0), M(0; 0), M(t; 0)
     t, n = np.r_[2.0 * ts, 0.0, ts], ts.size
     m = _kernel_sums(state, T, R, *_kernels(t, 0.0))
@@ -332,9 +332,7 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"--mc-oracle needs at least {ORACLE_MIN_SAMPLES} samples")
     grid = Grid3(tuple(args.s_min), tuple(args.s_max), (args.n_points,) * 3)
     tau = args.tau if args.tau is not None else default_tau(grid)
-    _check_points(0.0, tau)  # tau, the damping rule and the dual before the source
-    _check_damping(tau, grid)
-    k_grid = dual_grid(grid)
+    k_grid = _judge_inversion(grid, tau)  # before the source is built
 
     if args.ensemble is not None:
         source = ensemble_from_json(args.ensemble)

@@ -164,7 +164,7 @@ def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
 def spec_from_json(obj) -> tuple[StateSpec, int | None]:
     """Parse a state spec dict (or JSON string).  Returns (spec, cutoff or None).
 
-    An unknown kind or a missing or mistyped field raises ValueError."""
+    An unknown kind or a missing or mistyped field, cutoff included, raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -174,6 +174,9 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
         raise ValueError(f"unknown state kind {kind!r}")
     cls, fields = _KINDS[kind]
     cutoff = obj.get("cutoff")
+    if not (cutoff is None or type(cutoff) is int  # not bool; 1e400 reads as inf
+            or type(cutoff) is float and cutoff.is_integer()):
+        raise ValueError(f"state spec cutoff must be a whole number, got {cutoff!r}")
     try:
         args = [from_json(obj[name]) for name, (_, from_json) in fields.items()]
         cutoff = None if cutoff is None else int(cutoff)

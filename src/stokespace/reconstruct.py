@@ -61,19 +61,12 @@ class Grid3:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
         object.__setattr__(self, "ns", ns)
-        # default_tau, the damping rule and the inversion read the radius
+        # the radius feeds default_tau and the damping rule, the cell volume every mass
         if not math.isfinite(self.radius):
             raise ValueError(f"grid extent {mins} to {maxs} overflows |S|^2")
-        # the inversion squares the FFT dual's |k|, edge (n/2) 2 pi / (n h), and
-        # dual_grid's own check squares the dual of that dual, edge (n/2) h
-        with np.errstate(divide="ignore", over="ignore"):
-            counts, h = np.array(ns), np.array(self.spacing())
-            duals = [(2.0 * np.pi / (counts * h), "fine: its FFT dual overflows |k|^2"),
-                     (h, "coarse: the dual of its FFT dual overflows |S|^2")]
-            for edge, why in duals:
-                if not np.isfinite(np.sum((counts // 2 * edge) ** 2)):
-                    raise ValueError(f"grid extent {mins} to {maxs} over {ns} points is "
-                                     f"too {why}")
+        if not 0.0 < self.cell_volume < math.inf:
+            raise ValueError(f"grid extent {mins} to {maxs} over {ns} points has cell "
+                             f"volume {self.cell_volume!r}, not finite and > 0")
 
     @classmethod
     def cube(cls, s_max: float, n: int) -> "Grid3":
@@ -102,14 +95,16 @@ class Grid3:
 
 
 def dual_grid(grid: Grid3) -> Grid3:
-    """FFT-matched k grid: spacing 2 pi / (n h), centered on zero."""
-    mins, maxs, ns = [], [], []
-    for h, n in zip(grid.spacing(), grid.ns):
-        dk = 2.0 * np.pi / (n * h)
-        mins.append(-(n // 2) * dk)
-        maxs.append((n // 2 - 1) * dk)
-        ns.append(n)
-    return Grid3(tuple(mins), tuple(maxs), tuple(ns))
+    """FFT-matched k grid: spacing 2 pi / (n h), centered on zero.  A grid
+    whose dual breaks Grid3's rules raises ValueError naming the extent as
+    given; the damping rule is judged beside this call, by _judge_inversion."""
+    dk = [2.0 * math.pi / (n * h) for h, n in zip(grid.spacing(), grid.ns)]
+    try:
+        return Grid3(tuple(-(n // 2) * d for d, n in zip(dk, grid.ns)),
+                     tuple((n // 2 - 1) * d for d, n in zip(dk, grid.ns)), grid.ns)
+    except ValueError:
+        raise ValueError(f"grid extent {grid.mins} to {grid.maxs} over {grid.ns} points "
+                         "is too fine: its FFT dual overflows") from None
 
 
 @dataclass(frozen=True)
@@ -306,11 +301,15 @@ def default_tau(s_grid: Grid3) -> float:
     return 0.5 / s_grid.radius
 
 
-def _check_damping(tau: float, s_grid: Grid3) -> None:
-    """The damping rule: exp(tau |S|) must stay finite out to the grid radius."""
+def _judge_inversion(s_grid: Grid3, tau: float) -> Grid3:
+    """Every rule an inversion of s_grid at tau needs before any data: tau
+    finite and >= 0, the damping rule (exp(tau |S|) finite out to the grid
+    radius) and the dual grid's own rules.  Returns the dual grid."""
+    _check_points(0.0, tau)
     if not tau * s_grid.radius < np.log(np.finfo(float).max):
         raise ValueError(f"tau {tau!r} times the grid radius {s_grid.radius!r} "
                          "overflows exp(tau |S|)")
+    return dual_grid(s_grid)
 
 
 def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
@@ -339,17 +338,16 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
     window="none" for the bare (unwindowed) transform.  Warns when the
     recovered mass drifts from 1 beyond TOL.pess_norm or when
     boundary mass suggests the grid extent is too small; data violating
-    M(-k) = M(k)* beyond rounding, or a density that is not finite,
-    raises NumericalError; a tau past the damping rule raises ValueError.
+    M(-k) = M(k)* beyond rounding, or a density or mass that is not
+    finite, raises NumericalError.  On entry, _judge_inversion's rules (tau, damping,
+    the dual grid) raise ValueError; the grid's own were judged at its build.
     """
-    _check_points(0.0, tau)
-    _check_damping(tau, s_grid)
+    kg = _judge_inversion(s_grid, tau)
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     mgf_values = np.asarray(mgf_values, dtype=complex)
     if mgf_values.shape != s_grid.ns:
         raise ValueError("data shape must match the grid")
-    kg = dual_grid(s_grid)
     kx, ky, kz = kg.axes()
     k_norm = np.sqrt(
         kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
@@ -395,9 +393,9 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
     data = np.fft.ifftshift(data)
     with np.errstate(over="ignore", invalid="ignore"):  # judged just below
         values = np.fft.fftn(data).real * np.exp(tau * s_norm) * scale
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("the inverted density is not finite")
-    total = float(values.sum()) * s_grid.cell_volume
+        total = float(values.sum()) * s_grid.cell_volume
+    if not math.isfinite(total):  # so is every value
+        raise NumericalError("the inverted density or its mass is not finite")
     if abs(total - 1.0) > TOL.pess_norm:
         warnings.warn(
             f"recovered mass {total:.6f} deviates from 1 beyond {TOL.pess_norm:.0e}",

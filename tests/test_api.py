@@ -1,6 +1,7 @@
 """Guards on the public surface: exported names, traced layers, warnings,
 and the input and output gates that NaN must fail."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -58,7 +59,8 @@ from stokespace import (
     surface_map,
 )
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -89,6 +91,30 @@ def test_every_traced_layer_is_a_callable():
         fn = getattr(importlib.import_module(f"stokespace.{module}"), name)
         params = list(inspect.signature(fn).parameters)
         assert params[index : index + 1] == [param], f"{module}.{name} {params}"
+
+
+def _bench_names():
+    """(module, name) of every package name the benchmark reads: the traced
+    LAYERS of tracer.py and each `from stokespace... import` of a bench
+    script, read with ast so that no bench code runs."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and str(node.module).startswith("stokespace"):
+                yield from ((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "LAYERS":
+                for module, names in ast.literal_eval(node.value).items():
+                    yield from ((f"stokespace.{module}", name) for name in names)
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # retiring a traced layer or a name that check.py or probes.py imports
+    # breaks the benchmark, not a program test
+    names = list(_bench_names())
+    assert {("stokespace.cli", "main"), ("stokespace.reconstruct", "dual_grid"),
+            ("stokespace", "auto_cutoff")} <= set(names)
+    missing = [f"{module}.{name}" for module, name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
 
 
 def _leaky_state():

@@ -695,14 +695,21 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, capsys, argv):
      "points is too fine"),
     (["--s-min=-7e153,-7e153,-7e153", "--s-max", "7e153,7e153,7e153"],
      "error: grid extent (-7e+153, -7e+153, -7e+153) to (7e+153, 7e+153, 7e+153) over "
-     "(8, 8, 8) points is too coarse"),
-], ids=["damping", "dual-grid", "dual-of-dual"])
+     "(8, 8, 8) points has cell volume inf"),
+    (["--s-min=-6.5e153,-6.5e153,-6.5e153", "--s-max", "6.5e153,6.5e153,6.5e153"],
+     "error: grid extent (-6.5e+153, -6.5e+153, -6.5e+153) to (6.5e+153, 6.5e+153, "
+     "6.5e+153) over (8, 8, 8) points has cell volume inf"),
+    (["--s-min=-1e104,-1e104,-1e104", "--s-max", "1e104,1e104,1e104"],
+     "error: grid extent (-1e+104, -1e+104, -1e+104) to (1e+104, 1e+104, 1e+104) over "
+     "(8, 8, 8) points has cell volume inf"),
+], ids=["damping", "dual-grid", "cell-volume", "nan-mass", "infinite-mass"])
 def test_reconstruct_judges_its_grid_and_damping_before_the_source(
         tmp_path, monkeypatch, capsys, argv, message):
     # the first wrote pess.bin and pess.csv after a numpy RuntimeWarning and
     # exited 2 with "tol must be >= 0, got nan"; the second named the extent
     # of the dual grid, (-1.0995574287564276e+301, ...); the third the extent of
-    # the dual grid too, (-1.5707963267948965e-153, ...), whose own dual overflowed
+    # the dual grid too, (-1.5707963267948965e-153, ...), whose own dual
+    # overflowed; the last two exited 0 with a total_mass of NaN and of inf
     import stokespace.cli as cli
 
     monkeypatch.setattr(cli, "_build_state", lambda args: pytest.fail("source built"))
@@ -713,6 +720,30 @@ def test_reconstruct_judges_its_grid_and_damping_before_the_source(
     assert caught == []
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reconstruct_inverts_a_coarse_grid_whose_cell_volume_fits(tmp_path):
+    # the dual-of-dual rule rejected it with exit 2
+    with pytest.warns(ConvergenceWarning):  # the vacuum is not resolved on it
+        assert main(["reconstruct", "--s-min=-1.3e154,-8,-8", "--s-max", "1.3e154,8,8",
+                     "--n-points", "8", "--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert math.isfinite(json.loads((tmp_path / "report.json").read_text())["total_mass"])
+
+
+@pytest.mark.parametrize("cutoff", ["1e400", "2.7", "true", '"3"'],
+                         ids=["overflow", "fraction", "boolean", "string"])
+def test_an_embedded_cutoff_must_be_a_whole_number(tmp_path, monkeypatch, capsys, cutoff):
+    # 1e400 ended in an OverflowError traceback; 2.7 ran at cutoff 2 and
+    # true at cutoff 1
+    import stokespace.cli as cli
+
+    monkeypatch.setattr(cli, "make_state", lambda *a: pytest.fail("state built"))
+    state = f'{{"kind": "vacuum", "cutoff": {cutoff}}}'
+    assert main(["mgf", "--state", state, "--out", str(tmp_path), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state spec cutoff must be a whole number, got ")
+    assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -74,32 +74,49 @@ class TestGrids:
         ((0.0, -8.0, -8.0), (5e-324, 8.0, 8.0)),      # h rounds to 0
     ])
     def test_a_spacing_whose_dual_overflows_names_the_given_extent(self, mins, maxs):
-        # the message named the dual grid's extent, (-1.1e301, ...)
+        # the message named the dual grid's extent, (-1.1e301, ...).  The first
+        # grid is kept and its dual fails in dual_grid; the second fails at
+        # construction, on its cell volume of 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning either
-            with pytest.raises(ValueError, match="dual overflows") as err:
-                Grid3(mins, maxs, (8, 8, 8))
-        assert str(err.value).startswith(f"grid extent {mins} to {maxs}")
+            with pytest.raises(ValueError) as err:
+                dual_grid(Grid3(mins, maxs, (8, 8, 8)))
+        assert str(err.value).startswith(f"grid extent {mins} to {maxs} over (8, 8, 8) "
+                                         "points ")
+        assert str(err.value).endswith(("is too fine: its FFT dual overflows",
+                                        "has cell volume 0.0, not finite and > 0"))
+
+    def test_a_cell_volume_underflow_names_the_given_extent(self):
+        # h^3 rounds to 0: the grid was kept, and dual_grid then named the k
+        # grid's extent, (-7.7e153, ...)
+        with pytest.raises(ValueError, match=r"has cell volume 0\.0") as err:
+            Grid3.cube(3.0437850772109496e-153, 16)
+        assert str(err.value).startswith("grid extent (-3.0437850772109496e-153,")
 
     def test_a_fine_grid_whose_dual_fits_is_kept(self):
         g = Grid3((-1e-150, -8.0, -8.0), (1e-150, 8.0, 8.0), (8, 8, 8))
         assert np.isfinite(dual_grid(g).radius)
 
     @pytest.mark.parametrize("mins, maxs", [
-        ((-7e153,) * 3, (7e153,) * 3),                  # (n/2) h = 8e153 per axis
-        ((-1.3e154, -8.0, -8.0), (1.3e154, 8.0, 8.0)),  # |S|^2 fits, ((n/2) h)^2 not
+        ((-7e153,) * 3, (7e153,) * 3),      # h^3 = (2e153)^3
+        ((-6.5e153,) * 3, (6.5e153,) * 3),  # its inversion wrote a NaN mass
     ])
-    def test_an_extent_whose_dual_of_dual_overflows_names_the_given_extent(self, mins, maxs):
-        # dual_grid's own rule failed and named the k grid's extent, (-1.6e-153, ...)
+    def test_a_cell_volume_overflow_names_the_given_extent(self, mins, maxs):
+        # the first was rejected by the dual-of-dual rule, the second kept
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="too coarse") as err:
+            with pytest.raises(ValueError, match="has cell volume inf") as err:
                 Grid3(mins, maxs, (8, 8, 8))
         assert str(err.value).startswith(f"grid extent {mins} to {maxs}")
 
-    def test_a_coarse_grid_whose_dual_of_dual_fits_is_kept(self):
-        g = Grid3((-6.5e153,) * 3, (6.5e153,) * 3, (8, 8, 8))
-        assert np.isfinite(dual_grid(g).radius)
+    def test_a_coarse_grid_whose_cell_volume_fits_is_kept(self):
+        # the dual-of-dual rule rejected it; |S|^2, h_x h_y h_z = 1.9e154 and
+        # the dual's rules all fit, and the vacuum (M = 1) inverts to a finite
+        # mass, off 1 on a grid that cannot resolve it
+        g = Grid3((-1.3e154, -8.0, -8.0), (1.3e154, 8.0, 8.0), (8, 8, 8))
+        with pytest.warns(ConvergenceWarning):
+            pess = invert_to_pess(np.ones(g.ns, dtype=complex), g, default_tau(g))
+        assert math.isfinite(pess.total_mass)
 
 
 class TestDampingRule:
@@ -114,6 +131,15 @@ class TestDampingRule:
             invert_to_pess(np.ones(small.ns, dtype=complex), small, 500.0)
         # 1/(2 r) keeps exp(tau |S|) <= e^(1/2) on any grid
         assert default_tau(g) * g.radius == pytest.approx(0.5)
+
+    def test_a_mass_that_overflows_raises(self):
+        # every value is finite, up to 2.5e307, but their sum is not: the
+        # mass read inf, and reconstruct exited 0
+        g = Grid3.cube(5e-103, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="mass is not finite"):
+                invert_to_pess(np.ones(g.ns, dtype=complex), g, default_tau(g))
 
     def test_a_density_that_is_not_finite_raises(self):
         # the FFT of data near the top of the double range overflows
