@@ -35,8 +35,11 @@ from .fock import (
 from .mgf import _check_points, _kernels
 
 _WINDOWS = ("raised-cosine", "none")
-# complex entries of one point chunk's phase table in _kernel_from_points (32 MB)
+# complex entries of one point chunk's phase table in _kernel_from_points
+# (32 MB), and never more than the output grid holds
 _POINT_CHUNK_ENTRIES = 1 << 21
+# draws binned per histogramdd call of pess_mc_oracle (about 3 MB in flight)
+_ORACLE_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,12 @@ def dual_grid(grid: Grid3) -> Grid3:
     except ValueError:
         raise ValueError(f"grid extent {grid.mins} to {grid.maxs} over {grid.ns} points "
                          "is too fine: its FFT dual overflows") from None
+
+
+def _squared_norms(axes) -> np.ndarray:
+    """|v|^2 on the Cartesian grid of three axes, as one grid of floats."""
+    x, y, z = axes
+    return x[:, None, None] ** 2 + y[None, :, None] ** 2 + z[None, None, :] ** 2
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,9 @@ class _GaussianEnsemble:
 
         with d = (1 + sigma^2 tau)^2 + sigma^4 k^2, S0 the Stokes vector of
         the means and I0 their total intensity.  The Stokes support is
-        unbounded, so the expectation needs tau > 0.
+        unbounded, so the expectation needs tau > 0.  Beside the complex
+        result, which holds the exponent, it allocates two grid floats (k^2
+        and d, which holds k.S0 first, one matvec per k_x plane).
         """
         if tau == 0:
             raise ValueError("tau must be > 0 for ensembles with unbounded support")
@@ -196,13 +207,24 @@ class _GaussianEnsemble:
         mu = np.array([self.mean_alpha, self.mean_beta], dtype=complex)
         s0 = stokes_points(mu[None, :])[0]
         i0 = float(np.abs(mu[0]) ** 2 + np.abs(mu[1]) ** 2)
-        k_points = np.stack(np.meshgrid(*k_grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
-        k2 = np.sum(k_points**2, axis=1)
-        det = (1.0 + sigma**2 * tau) ** 2 + sigma**4 * k2
-        top = 1j * (k_points @ s0) - (
-            sigma**2 * k2 + tau * (1.0 + sigma**2 * tau)
-        ) * i0
-        return (np.exp(top / det) / det).reshape(k_grid.ns)
+        kx, ky, kz = axes = k_grid.axes()
+        k2 = _squared_norms(axes)
+        det = np.empty(k_grid.ns)
+        plane = np.stack(np.broadcast_arrays(0.0, ky[:, None], kz), axis=-1)
+        for i, x in enumerate(kx):
+            plane[..., 0] = x
+            np.matmul(plane, s0, out=det[i])
+        top = 1j * det
+        np.multiply(k2, sigma**4, out=det)
+        det += (1.0 + sigma**2 * tau) ** 2
+        k2 *= sigma**2
+        k2 += tau * (1.0 + sigma**2 * tau)
+        k2 *= i0
+        top -= k2
+        top /= det
+        np.exp(top, out=top)
+        top /= det
+        return top
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         mu = np.array([self.mean_alpha, self.mean_beta], dtype=complex)
@@ -256,7 +278,8 @@ def _kernel_from_points(
 
     exp(i k.S) = e^{i kx Sx} e^{i ky Sy} e^{i kz Sz}, so the sum is one
     complex GEMM (nx, m) @ (m, ny nz) over three 1-D phase tables, run
-    over chunks of points to bound the (m, ny nz) operand.
+    over chunks of points whose (m, ny nz) operand holds at most
+    _POINT_CHUNK_ENTRIES entries and at most as many as the output.
     """
     kx, ky, kz = k_axes
     svec = stokes_points(pts)
@@ -264,7 +287,7 @@ def _kernel_from_points(
     w = np.full(m, 1.0 / m) if weights is None else weights
     damp = w * np.exp(-tau * np.linalg.norm(svec, axis=1))
     out = np.zeros((kx.size, ky.size * kz.size), dtype=complex)
-    step = max(1, _POINT_CHUNK_ENTRIES // (ky.size * kz.size))
+    step = max(1, min(_POINT_CHUNK_ENTRIES, out.size) // (ky.size * kz.size))
     for lo in range(0, m, step):
         sx, sy, sz = svec[lo:lo + step].T
         ex = np.exp(1j * np.multiply.outer(kx, sx)) * damp[lo:lo + step]
@@ -341,6 +364,9 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
     M(-k) = M(k)* beyond rounding, or a density or mass that is not
     finite, raises NumericalError.  On entry, _judge_inversion's rules (tau, damping,
     the dual grid) raise ValueError; the grid's own were judged at its build.
+    The input is never written: the data is one complex copy, windowed,
+    phased and transformed in place, and the density is one grid of
+    floats, so the peak is about 3 grid floats beyond the input.
     """
     kg = _judge_inversion(s_grid, tau)
     if window not in _WINDOWS:
@@ -348,51 +374,54 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
     mgf_values = np.asarray(mgf_values, dtype=complex)
     if mgf_values.shape != s_grid.ns:
         raise ValueError("data shape must match the grid")
-    kx, ky, kz = kg.axes()
-    k_norm = np.sqrt(
-        kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
-    )
+    # bin m holds k = (m - n/2) dk, and dk h = 2 pi / n: the shift that
+    # starts the sum at k = 0 takes the factor (-1)^j off S index j.  The
+    # copy is made shifted, and so is every factor on the k axes
+    data = np.fft.ifftshift(mgf_values)
+    kx, ky, kz = (np.fft.ifftshift(k) for k in kg.axes())
     if window == "raised-cosine":
         k_cut = min(-lo for lo in kg.mins)
-        w = np.where(
-            k_norm < k_cut, np.cos(np.pi * k_norm / (2.0 * k_cut)) ** 2, 0.0
-        )
-    else:
-        w = np.ones_like(k_norm)
-    phase = [np.exp(-1j * k * lo) for k, lo in zip(kg.axes(), s_grid.mins)]
-    data = (
-        mgf_values
-        * w
-        * phase[0][:, None, None]
-        * phase[1][None, :, None]
-        * phase[2][None, None, :]
-    )
-    # bin m pairs with bin (n - m) mod n, where Hermitian data must be
-    # conjugate; the m = 0 planes (k = -K with no +K partner) are left out
-    # of the corruption check.  Only the real part of the transform is
-    # kept, which is the transform of the Hermitian part of the data, so
-    # it is the exactly real symmetric Riemann sum
-    residue = float(
-        np.max(np.abs(data[1:, 1:, 1:] - np.conj(data[:0:-1, :0:-1, :0:-1])))
-    )
+        w = _squared_norms((kx, ky, kz))
+        np.sqrt(w, out=w)
+        outside = w >= k_cut
+        w *= np.pi
+        w /= 2.0 * k_cut
+        np.cos(w, out=w)
+        np.square(w, out=w)
+        w[outside] = 0.0
+        data *= w
+        del w, outside
+    phase = [np.exp(-1j * k * lo) for k, lo in zip((kx, ky, kz), s_grid.mins)]
+    data *= phase[0][:, None, None]
+    data *= phase[1][None, :, None]
+    data *= phase[2][None, None, :]
+    # bin j pairs with bin -j mod n, where Hermitian data must be
+    # conjugate; bin n/2 (k = -K, no +K partner) is left out of the
+    # corruption check, taken one k_x slab at a time.  Only the real part
+    # of the transform is kept, the transform of the data's Hermitian
+    # part, so it is the exactly real symmetric Riemann sum
+    own = [np.delete(np.arange(n), n // 2) for n in s_grid.ns]
+    ys, zs = np.ix_(own[1], own[2])
+    residue = float(np.max([np.max(np.abs(data[i][ys, zs] - np.conj(data[-i][-ys, -zs])))
+                            for i in own[0]]))
     data_peak = float(np.max(np.abs(data)))
     if not residue <= 2.0 * TOL.pess_imag_residue * max(data_peak, 1e-300):
         raise NumericalError(
             f"anti-Hermitian residue {residue:.3e} exceeds "
             f"{TOL.pess_imag_residue:.0e} of the spectrum peak {data_peak:.3e}"
         )
-    ax, ay, az = s_grid.axes()
-    s_norm = np.sqrt(
-        ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2
-    )
     scale = 1.0
     for h, n in zip(s_grid.spacing(), s_grid.ns):
         scale *= (2.0 * np.pi / (n * h)) / (2.0 * np.pi)
-    # bin m holds k = (m - n/2) dk, and dk h = 2 pi / n: the shift that
-    # starts the sum at k = 0 takes the factor (-1)^j off S index j
-    data = np.fft.ifftshift(data)
     with np.errstate(over="ignore", invalid="ignore"):  # judged just below
-        values = np.fft.fftn(data).real * np.exp(tau * s_norm) * scale
+        np.fft.fftn(data, out=data)
+        values = _squared_norms(s_grid.axes())
+        np.sqrt(values, out=values)
+        values *= tau
+        np.exp(values, out=values)
+        np.multiply(data.real, values, out=values)
+        del data
+        values *= scale
         total = float(values.sum()) * s_grid.cell_volume
     if not math.isfinite(total):  # so is every value
         raise NumericalError("the inverted density or its mass is not finite")
@@ -429,19 +458,20 @@ def pess_mc_oracle(
     """Histogram density of Stokes vectors drawn from the ensemble.
 
     Independent of the Fourier route: bins raw samples on the grid cells
-    and normalizes by the in-grid count.
+    and normalizes by the in-grid count.  One Philox stream is drawn and
+    binned in chunks of _ORACLE_CHUNK, the same histogram for any chunk
+    size, so memory holds the counts and one chunk whatever n is.
     """
     if n < ORACLE_MIN_SAMPLES:
         raise ValueError(f"need at least {ORACLE_MIN_SAMPLES} samples")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    svec = stokes_points(ensemble.draw(rng, n))
-    edges = [
-        np.linspace(lo - h / 2.0, hi + h / 2.0, num + 1)
-        for lo, hi, num, h in zip(
-            s_grid.mins, s_grid.maxs, s_grid.ns, s_grid.spacing()
-        )
-    ]
-    counts, _ = np.histogramdd(svec, bins=edges)
+    edges = [np.linspace(lo - h / 2.0, hi + h / 2.0, num + 1) for lo, hi, num, h
+             in zip(s_grid.mins, s_grid.maxs, s_grid.ns, s_grid.spacing())]
+    counts = np.zeros(s_grid.ns)
+    for lo in range(0, n, _ORACLE_CHUNK):
+        draws = ensemble.draw(rng, min(_ORACLE_CHUNK, n - lo))
+        counts += np.histogramdd(stokes_points(draws), bins=edges)[0]
+        del draws  # not held while the next chunk is drawn
     inside = counts.sum()
     if inside == 0:
         raise NumericalError("no samples landed on the grid")
@@ -479,7 +509,8 @@ def l1_distance(a: PessGrid, b: PessGrid) -> float:
 
 
 def save_pess(pess: PessGrid, path) -> None:
-    """Flat binary: one JSON header line, then row-major little-endian doubles."""
+    """Flat binary: one JSON header line, then row-major little-endian
+    doubles, written from the array itself."""
     header = {
         "mins": list(pess.grid.mins),
         "maxs": list(pess.grid.maxs),
@@ -490,20 +521,13 @@ def save_pess(pess: PessGrid, path) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(pess.values, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(pess.values, dtype="<f8")))
 
 
 def load_pess(path) -> PessGrid:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        grid = Grid3(
-            tuple(header["mins"]), tuple(header["maxs"]), tuple(header["ns"])
-        )
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.ns)
-    return PessGrid(
-        grid=grid,
-        values=values.copy(),
-        tau_used=header["tau_used"],
-        window=header["window"],
-        label=header["label"],
-    )
+        grid = Grid3(tuple(header["mins"]), tuple(header["maxs"]), tuple(header["ns"]))
+        values = np.fromfile(fh, dtype="<f8").reshape(grid.ns)
+    return PessGrid(grid=grid, values=values, tau_used=header["tau_used"],
+                    window=header["window"], label=header["label"])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,6 +222,23 @@ class TestMgfGrid:
         noisy = mgf_imaginary_grid(drawn, kg, 0.1)
         assert np.max(np.abs(noisy - exact)) < 0.02
 
+    def test_gaussian_kernel_rounds_as_the_point_list_formula(self):
+        # the broadcast kernel makes the same operations in the same order
+        # as the (n^3, 3) point list it replaced, so the same doubles
+        g = Grid3((-2.5, -1.0, 0.5), (3.0, 4.0, 6.0), (8, 10, 12))
+        sigma, tau = 0.4, 0.7 * default_tau(g)
+        mu = np.array([0.9 - 0.2j, 0.5j])
+        kg = dual_grid(g)
+        s0 = stokes_points(mu[None, :])[0]
+        i0 = float(np.abs(mu[0]) ** 2 + np.abs(mu[1]) ** 2)
+        k_points = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        k2 = np.sum(k_points**2, axis=1)
+        det = (1.0 + sigma**2 * tau) ** 2 + sigma**4 * k2
+        top = 1j * (k_points @ s0) - (sigma**2 * k2 + tau * (1.0 + sigma**2 * tau)) * i0
+        ref = (np.exp(top / det) / det).reshape(kg.ns)
+        got = mgf_imaginary_grid(gaussian_ensemble(sigma, *mu), kg, tau)
+        assert got.tobytes() == ref.tobytes()
+
     def test_hermitian_symmetry(self):
         state = make_state(CoherentSpec(0.5, 0.2), cutoff=14)
         kg = dual_grid(Grid3.cube(2.0, 8))
@@ -279,8 +297,8 @@ class TestPointKernel:
     def test_sampler_draw_over_several_chunks_matches_dense_sum(self, monkeypatch):
         import stokespace.reconstruct as rec
 
-        # 37 points per chunk: 1000 draws fill 27 chunks and a partial one
-        monkeypatch.setattr(rec, "_POINT_CHUNK_ENTRIES", 37 * 10 * 12)
+        # 7 points per chunk: 1000 draws fill 142 chunks and a partial one
+        monkeypatch.setattr(rec, "_POINT_CHUNK_ENTRIES", 7 * 10 * 12)
         draw = gaussian_ensemble(0.5, 0.8, -0.3j).draw
         got = mgf_imaginary_grid(
             CoherentEnsemble(points=draw(rng_for(3), 1000)), self.K_GRID, 0.1
@@ -288,6 +306,22 @@ class TestPointKernel:
         pts = draw(rng_for(3), 1000)
         ref = dense_point_kernel(self.K_GRID, pts, None, 0.1)
         assert np.max(np.abs(got.reshape(-1) - ref)) <= 1e-14
+
+    def test_chunks_sized_to_the_grid_match_one_gemm(self):
+        # the phase table of a chunk holds at most as many entries as the
+        # output: 32 points at a time here, where one GEMM over all 1000
+        # points once built a 16 MB table for a 0.5 MB result
+        k_grid = dual_grid(Grid3.cube(5.0, 32))
+        pts = gaussian_ensemble(0.5, 0.8, -0.3j).draw(rng_for(5), 1000)
+        got = mgf_imaginary_grid(CoherentEnsemble(points=pts), k_grid, 0.1)
+        kx, ky, kz = k_grid.axes()
+        svec = stokes_points(pts)
+        damp = np.full(1000, 1e-3) * np.exp(-0.1 * np.linalg.norm(svec, axis=1))
+        ex = np.exp(1j * np.multiply.outer(kx, svec[:, 0])) * damp
+        ey = np.exp(1j * np.multiply.outer(svec[:, 1], ky))
+        ez = np.exp(1j * np.multiply.outer(svec[:, 2], kz))
+        ref = (ex @ (ey[:, :, None] * ez[:, None, :]).reshape(1000, -1)).reshape(k_grid.ns)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestInversion:
@@ -404,6 +438,63 @@ class TestInversion:
         with pytest.raises(ValueError):
             invert_to_pess(np.ones((8, 8, 6), dtype=complex), g, 0.1)
 
+    def test_the_in_place_pipeline_rounds_as_the_unshifted_one(self):
+        # window, phases, shift and FFT as one expression per stage, in
+        # natural bin order: the in-place, pre-shifted inversion makes the
+        # same operations in the same order, so it gives the same doubles
+        g = Grid3((-2.5, -1.0, 0.5), (3.0, 4.0, 6.0), (8, 10, 12))
+        tau = 0.7 * default_tau(g)
+        kg = dual_grid(g)
+        kx, ky, kz = kg.axes()
+        k_norm = np.sqrt(kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2)
+        k_cut = min(-lo for lo in kg.mins)
+        w = np.where(k_norm < k_cut, np.cos(np.pi * k_norm / (2.0 * k_cut)) ** 2, 0.0)
+        phase = [np.exp(-1j * k * lo) for k, lo in zip(kg.axes(), g.mins)]
+        ax, ay, az = g.axes()
+        s_norm = np.sqrt(ax[:, None, None] ** 2 + ay[None, :, None] ** 2 + az[None, None, :] ** 2)
+        scale = 1.0
+        for h, n in zip(g.spacing(), g.ns):
+            scale *= (2.0 * np.pi / (n * h)) / (2.0 * np.pi)
+        pts = np.array([[0.9, 0.4j], [0.3 - 0.5j, 1.1], [1.2, 0.2]])
+        for source in (gaussian_ensemble(0.4, 0.9, 0.5j), CoherentEnsemble(points=pts)):
+            m = mgf_imaginary_grid(source, kg, tau)
+            data = m * w * phase[0][:, None, None] * phase[1][None, :, None] * phase[2][None, None, :]
+            ref = np.fft.fftn(np.fft.ifftshift(data)).real * np.exp(tau * s_norm) * scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)  # a coarse grid
+                got = invert_to_pess(m, g, tau)
+            assert got.values.tobytes() == ref.tobytes()
+
+    def test_the_input_is_not_written(self):
+        g = Grid3.cube(6.0, 16)
+        tau = default_tau(g)
+        m = mgf_imaginary_grid(gaussian_ensemble(0.45, 0.9 - 0.4j, 0.3 + 0.5j), dual_grid(g), tau)
+        before = m.copy()
+        for window in ("raised-cosine", "none"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                invert_to_pess(m, g, tau, window=window)
+            assert m.tobytes() == before.tobytes()
+
+    def test_only_the_minus_k_edge_planes_escape_the_hermitian_check(self):
+        # bin m pairs with bin n - m; the m = 0 planes (k = -K) have no
+        # partner, so a corrupted value there passes and one elsewhere raises
+        g = Grid3.cube(6.0, 16)
+        tau = default_tau(g)
+        m = mgf_imaginary_grid(gaussian_ensemble(0.45, 0.9 - 0.4j), dual_grid(g), tau)
+        bump = 0.5j * np.max(np.abs(m))
+        for index in [(0, 3, 5), (4, 0, 9), (7, 11, 0)]:
+            edge = m.copy()
+            edge[index] += bump
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                invert_to_pess(edge, g, tau, window="none")
+        for index in [(1, 3, 5), (8, 8, 8), (15, 1, 9)]:
+            inner = m.copy()
+            inner[index] += bump
+            with pytest.raises(NumericalError, match="anti-Hermitian"):
+                invert_to_pess(inner, g, tau, window="none")
+
 
 class TestOracleAndReports:
     def test_mc_oracle_needs_samples_and_a_source(self):
@@ -429,6 +520,30 @@ class TestOracleAndReports:
         assert mass.sum() == pytest.approx(1.0)
         # all mass sits in the two cells holding S = +-z
         assert np.sort(mass[mass > 0])[-2:] == pytest.approx([0.2, 0.8], abs=0.01)
+
+    @pytest.mark.parametrize("chunk", [None, 9973])
+    @pytest.mark.parametrize("ensemble", [
+        gaussian_ensemble(0.5, 0.3 + 0.4j, -0.6),
+        CoherentEnsemble(points=np.array([[1.0, 0.2j], [0.3, -0.8], [0.5j, 0.5]]),
+                         weights=np.array([0.5, 0.2, 0.3])),
+        CoherentEnsemble(points=np.array([[1.0, 0.2j], [0.3, -0.8], [0.5j, 0.5]])),
+    ], ids=["gaussian", "weighted-points", "points"])
+    def test_chunked_draws_bin_as_one_draw(self, monkeypatch, ensemble, chunk):
+        # the draws come in chunks from one Philox stream: the histogram is
+        # that of all n draws binned at once, bit for bit
+        import stokespace.reconstruct as rec
+
+        if chunk is not None:
+            monkeypatch.setattr(rec, "_ORACLE_CHUNK", chunk)
+        g = Grid3.cube(3.0, 16)
+        n = 10**5 + 1234  # a multiple of neither chunk
+        got = pess_mc_oracle(ensemble, g, n, seed=11)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        edges = [np.linspace(lo - h / 2.0, hi + h / 2.0, num + 1)
+                 for lo, hi, num, h in zip(g.mins, g.maxs, g.ns, g.spacing())]
+        counts, _ = np.histogramdd(stokes_points(ensemble.draw(rng, n)), bins=edges)
+        ref = counts / (counts.sum() * g.cell_volume)
+        assert got.values.tobytes() == ref.tobytes()
 
     def test_classicality_check(self):
         g = Grid3.cube(1.0, 8)
@@ -497,3 +612,66 @@ class TestPessIO:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["ns"] == [8, 10, 12]
+
+    def test_the_doubles_are_written_in_c_order_from_any_layout(self, tmp_path):
+        from stokespace import PessGrid
+
+        g = Grid3((-2.0, -1.0, 0.0), (2.0, 3.0, 4.0), (8, 10, 12))
+        values = rng_for(6).random(g.ns[::-1]).T  # Fortran order
+        save_pess(PessGrid(grid=g, values=values, tau_used=0.0, window="none",
+                           label="test"), tmp_path / "f.bin")
+        body = (tmp_path / "f.bin").read_bytes().split(b"\n", 1)[1]
+        assert body == np.ascontiguousarray(values, dtype="<f8").tobytes()
+        assert np.array_equal(load_pess(tmp_path / "f.bin").values, values)
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most memory traced during the call above what was
+    traced at its start, in bytes; numpy reports its buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    # peaks in grid floats, 8 B per point of a 32^3 grid
+    GRID = Grid3.cube(6.0, 32)
+    FLOAT = 8 * 32**3
+    ENSEMBLE = gaussian_ensemble(0.45, 0.9 - 0.4j, 0.3 + 0.5j)
+
+    def test_the_gaussian_kernel_holds_little_beyond_its_result(self):
+        # the complex result is 2 grid floats; the (n^3, 3) point list the
+        # kernel once built and its temporaries peaked at 11
+        _, peak = traced_peak(self.ENSEMBLE.kernel, dual_grid(self.GRID),
+                              default_tau(self.GRID))
+        assert peak <= 6 * self.FLOAT
+
+    def test_the_inversion_holds_five_grid_floats_beyond_its_input(self):
+        # a chain of fresh temporaries and a three-pass out-of-place FFT
+        # peaked at 9.5
+        tau = default_tau(self.GRID)
+        m = self.ENSEMBLE.kernel(dual_grid(self.GRID), tau)
+        pess, peak = traced_peak(invert_to_pess, m, self.GRID, tau)
+        assert peak <= 5 * self.FLOAT
+        assert abs(pess.total_mass - 1.0) < 0.01
+
+    def test_the_oracle_peak_does_not_grow_with_the_draw_count(self):
+        pess_mc_oracle(self.ENSEMBLE, self.GRID, 10**4, 0)  # one-off first-call costs
+        _, small = traced_peak(pess_mc_oracle, self.ENSEMBLE, self.GRID, 10**5, 0)
+        _, large = traced_peak(pess_mc_oracle, self.ENSEMBLE, self.GRID, 4 * 10**5, 0)
+        assert large <= 1.05 * small
+
+    def test_the_point_route_table_stays_within_the_output_size(self):
+        # one chunk of 1000 points once built a 16 MB phase table here
+        pts = gaussian_ensemble(0.5, 0.8, -0.3j).draw(rng_for(5), 1000)
+        out, peak = traced_peak(mgf_imaginary_grid, CoherentEnsemble(points=pts),
+                                dual_grid(self.GRID), 0.1)
+        assert peak <= 4 * out.nbytes
