@@ -6,6 +6,7 @@ of any of the moment-based witnesses below rules that out using only
 photon statistics behind a beam splitter:
 
 * normally ordered variances of e.S and of the total photon number,
+* the determinant of the normally ordered photon-number covariance,
 * determinants of 2x2 moment-generating-function matrices,
 * the characteristic function bound |Phi(k)| <= Phi(0).
 
@@ -45,14 +46,13 @@ def battery(label, state, direction, probe):
     var = variance_criteria(state, direction)
     det = second_order_det(state, direction, *probe)
     cf = char_fn_criterion(state, direction)  # |k| = 1 along the axis
-    cross = cross_correlation_det(state, direction)
     print(f"  {label}")
     print(f"    var(e.S)        = {var.var_stokes:+.6f}")
     print(f"    var(N)          = {var.var_number:+.6f}")
     print(f"    matrix det      = {det:+.6f}   probe {probe}")
     print(f"    char fn bound   = {cf:+.6f}  [{verdict(cf)}]")
-    print(f"    photon-photon   = {cross.photon_photon:+.6f}")
-    print(f"    number-Stokes   = {cross.number_stokes:+.6f}")
+    # det cov(N, e.S) = 4 det cov(n_a, n_b) is the same witness
+    print(f"    photon-photon   = {cross_correlation_det(state, direction):+.6f}")
 
 
 def main():

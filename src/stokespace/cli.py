@@ -95,6 +95,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _samples(text: str) -> int:
+    """A multinomial sample count: numpy draws it as an int64, 0 <= n < 2**63."""
+    if not 0 <= int(text) < 2**63:
+        raise argparse.ArgumentTypeError(f"need 0 <= samples < 2**63, got {text}")
+    return int(text)
+
+
 def _json_object(text: str):
     """An inline JSON object, or the path of a file holding one."""
     text = text.strip()
@@ -249,7 +256,6 @@ def cmd_nctest(args) -> int:
     # every criterion reads the one distribution along d
     dist = joint_photon_distribution(state, d)
     var_s, var_n = variance_criteria(dist, d)
-    cross = cross_correlation_det(dist, d)
     matrix = mgf_matrix(dist, spec)
     # the first two criteria read M at the point pair, both off this one
     # matrix (its 2 x 2 determinant is second_order_det); the rest read none
@@ -260,8 +266,7 @@ def cmd_nctest(args) -> int:
         ("char_fn", char_fn_criterion(dist, d, args.k_norm)),
         ("variance_stokes", var_s),
         ("variance_number", var_n),
-        ("cross_number_stokes", cross.number_stokes),
-        ("cross_photon_photon", cross.photon_photon),
+        ("cross_photon_photon", cross_correlation_det(dist, d)),
     ]
     pair = (t.real, t.imag, tau, t2.real, t2.imag, tau2)
     rows = [
@@ -276,16 +281,11 @@ def cmd_nctest(args) -> int:
 
 
 def cmd_clicks(args) -> int:
-    # the sample count, axis and detector configs are checked before any work
-    if args.samples < 0:
-        raise ValueError("--samples must be >= 0")
+    # the axis and detector configs are checked before any work; the clicks
+    # read eps only through eps * eta, so --eta-* sets that product
     d = direction_to_beamsplitter(args.direction)
-    cfg_a = ClickDetectorConfig(
-        apds=args.apds_a, eta=args.eta_a, nu=args.nu_a, eps=args.eps_a
-    )
-    cfg_b = ClickDetectorConfig(
-        apds=args.apds_b, eta=args.eta_b, nu=args.nu_b, eps=args.eps_b
-    )
+    cfg_a = ClickDetectorConfig(apds=args.apds_a, eta=args.eta_a, nu=args.nu_a)
+    cfg_b = ClickDetectorConfig(apds=args.apds_b, eta=args.eta_b, nu=args.nu_b)
     state, spec, cutoff = _build_state(args)
     # the click table and the direct M column share one distribution
     dist = joint_photon_distribution(state, d)
@@ -456,10 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-b", type=float, default=1.0)
     p.add_argument("--nu-a", type=float, default=0.0)
     p.add_argument("--nu-b", type=float, default=0.0)
-    p.add_argument("--eps-a", type=float, default=1.0)
-    p.add_argument("--eps-b", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=0,
-                   help="multinomial sample count (0 = exact only)")
+    p.add_argument("--samples", type=_samples, default=0,
+                   help="multinomial sample count, 0 <= n < 2**63 (0 = exact only)")
 
     p = sub.add_parser("reconstruct", parents=[common, state, seed],
                        help="invert MGF data to the phase-space density")

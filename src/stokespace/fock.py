@@ -121,30 +121,42 @@ class MixtureSpec:
 StateSpec = VacuumSpec | CoherentSpec | HomInputSpec | TmsvSpec | MixtureSpec
 
 
+def _json_number(value, field: str, whole: bool = False) -> float:
+    """The one rule for a JSON number: an int or a float, numpy scalars
+    included, but no bool (an int to Python) and no str; whole asks for an
+    integral value too, which 1e400 (read as inf) is not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or whole and not float(value).is_integer()):
+        raise ValueError(f"{field} must be a {'whole ' * whole}number, got {value!r}")
+    return float(value)
+
+
 def _complex_to_json(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def _complex_from_json(obj) -> complex:
+def _complex_from_json(obj, field: str) -> complex:
     if isinstance(obj, dict):
-        return complex(obj.get("re", 0.0), obj.get("im", 0.0))
-    return complex(obj)
+        return complex(_json_number(obj.get("re", 0.0), f"{field}.re"),
+                       _json_number(obj.get("im", 0.0), f"{field}.im"))
+    return complex(_json_number(obj, field))
 
 
 _COMPLEX = (_complex_to_json, _complex_from_json)
 _COMPONENTS = (
     lambda comps: [{"weight": float(w), "alpha": _complex_to_json(a),
                     "beta": _complex_to_json(b)} for w, a, b in comps],
-    lambda objs: tuple((float(c["weight"]), _complex_from_json(c["alpha"]),
-                        _complex_from_json(c["beta"])) for c in objs),
+    lambda objs, _: tuple((_json_number(c["weight"], "mixture weight"),
+                           _complex_from_json(c["alpha"], "mixture alpha"),
+                           _complex_from_json(c["beta"], "mixture beta")) for c in objs),
 )
 # the JSON form of each state kind: kind -> (spec class, {field: (to_json,
-# from_json)}), fields in the order the JSON text lists them
+# from_json(value, field))}), fields in the order the JSON text lists them
 _KINDS = {
     "vacuum": (VacuumSpec, {}),
     "coherent": (CoherentSpec, {"alpha": _COMPLEX, "beta": _COMPLEX}),
     "hom_input": (HomInputSpec, {}),
-    "tmsv": (TmsvSpec, {"xi": (float, float)}),
+    "tmsv": (TmsvSpec, {"xi": (float, _json_number)}),
     "mixture": (MixtureSpec, {"components": _COMPONENTS}),
 }
 
@@ -164,7 +176,8 @@ def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
 def spec_from_json(obj) -> tuple[StateSpec, int | None]:
     """Parse a state spec dict (or JSON string).  Returns (spec, cutoff or None).
 
-    An unknown kind or a missing or mistyped field, cutoff included, raises ValueError."""
+    An unknown kind or a missing or mistyped field (true or "0.5" as a number,
+    a cutoff of 2.7) raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -174,13 +187,11 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
         raise ValueError(f"unknown state kind {kind!r}")
     cls, fields = _KINDS[kind]
     cutoff = obj.get("cutoff")
-    if not (cutoff is None or type(cutoff) is int  # not bool; 1e400 reads as inf
-            or type(cutoff) is float and cutoff.is_integer()):
-        raise ValueError(f"state spec cutoff must be a whole number, got {cutoff!r}")
     try:
-        args = [from_json(obj[name]) for name, (_, from_json) in fields.items()]
-        cutoff = None if cutoff is None else int(cutoff)
-    except (KeyError, TypeError) as exc:
+        if cutoff is not None:
+            cutoff = int(_json_number(cutoff, "state spec cutoff", whole=True))
+        args = [from_json(obj[name], name) for name, (_, from_json) in fields.items()]
+    except (KeyError, TypeError, OverflowError) as exc:  # an int past 1e308 overflows
         raise ValueError(f"malformed {kind} state spec "
                          f"({type(exc).__name__}: {exc})") from exc
     return cls(*args), cutoff

@@ -145,53 +145,40 @@ class VarianceReport(NamedTuple):
     var_number: float  # <: (Delta N)^2 :>
 
 
-def _normal_covariances(dist: JointPhotonDistribution) -> dict[str, float]:
-    """Normally ordered (co)variances of n_a, n_b, N = n_a + n_b and e.S = n_a - n_b."""
+def _normal_covariance(dist: JointPhotonDistribution) -> np.ndarray:
+    """The normally ordered covariance matrix C of the two output photon
+    numbers (n_a, n_b); that of (N, e.S) = (n_a + n_b, n_a - n_b) is A C A^T
+    with A = [[1, 1], [1, -1]], so its determinant is 4 det C."""
     f10, f01, f20, f02, f11 = (
         distribution_factorial_moment(dist, p, q)
         for p, q in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
     )
-    return {
-        "n": f20 + 2.0 * f11 + f02 - (f10 + f01) ** 2,
-        "s": f20 - 2.0 * f11 + f02 - (f10 - f01) ** 2,
-        "ns": f20 - f02 - (f10 + f01) * (f10 - f01),
-        "a": f20 - f10**2,
-        "b": f02 - f01**2,
-        "ab": f11 - f10 * f01,
-    }
+    return np.array([[f20, f11], [f11, f02]]) - np.outer((f10, f01), (f10, f01))
 
 
 def variance_criteria(
     source: TwoModeState | JointPhotonDistribution, direction: MeasurementDirection
 ) -> VarianceReport:
-    """Normally ordered variances of e.S and of the total photon number.
+    """Normally ordered variances of e.S and of the total photon number,
+    (1, -1) C (1, -1)^T and (1, 1) C (1, 1)^T.
 
     Negative values certify sub-shot-noise statistics (for the total
     number this matches a negative Mandel-type parameter).  Classical
     states keep both >= 0; coherent states sit exactly at 0.  source is
     a TwoModeState, or its JointPhotonDistribution along direction.
     """
-    cov = _normal_covariances(_distribution_along(source, direction))
-    return VarianceReport(var_stokes=float(cov["s"]), var_number=float(cov["n"]))
-
-
-class CrossCorrelationReport(NamedTuple):
-    number_stokes: float  # det of the (N, e.S) normally ordered covariance
-    photon_photon: float  # det of the (n_a, n_b) normally ordered covariance
+    c = _normal_covariance(_distribution_along(source, direction))
+    return VarianceReport(*(float(v @ c @ v) for v in np.array([[1, -1], [1, 1]])))
 
 
 def cross_correlation_det(
     source: TwoModeState | JointPhotonDistribution, direction: MeasurementDirection
-) -> CrossCorrelationReport:
-    """Determinants of two normally ordered covariance matrices.
+) -> float:
+    """det C, the normally ordered covariance determinant of the two output
+    photon numbers; that of (N, e.S) is 4 det C, the same witness.
 
-    number_stokes pairs the total photon number with e.S; photon_photon
-    pairs the two output photon numbers.  Classical states keep both
-    determinants >= 0.  source is a TwoModeState, or its
+    Classical states keep it >= 0.  source is a TwoModeState, or its
     JointPhotonDistribution along direction.
     """
-    cov = _normal_covariances(_distribution_along(source, direction))
-    return CrossCorrelationReport(
-        number_stokes=float(cov["n"] * cov["s"] - cov["ns"] ** 2),
-        photon_photon=float(cov["a"] * cov["b"] - cov["ab"] ** 2),
-    )
+    c = _normal_covariance(_distribution_along(source, direction))
+    return float(_moment_det(c[0, 0], c[1, 1], c[0, 1]))

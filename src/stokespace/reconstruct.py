@@ -27,6 +27,7 @@ from .fock import (
     TwoModeState,
     _check_finite,
     _complex_from_json,
+    _json_number,
     _kernel_sums,
     _mixture_weights,
     _splitters,
@@ -237,24 +238,24 @@ class _GaussianEnsemble:
 def ensemble_from_json(obj: dict) -> CoherentEnsemble | _GaussianEnsemble:
     """Build an ensemble from {"points": [[a, b], ...], "weights": [...]}
     or {"gaussian": {"sigma": s, "mean_alpha": a, "mean_beta": b}} where
-    complex entries are {"re": x, "im": y}.  A missing or mistyped field
-    raises ValueError."""
+    complex entries are {"re": x, "im": y} or a bare real number.  A missing
+    or mistyped field, a JSON true or "0.3" included, raises ValueError."""
     try:
         if "gaussian" in obj:
             g = obj["gaussian"]
             return gaussian_ensemble(
-                float(g["sigma"]),
-                _complex_from_json(g.get("mean_alpha", 0.0)),
-                _complex_from_json(g.get("mean_beta", 0.0)),
+                _json_number(g["sigma"], "sigma"),
+                _complex_from_json(g.get("mean_alpha", 0.0), "mean_alpha"),
+                _complex_from_json(g.get("mean_beta", 0.0), "mean_beta"),
             )
         if "points" in obj:
-            pts = np.array([[_complex_from_json(a), _complex_from_json(b)]
+            pts = np.array([[_complex_from_json(v, "ensemble points") for v in (a, b)]
                             for a, b in obj["points"]], dtype=complex)
             weights = obj.get("weights")
             if weights is not None:
-                weights = np.asarray(weights, dtype=float)
+                weights = np.array([_json_number(w, "ensemble weights") for w in weights])
             return CoherentEnsemble(points=pts, weights=weights)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed ensemble ({type(exc).__name__}: {exc})") from exc
     raise ValueError("ensemble JSON needs a 'points' or 'gaussian' entry")
 

@@ -246,9 +246,24 @@ def test_nctest_battery(tmp_path, monkeypatch):
     assert verdicts["variance_stokes"] == "inconclusive"
     assert set(values) == {
         "second_order_det", "matrix_min_eigenvalue", "char_fn",
-        "variance_stokes", "variance_number", "cross_number_stokes",
-        "cross_photon_photon",
+        "variance_stokes", "variance_number", "cross_photon_photon",
     }
+
+
+def test_nctest_prints_one_cross_correlation_witness(tmp_path):
+    # the table carried det cov(N, e.S) = 4 det cov(n_a, n_b) as a row of
+    # its own: at xi = 0.005 the two read -2.5e-9 "nonclassical" and
+    # -6.25e-10 "inconclusive", one witness with two verdicts
+    with pytest.warns(ConvergenceWarning):  # char_fn reads M at |kernel| > 1
+        assert main(["nctest", "--state", '{"kind": "tmsv", "xi": 0.005}',
+                     "--out", str(tmp_path), "--no-timestamp"]) == 0
+    with open(tmp_path / "nctest.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    cross = [r for r in rows if r["criterion"].startswith("cross_")]
+    assert [r["criterion"] for r in cross] == ["cross_photon_photon"]
+    assert float(cross[0]["value"]) == pytest.approx(-6.25e-10, rel=1e-4)
+    assert cross[0]["verdict"] == "inconclusive"
 
 
 def test_nctest_char_fn_row_reads_the_criterion(tmp_path, monkeypatch):
@@ -744,6 +759,89 @@ def test_an_embedded_cutoff_must_be_a_whole_number(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: state spec cutoff must be a whole number, got ")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_NOT_NUMBERS = {
+    "tmsv-xi-true": (["mgf", "--state", '{"kind": "tmsv", "xi": true}'], "xi", "True"),
+    "tmsv-xi-string": (["mgf", "--state", '{"kind": "tmsv", "xi": "0.5"}'], "xi", "'0.5'"),
+    "coherent-alpha-true": (["mgf", "--state",
+                             '{"kind": "coherent", "alpha": true, "beta": 0}'],
+                            "alpha", "True"),
+    "coherent-beta-string": (["mgf", "--state",
+                              '{"kind": "coherent", "alpha": 0, "beta": "1"}'],
+                             "beta", "'1'"),
+    "coherent-re-true": (["mgf", "--state",
+                          '{"kind": "coherent", "alpha": {"re": true}, "beta": 0}'],
+                         "alpha.re", "True"),
+    "coherent-im-string": (["mgf", "--state",
+                            '{"kind": "coherent", "alpha": 0, "beta": {"im": "1"}}'],
+                           "beta.im", "'1'"),
+    "mixture-weight-true": (["mgf", "--state", '{"kind": "mixture", "components": '
+                             '[{"weight": true, "alpha": 0.5, "beta": 0}]}'],
+                            "mixture weight", "True"),
+    "mixture-alpha-string": (["mgf", "--state", '{"kind": "mixture", "components": '
+                              '[{"weight": 1, "alpha": "0.5", "beta": 0}]}'],
+                             "mixture alpha", "'0.5'"),
+    "point-true": (["reconstruct", "--ensemble", '{"points": [[true, 0]]}'],
+                   "ensemble points", "True"),
+    "point-string": (["reconstruct", "--ensemble", '{"points": [[0.5, {"im": "1"}]]}'],
+                     "ensemble points.im", "'1'"),
+    "weight-true": (["reconstruct", "--ensemble",
+                     '{"points": [[0.5, 0]], "weights": [true]}'],
+                    "ensemble weights", "True"),
+    "sigma-true": (["reconstruct", "--ensemble", '{"gaussian": {"sigma": true}}'],
+                   "sigma", "True"),
+    "sigma-string": (["reconstruct", "--ensemble", '{"gaussian": {"sigma": "0.3"}}'],
+                     "sigma", "'0.3'"),
+    "mean-string": (["reconstruct", "--ensemble",
+                     '{"gaussian": {"sigma": 0.3, "mean_alpha": "1"}}'],
+                    "mean_alpha", "'1'"),
+}
+
+
+@pytest.mark.parametrize("argv, field, value", _NOT_NUMBERS.values(), ids=_NOT_NUMBERS)
+def test_a_json_number_is_never_a_boolean_or_a_string(tmp_path, monkeypatch, capsys,
+                                                      argv, field, value):
+    # each ran: true as 1 (xi = 1, a weight of 1, sigma = 1) and "0.5" as 0.5
+    import stokespace.cli as cli
+
+    for name in ("auto_cutoff", "make_state", "mgf_imaginary_grid"):
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("source built"))
+    if argv[0] == "reconstruct":
+        argv = [*argv, "--n-points", "8"]
+    assert main([*argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be a number, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_json_number_may_be_a_numpy_scalar():
+    spec, _ = stokespace.spec_from_json({"kind": "tmsv", "xi": np.float32(0.5)})
+    assert spec == stokespace.TmsvSpec(0.5)
+    ens = stokespace.ensemble_from_json({"points": [[np.int64(1), {"re": np.float64(0.5)}]],
+                                         "weights": [np.float64(1.0)]})
+    assert ens.points.tolist() == [[1.0, 0.5]]
+    with pytest.raises(ValueError, match="xi must be a number"):
+        stokespace.spec_from_json({"kind": "tmsv", "xi": np.bool_(True)})
+
+
+@pytest.mark.parametrize("samples", ["-1", str(2**63), str(10**19)])
+def test_clicks_samples_must_fit_an_int64(tmp_path, monkeypatch, capsys, samples):
+    # 10**19 ended in an OverflowError traceback from the multinomial draw
+    # (exit 1), after the state and the click table were built
+    import stokespace.cli as cli
+
+    monkeypatch.setattr(cli, "make_state", lambda *a: pytest.fail("state built"))
+    assert main(["clicks", "--state", HOM, "--samples", samples, "--out", str(tmp_path),
+                 "--no-timestamp"]) == 2
+    assert f"--samples: need 0 <= samples < 2**63, got {samples}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--eps-a", "--eps-b"])
+def test_clicks_takes_no_eps_option(tmp_path, flag):
+    # eps entered only as eps * eta, which --eta-a and --eta-b already set
+    assert main(["clicks", flag, "0.5", "--out", str(tmp_path), "--no-timestamp"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 

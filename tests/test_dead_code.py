@@ -1,8 +1,10 @@
 """Dead-code and NaN-gate lint over the package sources, on the standard
 library's ast.
 
-Three rules: no module imports a name it never reads, no module-level
-private name goes unread across the package, and no raise is guarded by
+Four rules: no module imports a name it never reads, no module-level
+private name goes unread across the package, no public function or class
+goes unnamed outside its own definition and __init__.py (the package,
+demos/, bench/ and tests/test_acceptance.py count), and no raise is guarded by
 a bare ordering comparison with a TOL bound or on a parameter annotated
 float.  NaN makes every such comparison False, so `if value > TOL.bound:
 raise` lets NaN through; `if not value <= TOL.bound: raise` stops it.
@@ -14,6 +16,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "stokespace"
 TREES = {path.name: ast.parse(path.read_text(), str(path))
          for path in sorted(SRC.glob("*.py"))}
+ROOT = SRC.parents[1]
+# the package's readers beyond itself, whose names keep a public name alive
+READERS = [ast.parse(path.read_text(), str(path)) for path in (
+    *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py")]
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -68,6 +75,54 @@ def test_every_private_module_name_is_read_somewhere():
     unread = [f"{module}:{line} {name}" for module, tree in TREES.items()
               for name, line in _private_definitions(tree) if name not in read]
     assert unread == []
+
+
+def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read under tree outside the node skip: loaded names, attributes,
+    and string constants (bench/tracer.py names its layers' functions so)."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """Every module-level public function or class; the cli's main and its
+    cmd_ functions, which main finds by name, aside."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and not (module == "cli.py"
+                         and (node.name == "main" or node.name.startswith("cmd_")))):
+            yield node
+
+
+def test_named_skips_the_definition_itself():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "def g():\n    return h.k, 'layer'\n")
+    assert "f" not in _named(tree, tree.body[0])
+    assert {"f", "h", "k", "layer"} <= _named(tree)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only unit tests call is API that nothing uses
+    outside = set().union(*map(_named, READERS))
+    package = [tree for module, tree in TREES.items() if module != "__init__.py"]
+    uncalled = [f"{module}:{node.lineno} {node.name}"
+                for module, tree in TREES.items() if module != "__init__.py"
+                for node in _public_definitions(module, tree)
+                if node.name not in outside
+                and not any(node.name in _named(t, node) for t in package)]
+    assert uncalled == []
 
 
 _ORDERING = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)

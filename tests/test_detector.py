@@ -164,6 +164,21 @@ class TestClickMoments:
                 ref = power_expectation(state, d, za, zb).real
                 assert mu == pytest.approx(ref, abs=1e-12)
 
+    def test_clicks_read_eps_only_through_eps_eta(self, rng):
+        # each split multiplies to 0.4 exactly, so every number is bit-equal
+        state = random_low_state(rng, cutoff=5, n_max=5)
+        d = random_direction(rng)
+        cfg_b = ClickDetectorConfig(apds=2, eta=0.6, nu=0.02)
+        k, l = np.indices((4, 3)).reshape(2, -1)
+        results = []
+        for eps, eta in ((1.0, 0.4), (0.5, 0.8), (0.4, 1.0)):
+            cfg_a = ClickDetectorConfig(apds=3, eta=eta, nu=0.05, eps=eps)
+            t, tau = click_moment_to_mgf_point(k, l, cfg_a, cfg_b)
+            results.append((click_distribution(state, d, cfg_a, cfg_b).c, t, tau))
+        for other in results[1:]:
+            for got, ref in zip(other, results[0]):
+                assert np.array_equal(got, ref)
+
     def test_moment_is_mgf_at_lattice_point(self, rng):
         state = random_low_state(rng, cutoff=5, n_max=5)
         d = random_direction(rng)

@@ -15,6 +15,7 @@ from stokespace import (
     char_fn_criterion,
     cross_correlation_det,
     direction_to_beamsplitter,
+    distribution_factorial_moment,
     joint_photon_distribution,
     make_state,
     mgf_matrix,
@@ -184,20 +185,14 @@ class TestMomentCriteria:
         v = variance_criteria(state, d)
         assert abs(v.var_stokes) < 1e-8
         assert abs(v.var_number) < 1e-8
-        c = cross_correlation_det(state, d)
-        assert abs(c.number_stokes) < 1e-8
-        assert abs(c.photon_photon) < 1e-8
+        assert abs(cross_correlation_det(state, d)) < 1e-8
 
     def test_two_mode_squeezing_cross_correlations(self):
         # mean n per mode 1/3 at tanh xi = 1/2
         state = make_state(TmsvSpec(math.atanh(0.5)), cutoff=45)
-        report = cross_correlation_det(state, D_Z)
         nbar = 1.0 / 3.0
-        assert report.photon_photon == pytest.approx(
+        assert cross_correlation_det(state, D_Z) == pytest.approx(
             nbar**4 - (nbar**2 + nbar) ** 2, abs=1e-9
-        )
-        assert report.number_stokes == pytest.approx(
-            (4 * nbar**2 + 2 * nbar) * (-2 * nbar), abs=1e-9
         )
 
     def test_thermal_mixture_is_super_poissonian(self, rng):
@@ -213,9 +208,73 @@ class TestMomentCriteria:
         v = variance_criteria(state, d)
         assert v.var_stokes > -1e-9
         assert v.var_number > -1e-9
-        c = cross_correlation_det(state, d)
-        assert c.number_stokes > -1e-9
-        assert c.photon_photon > -1e-9
+        assert cross_correlation_det(state, d) > -1e-9
+
+
+def _factorial_moments(dist):
+    """f10, f01, f20, f02, f11: the five moments the covariance reads."""
+    return [distribution_factorial_moment(dist, p, q)
+            for p, q in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))]
+
+
+def _covariance_states(rng):
+    """(state, axis) pairs: TMSV, |1,1>, a coherent pair, random coherent
+    mixtures and random pure states, along fixed and random axes."""
+    cases = [
+        (make_state(TmsvSpec(math.atanh(0.5)), cutoff=45), D_Z),
+        (make_state(TmsvSpec(0.3), cutoff=30), random_direction(rng)),
+        (make_state(HomInputSpec(), cutoff=3), D_X),
+        (make_state(HomInputSpec(), cutoff=3), random_direction(rng)),
+        (make_state(CoherentSpec(0.8 - 0.1j, 0.4j), cutoff=30), random_direction(rng)),
+    ]
+    for _ in range(4):
+        pts = 0.4 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+        spec = MixtureSpec(tuple((0.2, a, b) for a, b in pts))
+        cases.append((make_state(spec, cutoff=20), random_direction(rng)))
+    for _ in range(3):
+        cases.append((random_low_state(rng, 6, 4), random_direction(rng)))
+    return cases
+
+
+class TestCovarianceCore:
+    def test_cross_correlation_is_the_photon_number_covariance_det(self, rng):
+        for state, d in _covariance_states(rng):
+            dist = joint_photon_distribution(state, d)
+            f10, f01, f20, f02, f11 = _factorial_moments(dist)
+            cov = np.array([[f20 - f10 * f10, f11 - f10 * f01],
+                            [f11 - f10 * f01, f02 - f01 * f01]])
+            det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+            scale = abs(cov[0, 0] * cov[1, 1]) + cov[0, 1] ** 2
+            assert abs(cross_correlation_det(dist, d) - det) <= 1e-12 * scale + 1e-15
+
+    def test_number_stokes_det_is_four_times_the_witness(self, rng):
+        # det cov(N, e.S) = det(A C A^T) = det(A)^2 det C with A = [[1, 1], [1, -1]]
+        for i, (state, d) in enumerate(_covariance_states(rng)):
+            dist = joint_photon_distribution(state, d)
+            f10, f01, f20, f02, f11 = _factorial_moments(dist)
+            n = f20 + 2.0 * f11 + f02 - (f10 + f01) ** 2
+            s = f20 - 2.0 * f11 + f02 - (f10 - f01) ** 2
+            ns = f20 - f02 - (f10 + f01) * (f10 - f01)
+            det_ns, scale = n * s - ns**2, abs(n * s) + ns**2
+            assert abs(4.0 * cross_correlation_det(dist, d) - det_ns) <= 1e-12 * scale
+            if i == 0:  # TMSV at tanh xi = 1/2: mean n per mode 1/3
+                nbar = 1.0 / 3.0
+                assert det_ns == pytest.approx((4 * nbar**2 + 2 * nbar) * (-2 * nbar),
+                                               abs=1e-9)
+
+    def test_variances_match_the_five_moment_formulas(self, rng):
+        for state, d in _covariance_states(rng):
+            dist = joint_photon_distribution(state, d)
+            f10, f01, f20, f02, f11 = _factorial_moments(dist)
+            var_s, var_n = variance_criteria(dist, d)
+            scale = f20 + 2.0 * abs(f11) + f02 + (f10 + f01) ** 2
+            assert abs(var_s - (f20 - 2.0 * f11 + f02 - (f10 - f01) ** 2)) <= 1e-12 * scale
+            assert abs(var_n - (f20 + 2.0 * f11 + f02 - (f10 + f01) ** 2)) <= 1e-12 * scale
+
+    def test_criteria_return_floats(self, rng):
+        state, d = _covariance_states(rng)[0]
+        assert type(cross_correlation_det(state, d)) is float
+        assert all(type(v) is float for v in variance_criteria(state, d))
 
 
 class TestDistributionInput:
