@@ -131,24 +131,39 @@ def _json_number(value, field: str, whole: bool = False) -> float:
     return float(value)
 
 
+def _known_keys(obj, keys, what: str) -> None:
+    """Reject a key outside `keys` if obj is a JSON object: a misspelt
+    field would otherwise be dropped without a word."""
+    unknown = [k for k in obj if k not in keys] if isinstance(obj, dict) else []
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}; "
+                         f"known keys: {', '.join(keys)}")
+
+
 def _complex_to_json(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
 def _complex_from_json(obj, field: str) -> complex:
+    _known_keys(obj, ("re", "im"), field)
     if isinstance(obj, dict):
         return complex(_json_number(obj.get("re", 0.0), f"{field}.re"),
                        _json_number(obj.get("im", 0.0), f"{field}.im"))
     return complex(_json_number(obj, field))
 
 
+def _component_from_json(obj) -> tuple[float, complex, complex]:
+    _known_keys(obj, ("weight", "alpha", "beta"), "mixture component")
+    return (_json_number(obj["weight"], "mixture weight"),
+            _complex_from_json(obj["alpha"], "mixture alpha"),
+            _complex_from_json(obj["beta"], "mixture beta"))
+
+
 _COMPLEX = (_complex_to_json, _complex_from_json)
 _COMPONENTS = (
     lambda comps: [{"weight": float(w), "alpha": _complex_to_json(a),
                     "beta": _complex_to_json(b)} for w, a, b in comps],
-    lambda objs, _: tuple((_json_number(c["weight"], "mixture weight"),
-                           _complex_from_json(c["alpha"], "mixture alpha"),
-                           _complex_from_json(c["beta"], "mixture beta")) for c in objs),
+    lambda objs, _: tuple(_component_from_json(c) for c in objs),
 )
 # the JSON form of each state kind: kind -> (spec class, {field: (to_json,
 # from_json(value, field))}), fields in the order the JSON text lists them
@@ -176,8 +191,9 @@ def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
 def spec_from_json(obj) -> tuple[StateSpec, int | None]:
     """Parse a state spec dict (or JSON string).  Returns (spec, cutoff or None).
 
-    An unknown kind or a missing or mistyped field (true or "0.5" as a number,
-    a cutoff of 2.7) raises ValueError."""
+    An unknown kind, a key outside the kind's fields and "cutoff", or a
+    missing or mistyped field (true or "0.5" as a number, a cutoff of 2.7)
+    raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -194,6 +210,7 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
     except (KeyError, TypeError, OverflowError) as exc:  # an int past 1e308 overflows
         raise ValueError(f"malformed {kind} state spec "
                          f"({type(exc).__name__}: {exc})") from exc
+    _known_keys(obj, ("kind", *fields, "cutoff"), f"{kind} state spec")
     return cls(*args), cutoff
 
 

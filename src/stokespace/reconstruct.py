@@ -28,6 +28,7 @@ from .fock import (
     _check_finite,
     _complex_from_json,
     _json_number,
+    _known_keys,
     _kernel_sums,
     _mixture_weights,
     _splitters,
@@ -39,7 +40,7 @@ _WINDOWS = ("raised-cosine", "none")
 # complex entries of one point chunk's phase table in _kernel_from_points
 # (32 MB), and never more than the output grid holds
 _POINT_CHUNK_ENTRIES = 1 << 21
-# draws binned per histogramdd call of pess_mc_oracle (about 3 MB in flight)
+# draws binned at once by pess_mc_oracle (about 3 MB in flight)
 _ORACLE_CHUNK = 1 << 15
 
 
@@ -238,17 +239,21 @@ class _GaussianEnsemble:
 def ensemble_from_json(obj: dict) -> CoherentEnsemble | _GaussianEnsemble:
     """Build an ensemble from {"points": [[a, b], ...], "weights": [...]}
     or {"gaussian": {"sigma": s, "mean_alpha": a, "mean_beta": b}} where
-    complex entries are {"re": x, "im": y} or a bare real number.  A missing
-    or mistyped field, a JSON true or "0.3" included, raises ValueError."""
+    complex entries are {"re": x, "im": y} or a bare real number.  A key
+    outside these, or a missing or mistyped field, a JSON true or "0.3"
+    included, raises ValueError."""
     try:
         if "gaussian" in obj:
+            _known_keys(obj, ("gaussian",), "ensemble")
             g = obj["gaussian"]
+            _known_keys(g, ("sigma", "mean_alpha", "mean_beta"), "gaussian ensemble")
             return gaussian_ensemble(
                 _json_number(g["sigma"], "sigma"),
                 _complex_from_json(g.get("mean_alpha", 0.0), "mean_alpha"),
                 _complex_from_json(g.get("mean_beta", 0.0), "mean_beta"),
             )
         if "points" in obj:
+            _known_keys(obj, ("points", "weights"), "ensemble")
             pts = np.array([[_complex_from_json(v, "ensemble points") for v in (a, b)]
                             for a, b in obj["points"]], dtype=complex)
             weights = obj.get("weights")
@@ -453,6 +458,21 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
 ORACLE_MIN_SAMPLES = 10**4
 
 
+def _cells(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(edges, x, "right") - 1, the last edge in the last
+    cell, for uniform edges: the cell of each x, -1 below the grid and
+    len(edges) - 1 or more above it (NaN too).  The arithmetic guess is
+    at most one cell off, and one comparison each way settles it."""
+    n = len(edges) - 1
+    guess = np.floor((x - edges[0]) / (edges[1] - edges[0]))
+    cell = np.fmax(np.fmin(guess, n), -1).astype(np.int64)  # fmin sends NaN to n
+    bounds = np.concatenate([[-np.inf], edges, [np.inf]])  # cell c: bounds[c+1 : c+3]
+    cell -= x < bounds[cell + 1]
+    cell += x >= bounds[cell + 2]
+    cell[x == edges[-1]] = n - 1
+    return cell
+
+
 def pess_mc_oracle(
     ensemble: CoherentEnsemble | _GaussianEnsemble, s_grid: Grid3, n: int, seed: int
 ) -> PessGrid:
@@ -460,19 +480,24 @@ def pess_mc_oracle(
 
     Independent of the Fourier route: bins raw samples on the grid cells
     and normalizes by the in-grid count.  One Philox stream is drawn and
-    binned in chunks of _ORACLE_CHUNK, the same histogram for any chunk
-    size, so memory holds the counts and one chunk whatever n is.
+    binned in chunks of _ORACLE_CHUNK straight into one integer count
+    grid, by np.histogramdd's rule (_cells), the same histogram for any
+    chunk size, so memory holds the counts and one chunk whatever n is.
     """
     if n < ORACLE_MIN_SAMPLES:
         raise ValueError(f"need at least {ORACLE_MIN_SAMPLES} samples")
     rng = np.random.Generator(np.random.Philox(key=seed))
     edges = [np.linspace(lo - h / 2.0, hi + h / 2.0, num + 1) for lo, hi, num, h
              in zip(s_grid.mins, s_grid.maxs, s_grid.ns, s_grid.spacing())]
-    counts = np.zeros(s_grid.ns)
+    nx, ny, nz = s_grid.ns
+    counts = np.zeros(nx * ny * nz, np.int64)
     for lo in range(0, n, _ORACLE_CHUNK):
         draws = ensemble.draw(rng, min(_ORACLE_CHUNK, n - lo))
-        counts += np.histogramdd(stokes_points(draws), bins=edges)[0]
+        cx, cy, cz = (_cells(e, x) for e, x in zip(edges, stokes_points(draws).T))
         del draws  # not held while the next chunk is drawn
+        on_grid = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny) & (cz >= 0) & (cz < nz)
+        np.add.at(counts, ((cx * ny + cy) * nz + cz)[on_grid], 1)
+    counts = counts.reshape(s_grid.ns)
     inside = counts.sum()
     if inside == 0:
         raise NumericalError("no samples landed on the grid")

@@ -17,7 +17,7 @@ import pytest
 import stokespace
 from stokespace import (TOL, ConvergenceWarning, Grid3, Tolerances, TruncationWarning,
                         load_pess)
-from stokespace.cli import _CSV_CHUNK_ROWS, _write_csv, main
+from stokespace.cli import _CSV_CHUNK_ROWS, _format_17g, _write_csv, main
 
 VAC = '{"kind": "vacuum"}'
 HOM = '{"kind": "hom_input"}'
@@ -356,6 +356,10 @@ def test_reconstruct_csv_parses_back_to_the_binary_grid(tmp_path):
     coords = np.meshgrid(*grid.axes(), indexing="ij")
     for col, c in zip(table[:, :3].T, coords):
         assert np.array_equal(col, c.reshape(-1))
+    # and byte for byte the row formatter's text of the same doubles
+    rows = [(*c, v) for c, v in zip(itertools.product(*grid.axes()), pess.values.ravel())]
+    assert (tmp_path / "pess.csv").read_text() == \
+        reference_csv(["S_x", "S_y", "S_z", "value"], rows)
 
 
 def reference_csv(columns, rows) -> str:
@@ -395,7 +399,10 @@ def written(path, timestamp):
 
 @pytest.mark.parametrize("n, timestamp", [
     (0, False), (1, False), (_CSV_CHUNK_ROWS - 1, False),
-    (_CSV_CHUNK_ROWS + 1, False), (0, True), (_CSV_CHUNK_ROWS + 1, True)])
+    (_CSV_CHUNK_ROWS + 1, False), (0, True), (_CSV_CHUNK_ROWS + 1, True),
+    # several whole chunks, then a last one of all but one row or of one row
+    (4 * _CSV_CHUNK_ROWS - 1, False), (4 * _CSV_CHUNK_ROWS + 1, False),
+    (4 * _CSV_CHUNK_ROWS + 1, True)])
 def test_columnar_writer_matches_row_formatter(tmp_path, n, timestamp):
     cols = ["a", "b", "c", "d", "e"]
     table = float_table(n)
@@ -429,6 +436,41 @@ def test_grid_writer_matches_row_formatter(tmp_path, shape, timestamp):
     _write_csv(tmp_path / "m.csv", cols, rows, timestamp, axes)
     assert written(tmp_path / "m.csv", timestamp) == \
         reference_csv(cols, [(*c, *r) for c, r in zip(coords, rows)])
+
+
+def formatter_probes() -> np.ndarray:
+    """Doubles on every path of the .17g kernel and its fallback."""
+    rng = np.random.default_rng(17)
+    # random bit patterns: 16 significands in every binade, random signs
+    binade = np.repeat(np.arange(2047, dtype=np.uint64), 16) << np.uint64(52)
+    bits = binade | rng.integers(0, 2**52, binade.size, dtype=np.uint64)
+    bits |= rng.integers(0, 2, binade.size, dtype=np.uint64) << np.uint64(63)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # walks of 300 neighbours and sweeps of 2001 points across each switch
+    # of %g (1e-5, 1e-4 and 1e17) and of the significand's decade (1e16)
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    steps = np.arange(-150, 151, dtype=np.int64)
+    walks = (switches.view(np.int64)[:, None] + steps).view(np.float64)
+    sweeps = switches[:, None] * np.linspace(0.9, 1.1, 2001)
+    # m / 2**j: m 5**j has 18 digits for j near 25, a tie at 17
+    m = np.arange(1, 2000, 2, dtype=float)
+    ties = (m[:, None] * 2.0 ** -np.arange(1, 64)).ravel()
+    tiny = np.finfo(float).tiny
+    special = [0.0, math.nan, math.inf, 5e-324, tiny, tiny * 0.5, np.nextafter(tiny, 0),
+               1.7976931348623157e308, 1e-270, 1e270, 1e-269, 1e20, 0.1, 1.0, 100.0]
+    values = np.concatenate([bits.view(np.float64), powers, np.nextafter(powers, 0),
+                             np.nextafter(powers, math.inf), walks.ravel(), sweeps.ravel(),
+                             ties, special])
+    return np.concatenate([values, -values])
+
+
+def test_float_kernel_is_format_17g_exactly():
+    values = formatter_probes()
+    text = _format_17g(values.reshape(-1, 2))  # any shape: (..., 48) cells
+    assert text.shape == (values.size // 2, 2, 48) and not text[..., -1].any()
+    got = [bytes(cell).replace(b"\0", b"").decode() for cell in text.reshape(-1, 48)]
+    want = [format(float(v), ".17g") for v in values]
+    assert [(v, g, w) for v, g, w in zip(values, got, want) if g != w] == []
 
 
 def test_reconstruct_from_state(tmp_path):
@@ -588,6 +630,27 @@ def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["mgf", "--state", '{"kind": "coherent", "alpha": {"re": 1, "imag": 2}, "beta": 0, '
+      '"cutof": 3}'], "imag"),
+    (["mgf", "--state", '{"kind": "coherent", "alpha": 1, "beta": 0, "cutof": 3}'], "cutof"),
+    (["mgf", "--state", '{"kind": "tmsv", "xi": 0.5, "alpha": 1}'], "alpha"),
+    (["mgf", "--state", '{"kind": "mixture", "components": [{"weight": 1, "alpha": 0.5, '
+      '"beta": 0, "phase": 1}]}'], "phase"),
+    (["reconstruct", "--ensemble", '{"gaussian": {"sigma": 0.3, "mean_alpa": 1}}'],
+     "mean_alpa"),
+    (["reconstruct", "--ensemble", '{"gaussian": {"sigma": 0.3}, "points": [[1, 0]]}'],
+     "points"),
+    (["reconstruct", "--ensemble", '{"points": [[1, 0]], "weight": [1]}'], "weight"),
+    (["reconstruct", "--ensemble", '{"points": [[{"re": 1, "i": 1}, 0]]}'], "i"),
+])
+def test_an_unknown_json_key_is_named_and_exits_2(tmp_path, capsys, argv, key):
+    # a misspelt key was dropped without a word, and its field defaulted
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -545,6 +545,28 @@ class TestOracleAndReports:
         ref = counts / (counts.sum() * g.cell_volume)
         assert got.values.tobytes() == ref.tobytes()
 
+    def test_oracle_cells_follow_histogramdd_on_and_off_the_edges(self):
+        from stokespace.reconstruct import _cells
+
+        # on the first axis (x - e[0]) / h rounds below a whole number for
+        # some x just above an edge, so the arithmetic guess is one cell low
+        g = Grid3((-9.834723644714709, -1.0, 0.5), (6.449354115370712, 3.0, 1.5), (10, 10, 12))
+        edges = [np.linspace(lo - h / 2.0, hi + h / 2.0, num + 1)
+                 for lo, hi, num, h in zip(g.mins, g.maxs, g.ns, g.spacing())]
+        columns = []
+        for e in edges:
+            x = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                [np.nan, np.inf, -np.inf, 1e300, -1e300],
+                                rng_for(9).uniform(e[0] - 1, e[-1] + 1, 3000)])
+            columns.append(np.resize(x, 3300))
+        sample = np.stack(columns, axis=1)
+        want, _ = np.histogramdd(sample, bins=edges)
+        cells = [_cells(e, x) for e, x in zip(edges, sample.T)]
+        on_grid = np.logical_and.reduce([(c >= 0) & (c < n) for c, n in zip(cells, g.ns)])
+        got = np.zeros(g.ns)
+        np.add.at(got, tuple(c[on_grid] for c in cells), 1)
+        assert np.array_equal(got, want)
+
     def test_classicality_check(self):
         g = Grid3.cube(1.0, 8)
         values = np.full(g.ns, 0.5)
@@ -668,6 +690,19 @@ class TestMemoryBudget:
         _, small = traced_peak(pess_mc_oracle, self.ENSEMBLE, self.GRID, 10**5, 0)
         _, large = traced_peak(pess_mc_oracle, self.ENSEMBLE, self.GRID, 4 * 10**5, 0)
         assert large <= 1.05 * small
+
+    def test_the_csv_writer_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # 32768-row chunks of %-formatted text once peaked at 8.2 MB at 32^3
+        # and 8.9 MB at 64^3
+        from stokespace.cli import _write_csv
+
+        def peak(n):
+            values = rng_for(7).normal(size=(n**3, 1))
+            return traced_peak(_write_csv, tmp_path / "pess.csv", ["S_x", "S_y", "S_z", "v"],
+                               values, False, Grid3.cube(6.0, n).axes())[1]
+
+        peak(8)  # one-off first-call costs: the formatter's tables
+        assert peak(64) <= 1.05 * peak(32)
 
     def test_the_point_route_table_stays_within_the_output_size(self):
         # one chunk of 1000 points once built a 16 MB phase table here
