@@ -43,12 +43,7 @@ def _powers(z, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state specs
-
-
-@dataclass(frozen=True)
-class VacuumSpec:
-    kind: ClassVar[str] = "vacuum"
+# classical sources and state specs
 
 
 def _check_finite(fields: dict) -> None:
@@ -61,14 +56,62 @@ def _check_finite(fields: dict) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _mixture_weights(weights, m: int) -> np.ndarray:
+    """The weights if they are m, each >= 0, summing to 1 within 1e-12 (NaN fails)."""
+    w = np.asarray(weights, dtype=float)
+    if not (w.shape == (m,) and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"mixture weights must be {m} numbers >= 0 that sum to 1")
+    return w
+
+
+class _CoherentPoints:
+    """A classical source as data, its non-negative essential P: the coherent
+    pairs (alpha, beta) it mixes, an (m, 2) complex array points, and their
+    weights, (m,) or None for equal ones.  _hold judges them once, at
+    construction; make_state, _kernel_from_points and draw read them."""
+
+    def __post_init__(self):  # CoherentEnsemble's; each spec holds its own fields
+        self._hold(self.points, self.weights, "ensemble points")
+
+    def _hold(self, points, weights, *names) -> None:
+        """The one rule: m >= 1 rows of two amplitudes (ValueError naming
+        names[0]), finite by _check_finite (one name, or one per column), and
+        m weights by _mixture_weights.  _shares holds the weights, 1/m each
+        where they are None."""
+        try:
+            pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        except ValueError:  # rows of unequal length
+            pts = np.empty((0, 0))
+        if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+            raise ValueError(f"{names[0]} must be m >= 1 pairs (alpha, beta)")
+        _check_finite(dict(zip(names, np.split(pts, len(names), axis=1))))
+        m = len(pts)
+        shares = np.full(m, 1.0 / m) if weights is None else _mixture_weights(weights, m)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", None if weights is None else shares)
+        object.__setattr__(self, "_shares", shares)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n pairs drawn by weight; equal weights draw with p=None."""
+        return self.points[rng.choice(len(self.points), size=n, p=self.weights)]
+
+
 @dataclass(frozen=True)
-class CoherentSpec:
+class VacuumSpec(_CoherentPoints):
+    kind: ClassVar[str] = "vacuum"
+
+    def __post_init__(self):
+        self._hold([(0j, 0j)], None, "vacuum")
+
+
+@dataclass(frozen=True)
+class CoherentSpec(_CoherentPoints):
     alpha: complex
     beta: complex
     kind: ClassVar[str] = "coherent"
 
     def __post_init__(self):
-        _check_finite({"alpha": self.alpha, "beta": self.beta})
+        self._hold([(self.alpha, self.beta)], None, "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -96,29 +139,21 @@ class TmsvSpec:
                              "tanh(xi) rounds to 1")
 
 
-def _mixture_weights(weights) -> np.ndarray:
-    """The weights if each is >= 0 and they sum to 1 within 1e-12 (NaN fails)."""
-    w = np.asarray(weights, dtype=float)
-    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
-        raise ValueError("mixture weights must be >= 0 and sum to 1")
-    return w
-
-
 @dataclass(frozen=True)
-class MixtureSpec:
+class MixtureSpec(_CoherentPoints):
     """Statistical mixture of coherent states: ((weight, alpha, beta), ...)."""
 
     components: tuple[tuple[float, complex, complex], ...]
     kind: ClassVar[str] = "mixture"
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        _mixture_weights([w for w, _, _ in self.components])
-        _check_finite({"mixture alpha and beta": [c[1:] for c in self.components]})
+        self._hold([c[1:] for c in self.components], [c[0] for c in self.components],
+                   "mixture alpha and beta")
 
 
 StateSpec = VacuumSpec | CoherentSpec | HomInputSpec | TmsvSpec | MixtureSpec
+
+_REQUIRED = object()  # the default of a JSON field that must be given
 
 
 def _json_number(value, field: str, whole: bool = False) -> float:
@@ -131,47 +166,85 @@ def _json_number(value, field: str, whole: bool = False) -> float:
     return float(value)
 
 
-def _known_keys(obj, keys, what: str) -> None:
-    """Reject a key outside `keys` if obj is a JSON object: a misspelt
-    field would otherwise be dropped without a word."""
-    unknown = [k for k in obj if k not in keys] if isinstance(obj, dict) else []
+def _decode(obj, table: dict, what: str, prefix: str = "") -> dict:
+    """The fields of the JSON object obj by its table, {key: (from_json(value,
+    prefix + key), default, ...)}, in table order: an absent or null key
+    takes its default unless that is _REQUIRED.  Then a key outside the
+    table raises ValueError naming it, so a nested object names its own
+    stray key first.  An obj that is not an object raises TypeError."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object, got {obj!r}")
+    out = {key: default if obj.get(key) is None and default is not _REQUIRED
+           else from_json(obj[key], prefix + key)
+           for key, (from_json, default, *_) in table.items()}
+    unknown = [key for key in obj if key not in table]
     if unknown:
         raise ValueError(f"{what} has unknown key {unknown[0]!r}; "
-                         f"known keys: {', '.join(keys)}")
+                         f"known keys: {', '.join(table)}")
+    return out
+
+
+def _from_json(obj, what: str, kinds: dict, key: str | None = None) -> tuple[str, dict]:
+    """The one decoder of a source's JSON, an object or its text: its kind is
+    obj[key], or else the first kind of kinds, {kind: table}, that obj holds
+    as a key.  Returns (kind, fields by that table).  An unknown kind, a key
+    outside the table, and a missing or mistyped field (an int past 1e308
+    overflows) raise ValueError."""
+    obj = json.loads(obj) if isinstance(obj, str) else obj
+    obj = obj if isinstance(obj, dict) else {}  # no kind, so it fails the next rule
+    kind = obj.get(key) if key else next((k for k in kinds if k in obj), None)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValueError(f"{what} must be an object with "
+                         f"{f'a {key!r} of' if key else 'one key of'} {', '.join(kinds)}")
+    try:
+        fields = {k: v for k, v in obj.items() if k != key}
+        return kind, _decode(fields, kinds[kind], f"{kind} {what}")
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} {what} ({type(exc).__name__}: {exc})") from exc
 
 
 def _complex_to_json(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
+_PARTS = {"re": (_json_number, 0.0), "im": (_json_number, 0.0)}
+
+
 def _complex_from_json(obj, field: str) -> complex:
-    _known_keys(obj, ("re", "im"), field)
     if isinstance(obj, dict):
-        return complex(_json_number(obj.get("re", 0.0), f"{field}.re"),
-                       _json_number(obj.get("im", 0.0), f"{field}.im"))
+        return complex(*_decode(obj, _PARTS, field, field + ".").values())
     return complex(_json_number(obj, field))
 
 
-def _component_from_json(obj) -> tuple[float, complex, complex]:
-    _known_keys(obj, ("weight", "alpha", "beta"), "mixture component")
-    return (_json_number(obj["weight"], "mixture weight"),
-            _complex_from_json(obj["alpha"], "mixture alpha"),
-            _complex_from_json(obj["beta"], "mixture beta"))
-
-
-_COMPLEX = (_complex_to_json, _complex_from_json)
+# a spec field's entry: (from_json(value, field), default, to_json)
+_COMPLEX = (_complex_from_json, _REQUIRED, _complex_to_json)
+_COMPONENT = {"weight": (_json_number, _REQUIRED), "alpha": _COMPLEX, "beta": _COMPLEX}
 _COMPONENTS = (
+    lambda objs, _: tuple(tuple(_decode(obj, _COMPONENT, "mixture component",
+                                        "mixture ").values()) for obj in objs),
+    _REQUIRED,
     lambda comps: [{"weight": float(w), "alpha": _complex_to_json(a),
                     "beta": _complex_to_json(b)} for w, a, b in comps],
-    lambda objs, _: tuple(_component_from_json(c) for c in objs),
 )
-# the JSON form of each state kind: kind -> (spec class, {field: (to_json,
-# from_json(value, field))}), fields in the order the JSON text lists them
+_CUTOFF = (lambda value, _: int(_json_number(value, "state spec cutoff", whole=True)), None)
+_GAUSSIAN = {"sigma": (_json_number, _REQUIRED), "mean_alpha": (_complex_from_json, 0.0),
+             "mean_beta": (_complex_from_json, 0.0)}
+# the JSON form of each ensemble kind of reconstruct, named by its top-level key
+_ENSEMBLES = {
+    "gaussian": {"gaussian": (lambda obj, _: _decode(obj, _GAUSSIAN, "gaussian ensemble"),
+                              _REQUIRED)},
+    "points": {"points": (lambda objs, _: [[_complex_from_json(z, "ensemble points")
+                                            for z in pair] for pair in objs], _REQUIRED),
+               "weights": (lambda ws, _: [_json_number(w, "ensemble weights") for w in ws],
+                           None)},
+}
+# the JSON form of each state kind: kind -> (spec class, {field: entry}),
+# fields in the order the JSON text lists them
 _KINDS = {
     "vacuum": (VacuumSpec, {}),
     "coherent": (CoherentSpec, {"alpha": _COMPLEX, "beta": _COMPLEX}),
     "hom_input": (HomInputSpec, {}),
-    "tmsv": (TmsvSpec, {"xi": (float, _json_number)}),
+    "tmsv": (TmsvSpec, {"xi": (_json_number, _REQUIRED, float)}),
     "mixture": (MixtureSpec, {"components": _COMPONENTS}),
 }
 
@@ -182,7 +255,7 @@ def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
     if cls is None or not isinstance(spec, cls):
         raise ValueError(f"unknown state spec {spec!r}")
     out = {"kind": spec.kind}
-    out.update((name, enc(getattr(spec, name))) for name, (enc, _) in fields.items())
+    out.update((name, enc(getattr(spec, name))) for name, (_, _, enc) in fields.items())
     if cutoff is not None:
         out["cutoff"] = int(cutoff)
     return out
@@ -194,24 +267,10 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
     An unknown kind, a key outside the kind's fields and "cutoff", or a
     missing or mistyped field (true or "0.5" as a number, a cutoff of 2.7)
     raises ValueError."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("state spec must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if not (isinstance(kind, str) and kind in _KINDS):
-        raise ValueError(f"unknown state kind {kind!r}")
-    cls, fields = _KINDS[kind]
-    cutoff = obj.get("cutoff")
-    try:
-        if cutoff is not None:
-            cutoff = int(_json_number(cutoff, "state spec cutoff", whole=True))
-        args = [from_json(obj[name], name) for name, (_, from_json) in fields.items()]
-    except (KeyError, TypeError, OverflowError) as exc:  # an int past 1e308 overflows
-        raise ValueError(f"malformed {kind} state spec "
-                         f"({type(exc).__name__}: {exc})") from exc
-    _known_keys(obj, ("kind", *fields, "cutoff"), f"{kind} state spec")
-    return cls(*args), cutoff
+    kinds = {kind: {**table, "cutoff": _CUTOFF} for kind, (_, table) in _KINDS.items()}
+    kind, fields = _from_json(obj, "state spec", kinds, "kind")
+    cutoff = fields.pop("cutoff")
+    return _KINDS[kind][0](**fields), cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +280,7 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
 def _stokes(a, b):
     """The Stokes vector (2 Re a* b, 2 Im a* b, |a|^2 - |b|^2) of the coherent
     pair (a, b), for complex numbers and arrays alike: the one formula behind
-    splitter axes, stokes_points and mgf_closed_form."""
+    splitter axes and stokes_points, which every point-set route reads."""
     cross = np.conj(a) * b
     return 2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2
 
@@ -230,6 +289,35 @@ def stokes_points(pairs: np.ndarray) -> np.ndarray:
     """Map (m, 2) coherent amplitudes to (m, 3) Stokes vectors."""
     pairs = np.atleast_2d(np.asarray(pairs, dtype=complex))
     return np.stack(_stokes(pairs[:, 0], pairs[:, 1]), axis=1)
+
+
+# complex entries of one point chunk's phase table in _kernel_from_points
+# (32 MB), and never more than the output grid holds
+_POINT_CHUNK_ENTRIES = 1 << 21
+
+
+def _kernel_from_points(k_axes, source: _CoherentPoints, tau) -> np.ndarray:
+    """sum_p w_p exp(i k.S_p - tau |S_p|) over the points of source, on the
+    Cartesian grid of k_axes: the one exact M of a point set, M(i k; tau) on
+    real axes and M(t e; tau) on the one-point axes -i t e.
+
+    exp(i k.S) = e^{i kx Sx} e^{i ky Sy} e^{i kz Sz}, so the sum is one
+    complex GEMM (nx, m) @ (m, ny nz) over three 1-D phase tables, run
+    over chunks of points whose (m, ny nz) operand holds at most
+    _POINT_CHUNK_ENTRIES entries and at most as many as the output.
+    """
+    kx, ky, kz = k_axes
+    svec = stokes_points(source.points)
+    damp = source._shares * np.exp(-tau * np.linalg.norm(svec, axis=1))
+    out = np.zeros((kx.size, ky.size * kz.size), dtype=complex)
+    step = max(1, min(_POINT_CHUNK_ENTRIES, out.size) // (ky.size * kz.size))
+    for lo in range(0, len(svec), step):
+        sx, sy, sz = svec[lo:lo + step].T
+        ex = np.exp(1j * np.multiply.outer(kx, sx)) * damp[lo:lo + step]
+        ey = np.exp(1j * np.multiply.outer(sy, ky))
+        ez = np.exp(1j * np.multiply.outer(sz, kz))
+        out += ex @ (ey[:, :, None] * ez[:, None, :]).reshape(sx.size, -1)
+    return out.reshape(kx.size, ky.size, kz.size)
 
 
 def _stokes_axis(T, R) -> np.ndarray:  # that of (T*, R*), one row per entry
@@ -364,36 +452,14 @@ def _poisson_tails(mu: float, top: int) -> np.ndarray:
     return np.concatenate([1.0 - np.cumsum(terms[:below]), above])
 
 
-def _coherent_leakages(alpha: complex, beta: complex, top: int) -> np.ndarray:
-    """Mass a coherent pair leaves outside the box, for cutoffs 0..top.
-
-    1 - (1 - ta)(1 - tb) is taken as ta + tb - ta tb, which keeps its
-    precision when both tails are tiny.
-    """
-    ta = _poisson_tails(abs(alpha) ** 2, top)
-    tb = _poisson_tails(abs(beta) ** 2, top)
-    return ta + tb - ta * tb
-
-
-def _coherent_terms(spec: StateSpec):
-    """(weight, alpha, beta) terms of a vacuum, coherent or mixture spec,
-    each a mixture of coherent pairs; None for any other spec."""
-    if isinstance(spec, VacuumSpec):
-        return ((1.0, 0j, 0j),)
-    if isinstance(spec, CoherentSpec):
-        return ((1.0, spec.alpha, spec.beta),)
-    if isinstance(spec, MixtureSpec):
-        return spec.components
-    return None
-
-
 def _leakage_table(spec: StateSpec, top: int):
     """(weights, L) of a spec's components: L[i, c] the mass component i
     leaves outside the box at cutoff c, for c = 0..top."""
-    terms = _coherent_terms(spec)
-    if terms is not None:
-        return (np.array([w for w, _, _ in terms]),
-                np.array([_coherent_leakages(a, b, top) for _, a, b in terms]))
+    if isinstance(spec, _CoherentPoints):
+        tails = np.array([[_poisson_tails(abs(z) ** 2, top) for z in pair]
+                          for pair in spec.points.tolist()])
+        ta, tb = tails[:, 0], tails[:, 1]
+        return spec._shares, ta + tb - ta * tb  # 1 - (1 - ta)(1 - tb), precise for tiny tails
     if isinstance(spec, HomInputSpec):  # |1,1> fits from cutoff 1 on
         return np.ones(1), np.eye(1, top + 1)
     if isinstance(spec, TmsvSpec):  # the diagonal terms past c
@@ -412,10 +478,9 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     weights, table = _leakage_table(spec, cutoff)
     leak = float(weights @ table[:, cutoff])
     n = cutoff + 1
-    terms = _coherent_terms(spec)
-    if terms is not None:
-        comps = [(w, np.outer(coherent_amplitudes(a, cutoff),
-                              coherent_amplitudes(b, cutoff))) for w, a, b in terms]
+    if isinstance(spec, _CoherentPoints):
+        amps = coherent_amplitudes(spec.points, cutoff)
+        comps = tuple(zip(weights, amps[:, 0, :, None] * amps[:, 1, None, :]))
     else:  # one pure component
         amp = np.zeros((n, n), dtype=complex)
         comps = ((1.0, amp),)
@@ -694,7 +759,7 @@ def _half_turn_rows(top, shapes, chunks, T, R):
                   for (n, hi, _, _, base, gemm, o, _, _), delta_t in zip(chunk.blocks, deltas)
                   if gemm]  # Delta's live columns in plan order, and Delta^T
         n_c, size = len(chunk.psi), len(chunk.k)
-        step = max(1, _BUFFER_DOUBLES // (2 * n_c * size))
+        step = max(1, _BUFFER_DOUBLES // max(1, 2 * n_c * size))  # size 0: no GEMM here
         for lo in range(0, T.size * bool(halves), step):
             at = slice(lo, lo + step)
             phi = phase_in[chunk.ka, at, None] * chunk.psi.T[:, None]  # column, axis, comp

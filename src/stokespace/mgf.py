@@ -29,12 +29,12 @@ from .fock import (
     TmsvSpec,
     TwoModeState,
     _BUFFER_DOUBLES,
+    _CoherentPoints,
     _check_kernels,
-    _coherent_terms,
+    _kernel_from_points,
     _kernel_sums,
     _power_sum,
     _splitters,
-    _stokes,
     beam_splitter,
     coherent_amplitudes,
     joint_photon_distribution,
@@ -97,20 +97,16 @@ def mgf_closed_form(
 ) -> complex:
     """Analytic M for the reference states.
 
-    vacuum / coherent / mixture: exp(t e.S - tau ||S||) per coherent pair,
-    any complex t.
+    vacuum / coherent / mixture: sum_p w_p exp(t e.S_p - tau |S_p|) over the
+    point set, _kernel_from_points on the one-point axes -i t e, any complex t.
     hom_input (|1,1>): (1 - tau)^2 + (1 - 2 e_z^2) t^2, any complex t.
     tmsv: closed form valid for real t with 0 <= lambda_a, lambda_b <= 1.
     """
     _check_points(t, tau)
     e = direction.e
-    terms = _coherent_terms(spec)
-    if terms is not None:
-        total = 0.0 + 0.0j
-        for w, a, b in terms:  # ||S|| = |a|^2 + |b|^2 for a coherent pair
-            s = float(e @ np.array(_stokes(a, b)))
-            total += w * complex(np.exp(t * s - tau * (abs(a) ** 2 + abs(b) ** 2)))
-        return total
+    if isinstance(spec, _CoherentPoints):
+        axes = [np.array([-1j * t * x]) for x in e]
+        return complex(_kernel_from_points(axes, spec, tau)[0, 0, 0])
     if isinstance(spec, HomInputSpec):
         return (1.0 - tau) ** 2 + (1.0 - 2.0 * e[2] ** 2) * t * t
     if isinstance(spec, TmsvSpec):

@@ -6,10 +6,10 @@ essential phase-space density P(S) via
     P(S) = exp(tau |S|) (2 pi)^-3  Integral d^3k  M(i k; tau) exp(-i k.S),
 
 discretized with an FFT on matched grids.  Data can come from a full
-two-mode state (one measurement rotation per k direction), from an
-explicit point list of coherent-state pairs, or from the closed form of
-a Gaussian ensemble.  Each ensemble also draws pairs for the
-Monte-Carlo histogram oracle.
+two-mode state (one measurement rotation per k direction), from the
+exact kernel of a coherent point set (an ensemble, or a vacuum, coherent
+or mixture spec), or from the closed form of a Gaussian ensemble.  Both
+kinds of ensemble also draw pairs for the Monte-Carlo histogram oracle.
 """
 
 from __future__ import annotations
@@ -25,21 +25,18 @@ import numpy as np
 from .config import TOL, ConvergenceWarning, NumericalError
 from .fock import (
     TwoModeState,
+    _CoherentPoints,
+    _ENSEMBLES,
     _check_finite,
-    _complex_from_json,
-    _json_number,
-    _known_keys,
+    _from_json,
+    _kernel_from_points,
     _kernel_sums,
-    _mixture_weights,
     _splitters,
     stokes_points,
 )
 from .mgf import _check_points, _kernels
 
 _WINDOWS = ("raised-cosine", "none")
-# complex entries of one point chunk's phase table in _kernel_from_points
-# (32 MB), and never more than the output grid holds
-_POINT_CHUNK_ENTRIES = 1 << 21
 # draws binned at once by pess_mc_oracle (about 3 MB in flight)
 _ORACLE_CHUNK = 1 << 15
 
@@ -148,31 +145,12 @@ class PessGrid:
 
 
 @dataclass(frozen=True)
-class CoherentEnsemble:
+class CoherentEnsemble(_CoherentPoints):
     """Classical ensemble of coherent pairs (alpha, beta): an (m, 2) point
     list, equally weighted unless weights are given."""
 
     points: np.ndarray
     weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must have shape (m, 2)")
-        _check_finite({"ensemble points": pts})
-        object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = _mixture_weights(self.weights)
-            if w.shape != (pts.shape[0],):
-                raise ValueError("weights must match the number of points")
-            object.__setattr__(self, "weights", w)
-
-    def kernel(self, k_grid: Grid3, tau: float) -> np.ndarray:
-        return _kernel_from_points(k_grid.axes(), self.points, self.weights, tau)
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.choice(self.points.shape[0], size=n, p=self.weights)
-        return self.points[idx]
 
 
 @dataclass(frozen=True)
@@ -236,33 +214,17 @@ class _GaussianEnsemble:
         return np.stack([a, b], axis=1)
 
 
-def ensemble_from_json(obj: dict) -> CoherentEnsemble | _GaussianEnsemble:
+def ensemble_from_json(obj) -> CoherentEnsemble | _GaussianEnsemble:
     """Build an ensemble from {"points": [[a, b], ...], "weights": [...]}
-    or {"gaussian": {"sigma": s, "mean_alpha": a, "mean_beta": b}} where
-    complex entries are {"re": x, "im": y} or a bare real number.  A key
-    outside these, or a missing or mistyped field, a JSON true or "0.3"
-    included, raises ValueError."""
-    try:
-        if "gaussian" in obj:
-            _known_keys(obj, ("gaussian",), "ensemble")
-            g = obj["gaussian"]
-            _known_keys(g, ("sigma", "mean_alpha", "mean_beta"), "gaussian ensemble")
-            return gaussian_ensemble(
-                _json_number(g["sigma"], "sigma"),
-                _complex_from_json(g.get("mean_alpha", 0.0), "mean_alpha"),
-                _complex_from_json(g.get("mean_beta", 0.0), "mean_beta"),
-            )
-        if "points" in obj:
-            _known_keys(obj, ("points", "weights"), "ensemble")
-            pts = np.array([[_complex_from_json(v, "ensemble points") for v in (a, b)]
-                            for a, b in obj["points"]], dtype=complex)
-            weights = obj.get("weights")
-            if weights is not None:
-                weights = np.array([_json_number(w, "ensemble weights") for w in weights])
-            return CoherentEnsemble(points=pts, weights=weights)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed ensemble ({type(exc).__name__}: {exc})") from exc
-    raise ValueError("ensemble JSON needs a 'points' or 'gaussian' entry")
+    or {"gaussian": {"sigma": s, "mean_alpha": a, "mean_beta": b}}, as an
+    object or its JSON text, where complex entries are {"re": x, "im": y}
+    or a bare real number.  The decoder is spec_from_json's: a key outside
+    these, or a missing or mistyped field, a JSON true or "0.3" included,
+    raises ValueError."""
+    kind, fields = _from_json(obj, "ensemble", _ENSEMBLES)
+    if kind == "gaussian":
+        return gaussian_ensemble(**fields["gaussian"])
+    return CoherentEnsemble(**fields)
 
 
 def gaussian_ensemble(
@@ -275,32 +237,6 @@ def gaussian_ensemble(
     Monte-Carlo histogram oracle.
     """
     return _GaussianEnsemble(float(sigma), complex(mean_alpha), complex(mean_beta))
-
-
-def _kernel_from_points(
-    k_axes, pts: np.ndarray, weights: np.ndarray | None, tau: float
-) -> np.ndarray:
-    """sum_p w_p exp(i k.S_p - tau |S_p|) on the Cartesian grid of k_axes.
-
-    exp(i k.S) = e^{i kx Sx} e^{i ky Sy} e^{i kz Sz}, so the sum is one
-    complex GEMM (nx, m) @ (m, ny nz) over three 1-D phase tables, run
-    over chunks of points whose (m, ny nz) operand holds at most
-    _POINT_CHUNK_ENTRIES entries and at most as many as the output.
-    """
-    kx, ky, kz = k_axes
-    svec = stokes_points(pts)
-    m = svec.shape[0]
-    w = np.full(m, 1.0 / m) if weights is None else weights
-    damp = w * np.exp(-tau * np.linalg.norm(svec, axis=1))
-    out = np.zeros((kx.size, ky.size * kz.size), dtype=complex)
-    step = max(1, min(_POINT_CHUNK_ENTRIES, out.size) // (ky.size * kz.size))
-    for lo in range(0, m, step):
-        sx, sy, sz = svec[lo:lo + step].T
-        ex = np.exp(1j * np.multiply.outer(kx, sx)) * damp[lo:lo + step]
-        ey = np.exp(1j * np.multiply.outer(sy, ky))
-        ez = np.exp(1j * np.multiply.outer(sz, kz))
-        out += ex @ (ey[:, :, None] * ez[:, None, :]).reshape(sx.size, -1)
-    return out.reshape(kx.size, ky.size, kz.size)
 
 
 def _state_grid_values(state: TwoModeState, k_grid: Grid3, tau: float) -> np.ndarray:
@@ -344,18 +280,20 @@ def _judge_inversion(s_grid: Grid3, tau: float) -> Grid3:
 def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
     """M(i k; tau) on a Cartesian k grid (the FFT dual of the target s grid).
 
-    source is a TwoModeState (exact, one beam-splitter rotation per k
-    direction) or an ensemble, CoherentEnsemble or gaussian_ensemble,
-    which sums itself on the grid.  Output obeys M(-k) = M(k)* wherever
-    the grid holds both points.  Truncated states and point lists accept
-    tau = 0; a Gaussian's unbounded support needs tau > 0.
+    source is a TwoModeState (one beam-splitter rotation per k direction),
+    a point set (CoherentEnsemble, or a vacuum, coherent or mixture spec;
+    exact) or a gaussian_ensemble (closed form).  Output obeys M(-k) = M(k)*
+    wherever the grid holds both points.  Truncated states and point sets
+    accept tau = 0; a Gaussian's unbounded support needs tau > 0.
     """
     _check_points(0.0, tau)
     if isinstance(source, TwoModeState):
         return _state_grid_values(source, k_grid, tau)
-    if isinstance(source, (CoherentEnsemble, _GaussianEnsemble)):
+    if isinstance(source, _CoherentPoints):
+        return _kernel_from_points(k_grid.axes(), source, tau)
+    if isinstance(source, _GaussianEnsemble):
         return source.kernel(k_grid, tau)
-    raise TypeError("source must be a TwoModeState or an ensemble")
+    raise TypeError("source must be a TwoModeState, a point set or a Gaussian ensemble")
 
 
 def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
@@ -474,7 +412,7 @@ def _cells(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def pess_mc_oracle(
-    ensemble: CoherentEnsemble | _GaussianEnsemble, s_grid: Grid3, n: int, seed: int
+    ensemble: _CoherentPoints | _GaussianEnsemble, s_grid: Grid3, n: int, seed: int
 ) -> PessGrid:
     """Histogram density of Stokes vectors drawn from the ensemble.
 

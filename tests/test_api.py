@@ -237,6 +237,7 @@ def vacuum_along_z():
     lambda: Grid3((-1, -1), (1, 1), (8, 8)),
     lambda: PessGrid(Grid3.cube(1.0, 8), np.zeros((8, 8)), 0.1, "none", ""),
     lambda: CoherentEnsemble(points=np.zeros((2, 3))),
+    lambda: CoherentEnsemble(points=np.zeros((0, 2))),
     lambda: CoherentEnsemble(points=[[0, 0], [1, 0]], weights=[1.0]),
     lambda: gaussian_ensemble(0.0),
     lambda: mgf_closed_form(object(), Z_AXIS, 0.1, 0.2),
@@ -249,7 +250,7 @@ def vacuum_along_z():
         "nu-inf", "state-cutoff", "state-shape", "state-weight", "state-leakage",
         "spec-json-list", "spec-to-json", "hom-cutoff", "mixture-empty", "sample-count",
         "sample-counts-1d", "grid-two-axes", "pess-shape", "ensemble-points-shape",
-        "ensemble-weight-count", "sigma-zero",
+        "ensemble-points-empty", "ensemble-weight-count", "sigma-zero",
         "closed-form-spec", "husimi-complex-t", "distribution-not-square"])
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError):

@@ -614,6 +614,9 @@ def test_oracle_without_ensemble_fails_before_the_inversion(tmp_path):
     # malformed fields: each raised KeyError or TypeError and exited 1
     ["--ensemble", '{"gaussian": {}}'],
     ["--ensemble", '{"points": [[{"re": "x"}, 0.5]]}'],
+    # a point of three entries: "too many values to unpack" named no field
+    ["--ensemble", '{"points": [[1, 0, 5]]}'],
+    ["--ensemble", '{"points": [[1, 0]], "weights": [0.5, 0.5]}'],
     ["--state", '{"kind": "coherent", "beta": 0.5}'],
     ["--state", '{"kind": "tmsv"}'],
     ["--state", '{"kind": "mixture", "components": [{"weight": 1, "alpha": 0.5}]}'],
@@ -630,6 +633,16 @@ def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("points", ["[[1, 0, 5]]", "[[1, 0], [5]]", "[[1]]", "[]"])
+def test_a_point_that_is_no_pair_names_ensemble_points(tmp_path, capsys, points):
+    # [[1, 0, 5]] exited 2 with "too many values to unpack (expected 2)"
+    assert main(["reconstruct", "--out", str(tmp_path), "--n-points", "8",
+                 "--ensemble", f'{{"points": {points}}}']) == 2
+    assert capsys.readouterr().err == (
+        "error: ensemble points must be m >= 1 pairs (alpha, beta)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, key", [

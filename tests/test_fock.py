@@ -6,7 +6,9 @@ import pytest
 from scipy.special import gammainc, gammaincc, gammaln
 
 from stokespace import (
+    CoherentEnsemble,
     CoherentSpec,
+    Grid3,
     HomInputSpec,
     MixtureSpec,
     TmsvSpec,
@@ -19,9 +21,12 @@ from stokespace import (
     direction_from_tr,
     direction_to_beamsplitter,
     distribution_factorial_moment,
+    dual_grid,
+    ensemble_from_json,
     joint_photon_distribution,
     make_state,
     mgf_closed_form,
+    mgf_imaginary_grid,
     power_expectation,
     spec_from_json,
     spec_to_json,
@@ -443,6 +448,19 @@ class TestSpecs:
         first = bits(specs[0])
         for spec in specs[1:]:
             assert bits(spec) == first
+
+    @pytest.mark.parametrize("alpha, beta", [(0j, 0j), (1.2 + 0j, 0.5 - 0.3j)])
+    def test_one_point_grids_agree_bit_for_bit_across_records(self, alpha, beta):
+        # one point set behind every record, so one exact kernel on the grid
+        point = [{"re": z.real, "im": z.imag} for z in (alpha, beta)]
+        sources = [CoherentSpec(alpha, beta), MixtureSpec(((1.0, alpha, beta),)),
+                   CoherentEnsemble(points=np.array([[alpha, beta]])),
+                   ensemble_from_json({"points": [point]})]
+        if alpha == beta == 0:
+            sources.append(VacuumSpec())
+        k_grid = dual_grid(Grid3.cube(3.0, 8))
+        grids = [mgf_imaginary_grid(source, k_grid, 0.1).tobytes() for source in sources]
+        assert grids == [grids[0]] * len(sources)
 
 
 class TestCoherentAmplitudes:

@@ -11,6 +11,7 @@ from stokespace import (
     CoherentSpec,
     ConvergenceWarning,
     Grid3,
+    MixtureSpec,
     NumericalError,
     VacuumSpec,
     classicality_check,
@@ -25,6 +26,7 @@ from stokespace import (
     mgf_imaginary_grid,
     pess_mc_oracle,
     save_pess,
+    spec_from_json,
     stokes_points,
 )
 from conftest import gaussian_pess_exact, rng_for
@@ -179,6 +181,39 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             ensemble_from_json({"something": 1})
 
+    def test_both_decoders_read_an_object_or_its_text(self):
+        # a text ensemble met "gaussian" in obj as a substring test and failed
+        # with "string indices must be integers"
+        gauss = '{"gaussian": {"sigma": 0.3}}'
+        assert ensemble_from_json(gauss) == ensemble_from_json(json.loads(gauss))
+        assert ensemble_from_json(gauss) == gaussian_ensemble(0.3)
+        ens = ensemble_from_json('{"points": [[1, {"im": 0.5}]], "weights": [1]}')
+        assert ens.points.tolist() == [[1.0, 0.5j]] and ens.weights.tolist() == [1.0]
+        spec = '{"kind": "coherent", "alpha": 1, "beta": {"im": 0.5}, "cutoff": 7}'
+        assert spec_from_json(spec) == spec_from_json(json.loads(spec)) == (
+            CoherentSpec(1.0, 0.5j), 7)
+        for bad in ("[]", '"gaussian"', "3", "null"):
+            for decode in (ensemble_from_json, spec_from_json):
+                with pytest.raises(ValueError):
+                    decode(bad)
+
+    def test_every_point_set_draws_the_same_stream(self):
+        # the draw reads the point set, whichever record holds it; equal
+        # weights draw with p=None (p = 1/m each is another stream, and so
+        # another oracle.bin) and given ones with p=weights
+        g = Grid3.cube(3.0, 8)
+        for spec, ens in [
+            (CoherentSpec(1.2, 0.5j), CoherentEnsemble(points=[[1.2, 0.5j]])),
+            (MixtureSpec(((0.3, 1.0, 0.2j), (0.7, -0.5, 0.8))),
+             CoherentEnsemble(points=[[1.0, 0.2j], [-0.5, 0.8]], weights=[0.3, 0.7])),
+        ]:
+            a, b = (pess_mc_oracle(source, g, 20000, seed=5) for source in (spec, ens))
+            assert a.values.tobytes() == b.values.tobytes()
+        pts = np.array([[1.0, 0.2j], [0.3, -0.8], [0.5j, 0.5]])
+        for weights in (None, [0.5, 0.2, 0.3]):
+            got = CoherentEnsemble(points=pts, weights=weights).draw(rng_for(4), 1000)
+            assert np.array_equal(got, pts[rng_for(4).choice(3, size=1000, p=weights)])
+
     def test_stokes_points_matches_single_pair(self):
         pairs = np.array([[0.8 + 0.1j, -0.3j], [1.0, 0.5]], dtype=complex)
         svec = stokes_points(pairs)
@@ -295,10 +330,10 @@ class TestPointKernel:
         assert np.max(np.abs(got.reshape(-1) - ref)) <= 1e-14
 
     def test_sampler_draw_over_several_chunks_matches_dense_sum(self, monkeypatch):
-        import stokespace.reconstruct as rec
+        import stokespace.fock as fock
 
         # 7 points per chunk: 1000 draws fill 142 chunks and a partial one
-        monkeypatch.setattr(rec, "_POINT_CHUNK_ENTRIES", 7 * 10 * 12)
+        monkeypatch.setattr(fock, "_POINT_CHUNK_ENTRIES", 7 * 10 * 12)
         draw = gaussian_ensemble(0.5, 0.8, -0.3j).draw
         got = mgf_imaginary_grid(
             CoherentEnsemble(points=draw(rng_for(3), 1000)), self.K_GRID, 0.1

@@ -1,7 +1,9 @@
 """The batched SU(2) block-rotation engine behind every splitter."""
 
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -583,3 +585,74 @@ def test_splitters_compose_as_su2(rng, cutoff):
     lhs = rotate_many(first, [direction_from_tr(*u[0]) for u in u2s])
     rhs = rotate_many(psi, [direction_from_tr(*(u @ u1)[0]) for u in u2s])
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(lhs)
+
+
+# Pythagorean splitters (T, R) = (t/5, r/5): every count behind them is rational
+RATIONAL_SPLITTERS = ((3, 4), (4, 3))
+
+
+def exact_block_counts(q, t, r):
+    """Exact counts of the block input sum_k q_k a^k b^(N-k)|0>, N = len(q) - 1
+    and q integers, behind the splitter (t/5, r/5): p[j] for (j, N - j).
+
+    The splitter sends a^ -> (t a^ - r b^)/5 and b^ -> (r a^ + t b^)/5, so
+    the output is Q = sum_k q_k u^k v^(N-k), u = t x - r y, v = r x + t y,
+    with x, y for a^, b^.  Horner, R <- u R + q_k v^(N-k), keeps its integer
+    coefficients D_j of x^j y^(N-j), and p[j] = D_j^2 j! (N-j)! / (25^N
+    sum_k q_k^2 k! (N-k)!)."""
+    n = len(q) - 1
+    v_powers = [[1]]  # coefficient lists, index = power of x
+    for _ in range(n):
+        low = v_powers[-1]
+        v_powers.append([t * a + r * b for a, b in zip(low + [0], [0] + low)])
+    acc = [q[n]]
+    for k in range(n - 1, -1, -1):
+        acc = [t * b - r * a + q[k] * c
+               for a, b, c in zip(acc + [0], [0] + acc, v_powers[n - k])]
+    fact = [math.factorial(j) for j in range(n + 1)]
+    norm = sum(qk * qk * fact[k] * fact[n - k] for k, qk in enumerate(q)) * 25**n
+    return [Fraction(d * d * fact[j] * fact[n - j], norm) for j, d in enumerate(acc)]
+
+
+def block_state(q, cutoff):
+    """The normalized state of exact_block_counts' input at this cutoff."""
+    n = len(q) - 1
+    fact = [math.factorial(j) for j in range(n + 1)]
+    norm = sum(qk * qk * fact[k] * fact[n - k] for k, qk in enumerate(q))
+    amp = np.zeros((cutoff + 1, cutoff + 1))
+    for k in np.flatnonzero(q):
+        amp[k, n - k] = math.copysign(
+            math.sqrt(Fraction(q[k] * q[k] * fact[k] * fact[n - k], norm)), q[k])
+    return TwoModeState(cutoff, ((1.0, amp),))
+
+
+def check_exact_counts(q, cutoff):
+    """rotate_many of block_state(q) against exact_block_counts on every axis
+    of RATIONAL_SPLITTERS, to 1e-15 at every count, the zeros included."""
+    n = len(q) - 1
+    p = rotate_many(block_state(q, cutoff),
+                    [direction_from_tr(t / 5, r / 5) for t, r in RATIONAL_SPLITTERS])
+    for got, (t, r) in zip(p, RATIONAL_SPLITTERS):
+        want = np.zeros_like(got)
+        want[np.arange(n + 1), n - np.arange(n + 1)] = [
+            float(x) for x in exact_block_counts(q, t, r)]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_a, n_b", [(120, 0), (60, 40), (120, 120), (1, 120)])
+def test_fock_counts_match_the_exact_rational_oracle(monkeypatch, n_a, n_b):
+    # |n_a, n_b> fills one column of its block: the recurrence route, with
+    # blocks up to N = 240
+    routes = recording_routes(monkeypatch)
+    check_exact_counts([0] * n_a + [1] + [0] * n_b, 120)
+    assert set(routes) == {"recurrence"}
+
+
+@pytest.mark.parametrize("n", [77, 120, 240])
+def test_dense_block_counts_match_the_exact_rational_oracle(monkeypatch, n):
+    # every column of the block is live, so two axes take the half-turn
+    # GEMMs (_half_turn_rows), which the Fock inputs never reach
+    routes = recording_routes(monkeypatch)
+    draw = random.Random(n)
+    check_exact_counts([draw.randint(-9, 9) for _ in range(n)] + [1], n)
+    assert routes == ["gemm"]
