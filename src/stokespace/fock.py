@@ -64,11 +64,16 @@ def _mixture_weights(weights, m: int) -> np.ndarray:
     return w
 
 
+# complex entries of one point chunk's phase table in _CoherentPoints.kernel
+# (32 MB), and never more than the output grid holds
+_POINT_CHUNK_ENTRIES = 1 << 21
+
+
 class _CoherentPoints:
     """A classical source as data, its non-negative essential P: the coherent
     pairs (alpha, beta) it mixes, an (m, 2) complex array points, and their
     weights, (m,) or None for equal ones.  _hold judges them once, at
-    construction; make_state, _kernel_from_points and draw read them."""
+    construction; make_state, mgf_closed_form, kernel and draw read them."""
 
     def __post_init__(self):  # CoherentEnsemble's; each spec holds its own fields
         self._hold(self.points, self.weights, "ensemble points")
@@ -76,8 +81,7 @@ class _CoherentPoints:
     def _hold(self, points, weights, *names) -> None:
         """The one rule: m >= 1 rows of two amplitudes (ValueError naming
         names[0]), finite by _check_finite (one name, or one per column), and
-        m weights by _mixture_weights.  _shares holds the weights, 1/m each
-        where they are None."""
+        m weights by _mixture_weights."""
         try:
             pts = np.atleast_2d(np.asarray(points, dtype=complex))
         except ValueError:  # rows of unequal length
@@ -85,11 +89,39 @@ class _CoherentPoints:
         if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
             raise ValueError(f"{names[0]} must be m >= 1 pairs (alpha, beta)")
         _check_finite(dict(zip(names, np.split(pts, len(names), axis=1))))
-        m = len(pts)
-        shares = np.full(m, 1.0 / m) if weights is None else _mixture_weights(weights, m)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", None if weights is None else shares)
-        object.__setattr__(self, "_shares", shares)
+        object.__setattr__(self, "weights", None if weights is None
+                           else _mixture_weights(weights, len(pts)))
+
+    @property
+    def _shares(self) -> np.ndarray:
+        """The weights, 1/m each where they are None."""
+        m = len(self.points)
+        return np.full(m, 1.0 / m) if self.weights is None else self.weights
+
+    def kernel(self, k_grid, tau: float) -> np.ndarray:
+        """sum_p w_p exp(i k.S_p - tau |S_p|) on the Cartesian grid of the real
+        k_grid axes: the exact M(i k; tau) of the point set.  Real k keeps
+        each phase factor on the unit circle; at complex k the factors
+        would overflow alone, so mgf_closed_form takes each exponent whole.
+
+        exp(i k.S) = e^{i kx Sx} e^{i ky Sy} e^{i kz Sz}, so the sum is one
+        complex GEMM (nx, m) @ (m, ny nz) over three 1-D phase tables, run
+        over chunks of points whose (m, ny nz) operand holds at most
+        _POINT_CHUNK_ENTRIES entries and at most as many as the output.
+        """
+        kx, ky, kz = k_grid.axes()
+        svec = stokes_points(self.points)
+        damp = self._shares * np.exp(-tau * np.linalg.norm(svec, axis=1))
+        out = np.zeros((kx.size, ky.size * kz.size), dtype=complex)
+        step = max(1, min(_POINT_CHUNK_ENTRIES, out.size) // (ky.size * kz.size))
+        for lo in range(0, len(svec), step):
+            sx, sy, sz = svec[lo:lo + step].T
+            ex = np.exp(1j * np.multiply.outer(kx, sx)) * damp[lo:lo + step]
+            ey = np.exp(1j * np.multiply.outer(sy, ky))
+            ez = np.exp(1j * np.multiply.outer(sz, kz))
+            out += ex @ (ey[:, :, None] * ez[:, None, :]).reshape(sx.size, -1)
+        return out.reshape(kx.size, ky.size, kz.size)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n pairs drawn by weight; equal weights draw with p=None."""
@@ -153,8 +185,6 @@ class MixtureSpec(_CoherentPoints):
 
 StateSpec = VacuumSpec | CoherentSpec | HomInputSpec | TmsvSpec | MixtureSpec
 
-_REQUIRED = object()  # the default of a JSON field that must be given
-
 
 def _json_number(value, field: str, whole: bool = False) -> float:
     """The one rule for a JSON number: an int or a float, numpy scalars
@@ -166,17 +196,20 @@ def _json_number(value, field: str, whole: bool = False) -> float:
     return float(value)
 
 
+# the value of a JSON field left out; a field not named here must be given
+_DEFAULTS = {"re": 0.0, "im": 0.0, "mean_alpha": 0.0, "mean_beta": 0.0, "cutoff": None,
+             "weights": None}
+
+
 def _decode(obj, table: dict, what: str, prefix: str = "") -> dict:
-    """The fields of the JSON object obj by its table, {key: (from_json(value,
-    prefix + key), default, ...)}, in table order: an absent or null key
-    takes its default unless that is _REQUIRED.  Then a key outside the
-    table raises ValueError naming it, so a nested object names its own
-    stray key first.  An obj that is not an object raises TypeError."""
+    """{key: from_json(obj[key], prefix + key)} for the keys of table, in its
+    order, _DEFAULTS[key] where obj lacks one (else KeyError).  Then a key
+    outside table raises ValueError naming it: a nested object names its
+    own stray key first."""
     if not isinstance(obj, dict):
         raise TypeError(f"{what} must be a JSON object, got {obj!r}")
-    out = {key: default if obj.get(key) is None and default is not _REQUIRED
-           else from_json(obj[key], prefix + key)
-           for key, (from_json, default, *_) in table.items()}
+    out = {key: from_json(obj[key], prefix + key) if key in obj else _DEFAULTS[key]
+           for key, from_json in table.items()}
     unknown = [key for key in obj if key not in table]
     if unknown:
         raise ValueError(f"{what} has unknown key {unknown[0]!r}; "
@@ -185,11 +218,10 @@ def _decode(obj, table: dict, what: str, prefix: str = "") -> dict:
 
 
 def _from_json(obj, what: str, kinds: dict, key: str | None = None) -> tuple[str, dict]:
-    """The one decoder of a source's JSON, an object or its text: its kind is
-    obj[key], or else the first kind of kinds, {kind: table}, that obj holds
-    as a key.  Returns (kind, fields by that table).  An unknown kind, a key
-    outside the table, and a missing or mistyped field (an int past 1e308
-    overflows) raise ValueError."""
+    """(kind, fields by its table) of a source's JSON, an object or its text:
+    the kind is obj[key], or else the first of kinds, {kind: table}, that obj
+    holds as a key.  An unknown kind, a key outside the table, and a missing
+    or mistyped field (an int past 1e308 overflows) raise ValueError."""
     obj = json.loads(obj) if isinstance(obj, str) else obj
     obj = obj if isinstance(obj, dict) else {}  # no kind, so it fails the next rule
     kind = obj.get(key) if key else next((k for k in kinds if k in obj), None)
@@ -207,46 +239,40 @@ def _complex_to_json(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-_PARTS = {"re": (_json_number, 0.0), "im": (_json_number, 0.0)}
-
-
 def _complex_from_json(obj, field: str) -> complex:
     if isinstance(obj, dict):
-        return complex(*_decode(obj, _PARTS, field, field + ".").values())
+        parts = _decode(obj, {"re": _json_number, "im": _json_number}, field, field + ".")
+        return complex(parts["re"], parts["im"])
     return complex(_json_number(obj, field))
 
 
-# a spec field's entry: (from_json(value, field), default, to_json)
-_COMPLEX = (_complex_from_json, _REQUIRED, _complex_to_json)
-_COMPONENT = {"weight": (_json_number, _REQUIRED), "alpha": _COMPLEX, "beta": _COMPLEX}
-_COMPONENTS = (
-    lambda objs, _: tuple(tuple(_decode(obj, _COMPONENT, "mixture component",
-                                        "mixture ").values()) for obj in objs),
-    _REQUIRED,
-    lambda comps: [{"weight": float(w), "alpha": _complex_to_json(a),
-                    "beta": _complex_to_json(b)} for w, a, b in comps],
-)
-_CUTOFF = (lambda value, _: int(_json_number(value, "state spec cutoff", whole=True)), None)
-_GAUSSIAN = {"sigma": (_json_number, _REQUIRED), "mean_alpha": (_complex_from_json, 0.0),
-             "mean_beta": (_complex_from_json, 0.0)}
+_COMPONENT = {"weight": _json_number, "alpha": _complex_from_json, "beta": _complex_from_json}
+_GAUSSIAN = {"sigma": _json_number, "mean_alpha": _complex_from_json,
+             "mean_beta": _complex_from_json}
 # the JSON form of each ensemble kind of reconstruct, named by its top-level key
 _ENSEMBLES = {
-    "gaussian": {"gaussian": (lambda obj, _: _decode(obj, _GAUSSIAN, "gaussian ensemble"),
-                              _REQUIRED)},
-    "points": {"points": (lambda objs, _: [[_complex_from_json(z, "ensemble points")
-                                            for z in pair] for pair in objs], _REQUIRED),
-               "weights": (lambda ws, _: [_json_number(w, "ensemble weights") for w in ws],
-                           None)},
+    "gaussian": {"gaussian": lambda obj, _: _decode(obj, _GAUSSIAN, "gaussian ensemble")},
+    "points": {
+        "points": lambda objs, _: [[_complex_from_json(z, "ensemble points") for z in pair]
+                                   for pair in objs],
+        "weights": lambda ws, _: None if ws is None else [_json_number(w, "ensemble weights")
+                                                          for w in ws],
+    },
 }
-# the JSON form of each state kind: kind -> (spec class, {field: entry}),
-# fields in the order the JSON text lists them
+# the JSON form of each state kind: kind -> (spec class, {field: from_json}),
+# fields in the order the JSON text lists them; _TO_JSON writes each field
 _KINDS = {
     "vacuum": (VacuumSpec, {}),
-    "coherent": (CoherentSpec, {"alpha": _COMPLEX, "beta": _COMPLEX}),
+    "coherent": (CoherentSpec, {"alpha": _complex_from_json, "beta": _complex_from_json}),
     "hom_input": (HomInputSpec, {}),
-    "tmsv": (TmsvSpec, {"xi": (_json_number, _REQUIRED, float)}),
-    "mixture": (MixtureSpec, {"components": _COMPONENTS}),
+    "tmsv": (TmsvSpec, {"xi": _json_number}),
+    "mixture": (MixtureSpec, {"components": lambda objs, _: tuple(
+        tuple(_decode(obj, _COMPONENT, "mixture component", "mixture ").values())
+        for obj in objs)}),
 }
+_TO_JSON = {"alpha": _complex_to_json, "beta": _complex_to_json, "xi": float,
+            "components": lambda comps: [{"weight": float(w), "alpha": _complex_to_json(a),
+                                          "beta": _complex_to_json(b)} for w, a, b in comps]}
 
 
 def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
@@ -255,10 +281,14 @@ def spec_to_json(spec: StateSpec, cutoff: int | None = None) -> dict:
     if cls is None or not isinstance(spec, cls):
         raise ValueError(f"unknown state spec {spec!r}")
     out = {"kind": spec.kind}
-    out.update((name, enc(getattr(spec, name))) for name, (_, _, enc) in fields.items())
+    out.update((name, _TO_JSON[name](getattr(spec, name))) for name in fields)
     if cutoff is not None:
         out["cutoff"] = int(cutoff)
     return out
+
+
+def _cutoff_from_json(value, _) -> int | None:  # null, as absent, is no cutoff
+    return None if value is None else int(_json_number(value, "state spec cutoff", whole=True))
 
 
 def spec_from_json(obj) -> tuple[StateSpec, int | None]:
@@ -267,7 +297,7 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
     An unknown kind, a key outside the kind's fields and "cutoff", or a
     missing or mistyped field (true or "0.5" as a number, a cutoff of 2.7)
     raises ValueError."""
-    kinds = {kind: {**table, "cutoff": _CUTOFF} for kind, (_, table) in _KINDS.items()}
+    kinds = {kind: {**table, "cutoff": _cutoff_from_json} for kind, (_, table) in _KINDS.items()}
     kind, fields = _from_json(obj, "state spec", kinds, "kind")
     cutoff = fields.pop("cutoff")
     return _KINDS[kind][0](**fields), cutoff
@@ -280,7 +310,7 @@ def spec_from_json(obj) -> tuple[StateSpec, int | None]:
 def _stokes(a, b):
     """The Stokes vector (2 Re a* b, 2 Im a* b, |a|^2 - |b|^2) of the coherent
     pair (a, b), for complex numbers and arrays alike: the one formula behind
-    splitter axes and stokes_points, which every point-set route reads."""
+    splitter axes and stokes_points, which the exact routes of a point set read."""
     cross = np.conj(a) * b
     return 2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2
 
@@ -289,35 +319,6 @@ def stokes_points(pairs: np.ndarray) -> np.ndarray:
     """Map (m, 2) coherent amplitudes to (m, 3) Stokes vectors."""
     pairs = np.atleast_2d(np.asarray(pairs, dtype=complex))
     return np.stack(_stokes(pairs[:, 0], pairs[:, 1]), axis=1)
-
-
-# complex entries of one point chunk's phase table in _kernel_from_points
-# (32 MB), and never more than the output grid holds
-_POINT_CHUNK_ENTRIES = 1 << 21
-
-
-def _kernel_from_points(k_axes, source: _CoherentPoints, tau) -> np.ndarray:
-    """sum_p w_p exp(i k.S_p - tau |S_p|) over the points of source, on the
-    Cartesian grid of k_axes: the one exact M of a point set, M(i k; tau) on
-    real axes and M(t e; tau) on the one-point axes -i t e.
-
-    exp(i k.S) = e^{i kx Sx} e^{i ky Sy} e^{i kz Sz}, so the sum is one
-    complex GEMM (nx, m) @ (m, ny nz) over three 1-D phase tables, run
-    over chunks of points whose (m, ny nz) operand holds at most
-    _POINT_CHUNK_ENTRIES entries and at most as many as the output.
-    """
-    kx, ky, kz = k_axes
-    svec = stokes_points(source.points)
-    damp = source._shares * np.exp(-tau * np.linalg.norm(svec, axis=1))
-    out = np.zeros((kx.size, ky.size * kz.size), dtype=complex)
-    step = max(1, min(_POINT_CHUNK_ENTRIES, out.size) // (ky.size * kz.size))
-    for lo in range(0, len(svec), step):
-        sx, sy, sz = svec[lo:lo + step].T
-        ex = np.exp(1j * np.multiply.outer(kx, sx)) * damp[lo:lo + step]
-        ey = np.exp(1j * np.multiply.outer(sy, ky))
-        ez = np.exp(1j * np.multiply.outer(sz, kz))
-        out += ex @ (ey[:, :, None] * ez[:, None, :]).reshape(sx.size, -1)
-    return out.reshape(kx.size, ky.size, kz.size)
 
 
 def _stokes_axis(T, R) -> np.ndarray:  # that of (T*, R*), one row per entry

@@ -31,7 +31,6 @@ from .fock import (
     _BUFFER_DOUBLES,
     _CoherentPoints,
     _check_kernels,
-    _kernel_from_points,
     _kernel_sums,
     _power_sum,
     _splitters,
@@ -39,6 +38,7 @@ from .fock import (
     coherent_amplitudes,
     joint_photon_distribution,
     power_expectation,
+    stokes_points,
 )
 
 
@@ -98,15 +98,16 @@ def mgf_closed_form(
     """Analytic M for the reference states.
 
     vacuum / coherent / mixture: sum_p w_p exp(t e.S_p - tau |S_p|) over the
-    point set, _kernel_from_points on the one-point axes -i t e, any complex t.
+    point set, each exponent whole (its terms may overflow alone), any complex t.
     hom_input (|1,1>): (1 - tau)^2 + (1 - 2 e_z^2) t^2, any complex t.
     tmsv: closed form valid for real t with 0 <= lambda_a, lambda_b <= 1.
     """
     _check_points(t, tau)
     e = direction.e
     if isinstance(spec, _CoherentPoints):
-        axes = [np.array([-1j * t * x]) for x in e]
-        return complex(_kernel_from_points(axes, spec, tau)[0, 0, 0])
+        intensity = (abs(spec.points) ** 2).sum(axis=1)  # |S_p|
+        exponent = t * (stokes_points(spec.points) @ e) - tau * intensity
+        return complex(spec._shares @ np.exp(exponent))
     if isinstance(spec, HomInputSpec):
         return (1.0 - tau) ** 2 + (1.0 - 2.0 * e[2] ** 2) * t * t
     if isinstance(spec, TmsvSpec):

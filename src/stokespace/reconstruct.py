@@ -29,7 +29,6 @@ from .fock import (
     _ENSEMBLES,
     _check_finite,
     _from_json,
-    _kernel_from_points,
     _kernel_sums,
     _splitters,
     stokes_points,
@@ -289,9 +288,7 @@ def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
     _check_points(0.0, tau)
     if isinstance(source, TwoModeState):
         return _state_grid_values(source, k_grid, tau)
-    if isinstance(source, _CoherentPoints):
-        return _kernel_from_points(k_grid.axes(), source, tau)
-    if isinstance(source, _GaussianEnsemble):
+    if isinstance(source, (_CoherentPoints, _GaussianEnsemble)):
         return source.kernel(k_grid, tau)
     raise TypeError("source must be a TwoModeState, a point set or a Gaussian ensemble")
 

@@ -621,6 +621,9 @@ def test_oracle_without_ensemble_fails_before_the_inversion(tmp_path):
     ["--state", '{"kind": "tmsv"}'],
     ["--state", '{"kind": "mixture", "components": [{"weight": 1, "alpha": 0.5}]}'],
     ["--state", '{"kind": "coherent", "alpha": [0.5, 0.1], "beta": 0}'],
+    # a null part or mean is no number, not the default 0
+    ["--state", '{"kind": "coherent", "alpha": {"re": null}, "beta": 0}'],
+    ["--ensemble", '{"gaussian": {"sigma": 0.3, "mean_beta": null}}'],
 ])
 def test_reconstruct_rejects_its_sources_before_the_inversion(tmp_path, monkeypatch,
                                                               capsys, argv):

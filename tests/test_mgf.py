@@ -71,6 +71,18 @@ class TestClosedFormAgreement:
                 mgf(state, MgfQuery(d, t, tau)) - mgf_closed_form(spec, d, t, tau)
             ) < 1e-8
 
+    @pytest.mark.parametrize("spec, axis, t, tau, expected", [
+        (CoherentSpec(30.0, 0.0), [0.0, 0.0, 1.0], 1.0, 1.0, 1.0),
+        (CoherentSpec(20.0, 20.0), [1.0, 0.0, 0.0], 1.0 + 3.0j, 1.0, np.exp(2400j)),
+        (MixtureSpec(((0.5, 30.0, 0.0), (0.5, 0.0, 15j))), [0.0, 0.0, 1.0], 50.0, 50.0, 0.5),
+    ], ids=["coherent-z", "coherent-x-complex-t", "mixture-t-tau-50"])
+    def test_a_bright_point_set_stays_finite_at_re_t_equal_tau(self, spec, axis, t, tau,
+                                                               expected):
+        # t e.S - tau |S| is 0 here, while exp(t e.S) overflows and
+        # exp(-tau |S|) underflows: a product of the two gave nan
+        d = direction_to_beamsplitter(axis)
+        assert mgf_closed_form(spec, d, t, tau) == pytest.approx(expected, rel=1e-12)
+
     def test_hom_any_complex_t(self, rng):
         spec = HomInputSpec()
         state = make_state(spec, cutoff=4)
