@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TOL, NumericalError
+from .config import TOL, NumericalError, ReachError
 from .fock import (
     HomInputSpec,
     TmsvSpec,
@@ -282,29 +281,20 @@ def _array_chunks(rows: np.ndarray, axes):
         yield block.tobytes().translate(None, b"\0")
 
 
-def _row_chunks(rows, axes):
+def _row_chunks(rows):
     """The bytes of row tuples of numbers and strings, each row its own
-    %-template, heads of the leading axes put in front of each run."""
-    coords = [[format(float(v), ".17g") + "," for v in a] for a in axes]
-    last = coords.pop() if coords else [""]
-    heads = ["".join(h) for h in itertools.product(*coords)] if axes else [""] * len(rows)
-    step = max(1, _CSV_CHUNK_ROWS // len(last))
-    for lo in range(0, len(heads), step):
-        part = rows[lo * len(last):(lo + step) * len(last)]
-        fmts = [",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
-                + "\n" for row in part]
-        runs = ([c + f for c, f in zip(last, fmts[i:i + len(last)])]
-                for i in range(0, len(fmts), len(last)))
-        cells = tuple(v for row in part for v in row)
-        # h + h.join(run) puts the head in front of every row of the run
-        yield ("".join(h + h.join(run) for h, run in zip(heads[lo:lo + step], runs))
-               % cells).encode()
+    %-template, _CSV_CHUNK_ROWS rows at a time."""
+    for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+        part = rows[lo:lo + _CSV_CHUNK_ROWS]
+        fmt = "".join(",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+                      + "\n" for row in part)
+        yield (fmt % tuple(v for row in part for v in row)).encode()
 
 
 def _write_csv(path: Path, columns, rows, timestamp: bool, axes=()) -> None:
-    """Write a table whose leading columns are the C-order product of `axes`
-    and whose other cells are `rows`, one row per grid point: an (n, k)
-    float array or row tuples of numbers and strings.  Every number is
+    """Write a table of `rows`: row tuples of numbers and strings, or an
+    (n, k) float array, one row per grid point, whose leading columns are
+    then the C-order product of `axes`.  Every number is
     written as format(v, ".17g"), byte for byte; see the CSV contract in
     the README.  A float array is formatted by the numpy kernel
     _format_17g, which hands only non-finite, subnormal or extreme values
@@ -318,7 +308,7 @@ def _write_csv(path: Path, columns, rows, timestamp: bool, axes=()) -> None:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode())
         fh.write((",".join(columns) + "\n").encode())
         chunks = (_array_chunks(rows, axes) if isinstance(rows, np.ndarray)
-                  else _row_chunks(rows, axes))
+                  else _row_chunks(rows))
         for chunk in chunks:
             fh.write(chunk)
 
@@ -434,14 +424,23 @@ def cmd_nctest(args) -> int:
     # every criterion reads the one distribution along d
     dist = joint_photon_distribution(state, d)
     var_s, var_n = variance_criteria(dist, d)
-    matrix = mgf_matrix(dist, spec)
     # the first two criteria read M at the point pair, both off this one
-    # matrix (its 2 x 2 determinant is second_order_det); the rest read none
-    det = _moment_det(matrix[0, 0], matrix[1, 1], matrix[0, 1])
+    # matrix (its 2 x 2 determinant is second_order_det); the rest read none.
+    # One that reads M past the state's reach is NaN, so inconclusive
+    try:
+        matrix = mgf_matrix(dist, spec)
+        det = float(_moment_det(matrix[0, 0], matrix[1, 1], matrix[0, 1]))
+        low = min_eigenpair(matrix)[0]
+    except ReachError:
+        det = low = math.nan
+    try:
+        char = char_fn_criterion(dist, d, args.k_norm)
+    except ReachError:
+        char = math.nan
     criteria = [
-        ("second_order_det", float(det)),
-        ("matrix_min_eigenvalue", min_eigenpair(matrix)[0]),
-        ("char_fn", char_fn_criterion(dist, d, args.k_norm)),
+        ("second_order_det", det),
+        ("matrix_min_eigenvalue", low),
+        ("char_fn", char),
         ("variance_stokes", var_s),
         ("variance_number", var_n),
         ("cross_photon_photon", cross_correlation_det(dist, d)),
@@ -533,6 +532,7 @@ def cmd_reconstruct(args) -> int:
             "mc_oracle": args.mc_oracle,
         },
         "total_mass": pess.total_mass,
+        "boundary_share": pess.boundary_share,
         "min_value": report.min_value,
         "peak": pess.peak,
         "essentially_classical": report.essentially_classical,

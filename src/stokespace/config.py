@@ -23,7 +23,6 @@ class Tolerances:
     quadrature_rtol: float = 1e-4       # Husimi quadrature self-consistency
     node_xtol: float = 1e-10            # root refinement width
     node_scan_points: int = 512         # pre-scan grid for sign changes
-    pess_norm: float = 1e-2             # band-limited normalization window
     pess_imag_residue: float = 1e-6     # imaginary part tolerated after inversion
 
 
@@ -34,12 +33,12 @@ class TruncationWarning(UserWarning):
     """The Fock cutoff leaves more probability mass behind than requested."""
 
 
-class ConvergenceWarning(UserWarning):
-    """Result uses a kernel outside the guaranteed-existence region."""
-
-
 class NumericalError(RuntimeError):
     """A computation produced values outside its audited error budget."""
+
+
+class ReachError(NumericalError):
+    """A kernel lies at or past the state's reach, where the series of M diverges."""
 
 
 class QuadratureError(NumericalError):

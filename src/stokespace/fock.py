@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import TOL, ConvergenceWarning, NumericalError, TruncationWarning
+from .config import TOL, NumericalError, ReachError, TruncationWarning
 
 
 def _powers(z, n: int) -> np.ndarray:
@@ -386,12 +386,13 @@ class TwoModeState:
     joint Fock amplitude of one pure component.  Amplitudes keep their
     exact truncated values (no renormalization), so trace equals
     1 - leakage up to rounding.  leakage estimates the probability mass
-    lost to the cutoff.
+    lost to the cutoff, and the series of M converges for |z| < reach.
     """
 
     cutoff: int
     components: tuple[tuple[float, np.ndarray], ...]
     leakage: float = 0.0
+    reach: float = math.inf
 
     def __post_init__(self):
         if self.cutoff < 0:
@@ -469,7 +470,7 @@ def _leakage_table(spec: StateSpec, top: int):
 
 
 def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
-    """Build the truncated state a StateSpec describes.
+    """Build the truncated state a StateSpec describes, with its reach.
 
     Emits a TruncationWarning when the analytic leakage estimate exceeds
     TOL.leakage_bound.
@@ -479,6 +480,7 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     weights, table = _leakage_table(spec, cutoff)
     leak = float(weights @ table[:, cutoff])
     n = cutoff + 1
+    reach = math.inf  # every tail but a squeezed vacuum's falls faster than geometric
     if isinstance(spec, _CoherentPoints):
         amps = coherent_amplitudes(spec.points, cutoff)
         comps = tuple(zip(weights, amps[:, 0, :, None] * amps[:, 1, None, :]))
@@ -492,6 +494,8 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
         else:  # TmsvSpec
             diag = _powers(-math.tanh(spec.xi), cutoff) / math.cosh(spec.xi)
             amp[np.arange(n), np.arange(n)] = diag
+            if spec.xi > 0:  # P(2n) = tanh(xi)^2n / cosh(xi)^2
+                reach = 1.0 / math.tanh(spec.xi)
     if leak > TOL.leakage_bound:
         warnings.warn(
             f"cutoff {cutoff} leaves {leak:.3e} probability mass behind "
@@ -499,7 +503,7 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
             TruncationWarning,
             stacklevel=2,
         )
-    return TwoModeState(cutoff=cutoff, components=comps, leakage=leak)
+    return TwoModeState(cutoff, comps, leak, reach)
 
 
 # largest cutoff auto_cutoff returns
@@ -864,7 +868,8 @@ def beam_splitter(state: TwoModeState, T: complex, R: complex) -> TwoModeState:
         out[:, ka[inside], kb[inside]] = rows[:, inside]
         clipped += (rows.real ** 2 + rows.imag ** 2)[:, ~inside].sum(axis=1)
     lost = float(weights @ clipped)
-    rotated = TwoModeState(c, tuple(zip(weights, out)), min(1.0, state.leakage + lost))
+    rotated = TwoModeState(c, tuple(zip(weights, out)), min(1.0, state.leakage + lost),
+                           state.reach)
     _check_norm(state.trace, rotated.trace + lost)
     return rotated
 
@@ -897,12 +902,13 @@ class JointPhotonDistribution:
     output modes selected by direction.  Taken from a state at cutoff c,
     p is (2c+1) x (2c+1) and holds every output row of every block, so
     cutoff, the largest count per mode, is 2c.  leakage is the source
-    truncation of that state: the only mass p misses.
+    truncation of that state, the only mass p misses, and reach its reach.
     """
 
     p: np.ndarray
     direction: MeasurementDirection
     leakage: float = 0.0
+    reach: float = math.inf
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -921,7 +927,8 @@ def joint_photon_distribution(
     state: TwoModeState, direction: MeasurementDirection
 ) -> JointPhotonDistribution:
     """Photon statistics of the splitter outputs along a Stokes axis."""
-    return JointPhotonDistribution(rotate_many(state, [direction])[0], direction, state.leakage)
+    return JointPhotonDistribution(rotate_many(state, [direction])[0], direction,
+                                   state.leakage, state.reach)
 
 
 def _distribution_along(
@@ -958,24 +965,26 @@ def _power_sum(p: np.ndarray, z_a, z_b):
         return _finite((va[..., None, :] @ pv)[..., 0, 0])
 
 
-def _check_kernels(leakage: float, cutoff: int, z_a, z_b) -> None:
-    """The kernel rules, r the largest |z_a|, |z_b| (arrays too), cutoff the
-    state's.  Existence: one ConvergenceWarning when r > 1 and leakage
-    r^(cutoff+1) exceeds TOL.convergence_leakage (the truncation drops terms of
-    more than cutoff photons).  Overflow, on both kernel-sum routes:
-    NumericalError if r^(2 cutoff), the top power of a count, is not finite."""
+def _check_kernels(leakage: float, cutoff: int, reach: float, z_a, z_b) -> None:
+    """The kernel rules in turn, r the largest |z_a|, |z_b| (arrays too) and
+    cutoff, leakage and reach the state's.  Overflow, on both kernel-sum routes:
+    NumericalError if r^(2 cutoff), the top power of a count, is not finite.
+    Reach: ReachError if r >= reach.  Truncation: one TruncationWarning when
+    r > 1 and leakage r^(cutoff+1) exceeds TOL.convergence_leakage (the sum
+    drops terms of more than cutoff photons)."""
     r = max(np.max(np.abs(z_a), initial=0.0), np.max(np.abs(z_b), initial=0.0))
+    with np.errstate(over="ignore"):
+        _finite(r ** (2 * cutoff))
+    if not r < reach:
+        raise ReachError(f"the series of M diverges at |z| = {r:.4g} >= reach {reach:.4g}")
     # r^-(cutoff+1) underflows quietly to 0 where r^(cutoff+1) would overflow
     if r > 1.0 + 1e-12 and leakage > TOL.convergence_leakage * r ** -(cutoff + 1):
         warnings.warn(
-            "kernel lies beyond the guaranteed-existence region and the "
-            f"state misses {leakage:.2e} of its mass above cutoff {cutoff}; "
-            "the truncated sum may be inaccurate",
-            ConvergenceWarning,
+            f"the state misses {leakage:.2e} of its mass above cutoff {cutoff}, which "
+            f"kernel radius {r:.4g} weighs up to r^{cutoff + 1}: the sum may be inaccurate",
+            TruncationWarning,
             stacklevel=3,
         )
-    with np.errstate(over="ignore"):
-        _finite(r ** (2 * cutoff))
 
 
 def _kernel_sums(state: TwoModeState, T, R, z_a, z_b) -> np.ndarray:
@@ -983,8 +992,8 @@ def _kernel_sums(state: TwoModeState, T, R, z_a, z_b) -> np.ndarray:
     with the kernel (z_a[j], z_b[j]), shared by every axis, or (z_a[i, j],
     z_b[i, j]), summed per batch of counts: no photon distribution is stored.
     Shared kernels are one row per point and swap orientation a batch uses, in
-    one real matrix product.  _check_kernels runs once; a non-finite sum raises."""
-    _check_kernels(state.leakage, state.cutoff, z_a, z_b)
+    one real matrix product.  _check_kernels runs first; a non-finite sum raises."""
+    _check_kernels(state.leakage, state.cutoff, state.reach, z_a, z_b)
     out = np.zeros((T.size, np.shape(z_a)[-1]), dtype=complex)
     for at, sw, k, n, prob in _count_rows(state, T, R):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1006,7 +1015,7 @@ def power_expectation(state: TwoModeState, direction: MeasurementDirection,
                       z_a: complex, z_b: complex) -> complex:
     """Ordered moment <z_a^n_a z_b^n_b> of the output photon numbers as a
     one-axis kernel sum: no photon distribution is built, and the kernel
-    meets the existence and overflow rules of _check_kernels."""
+    meets the rules of _check_kernels."""
     T, R = np.array([direction.T]), np.array([direction.R])
     return complex(_kernel_sums(state, T, R, np.array([z_a]), np.array([z_b]))[0, 0])
 

@@ -7,9 +7,10 @@ The central object is the phase-insensitive generating function
 
 where p is the joint photon distribution behind the splitter that
 realizes the axis e.  Equivalent damping parameters are
-lambda_a = tau - t and lambda_b = tau + t.  Existence is guaranteed for
-|Re t| <= tau; elsewhere the truncated sum is still evaluated but a
-warning is attached when the distribution misses probability mass.
+lambda_a = tau - t and lambda_b = tau + t.  The series converges for |z|
+below the state's reach (1/tanh xi for a squeezed vacuum, else inf): past
+it ReachError is raised, and inside it, at |z| > 1, a TruncationWarning is
+attached when the state misses probability mass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, ConvergenceWarning, QuadratureError
+from .config import TOL, QuadratureError, TruncationWarning
 from .fock import (
     HomInputSpec,
     JointPhotonDistribution,
@@ -83,11 +84,11 @@ def mgf_from_distribution(
     t and tau broadcast against each other: scalars give a complex, arrays
     give an array of that shape from one kernel sum.  Raises ValueError
     for any tau < 0 and any t or tau that is not finite.  The kernels meet
-    the rules of fock._check_kernels: existence (one warning) and overflow
-    (NumericalError), as on the streamed route.
+    the rules of fock._check_kernels, as on the streamed route: overflow
+    (NumericalError), the reach (ReachError) and truncation (one warning).
     """
     z_a, z_b = _kernels(t, tau)
-    _check_kernels(dist.leakage, dist.cutoff // 2, z_a, z_b)
+    _check_kernels(dist.leakage, dist.cutoff // 2, dist.reach, z_a, z_b)
     value = _power_sum(dist.p, z_a, z_b)
     return complex(value) if np.ndim(value) == 0 else value
 
@@ -167,7 +168,7 @@ def surface_map(
 ) -> list[SurfaceSample]:
     """Evaluate M(t e; tau) on a set of unit axes and radially map it.
 
-    The axes are rotated in batches and judged for existence once.  For
+    The axes are rotated in batches, after the kernel rules are judged once.  For
     real t on a physical state the value is real; its imaginary rounding
     residue is dropped.  For genuinely complex t the complex value scales
     the axis.
@@ -288,8 +289,8 @@ def find_node(
     Scans TOL.node_scan_points points in one kernel sum, then rescans the first
     bracket with a sign change until it is at most TOL.node_xtol wide or holds
     no double.  Returns its midpoint, an exact zero at a scan point, or None if
-    the first scan finds no sign change; that scan holds both ends, so its one
-    existence warning covers every later point."""
+    the first scan finds no sign change; that scan holds both ends, so its
+    kernel rules (one warning) cover every later point."""
     a, b = float(t_interval[0]), float(t_interval[1])
     _check_points((a, b), tau)
     if not b > a:
@@ -298,7 +299,7 @@ def find_node(
     ts = np.linspace(a, b, TOL.node_scan_points)
     vals = mgf_from_distribution(dist, ts, tau).real
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
+        warnings.simplefilter("ignore", TruncationWarning)
         while True:
             hit = (vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)
             if not hit.any():  # only on the first scan: a rescan repeats its ends

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import TOL, ConvergenceWarning, NumericalError
+from .config import TOL, NumericalError
 from .fock import (
     TwoModeState,
     _CoherentPoints,
@@ -135,6 +134,14 @@ class PessGrid:
         return float(self.values.sum()) * self.grid.cell_volume
 
     @property
+    def boundary_share(self) -> float:
+        """|P| on the grid's six faces, a cell once per face it lies on, over
+        |P| on the whole grid: how much of the density the extent cuts off."""
+        v = np.abs(self.values)
+        face = sum(float(np.take(v, i, axis).sum()) for axis in range(3) for i in (0, -1))
+        return face / max(float(v.sum()), 1e-300)
+
+    @property
     def peak(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -143,10 +150,11 @@ class PessGrid:
         return float(self.values.min())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentEnsemble(_CoherentPoints):
     """Classical ensemble of coherent pairs (alpha, beta): an (m, 2) point
-    list, equally weighted unless weights are given."""
+    list, equally weighted unless weights are given.  Its fields are arrays,
+    so it compares and hashes by identity."""
 
     points: np.ndarray
     weights: np.ndarray | None = None
@@ -240,7 +248,9 @@ def gaussian_ensemble(
 
 def _state_grid_values(state: TwoModeState, k_grid: Grid3, tau: float) -> np.ndarray:
     """One measurement rotation per k direction, all in batches; conjugate
-    symmetry M(-k) = M(k)* halves the work.  Existence is judged once."""
+    symmetry M(-k) = M(k)* halves the work.  The kernel rules are judged
+    once, before any rotation: a k grid past the state's reach raises
+    ReachError."""
     # k -> -k maps the block k[1:, 1:, 1:] onto itself and reverses its C
     # order, so the block's second half mirrors its first; every point
     # outside the block (no -k partner on the grid) is computed
@@ -299,9 +309,8 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
 
     A radial raised-cosine window, falling to zero at the dual grid's
     edge, suppresses ringing from the hard grid cutoff; pass
-    window="none" for the bare (unwindowed) transform.  Warns when the
-    recovered mass drifts from 1 beyond TOL.pess_norm or when
-    boundary mass suggests the grid extent is too small; data violating
+    window="none" for the bare (unwindowed) transform.  Mass and face share
+    are numbers of the result (total_mass, boundary_share); data violating
     M(-k) = M(k)* beyond rounding, or a density or mass that is not
     finite, raises NumericalError.  On entry, _judge_inversion's rules (tau, damping,
     the dual grid) raise ValueError; the grid's own were judged at its build.
@@ -363,31 +372,11 @@ def invert_to_pess(mgf_values: np.ndarray, s_grid: Grid3, tau: float,
         np.multiply(data.real, values, out=values)
         del data
         values *= scale
-        total = float(values.sum()) * s_grid.cell_volume
-    if not math.isfinite(total):  # so is every value
-        raise NumericalError("the inverted density or its mass is not finite")
-    if abs(total - 1.0) > TOL.pess_norm:
-        warnings.warn(
-            f"recovered mass {total:.6f} deviates from 1 beyond {TOL.pess_norm:.0e}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    face_mass = 0.0
-    for axis in range(3):
-        lead = np.take(values, 0, axis=axis)
-        trail = np.take(values, -1, axis=axis)
-        face_mass += float(np.abs(lead).sum() + np.abs(trail).sum())
-    face_mass *= s_grid.cell_volume
-    body_mass = float(np.abs(values).sum()) * s_grid.cell_volume
-    if face_mass > 1e-3 * max(body_mass, 1e-300):
-        warnings.warn(
-            "significant mass on the grid boundary; increase the extent",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return PessGrid(
-        grid=s_grid, values=values, tau_used=tau, window=window, label="fft-inversion"
-    )
+        pess = PessGrid(grid=s_grid, values=values, tau_used=tau, window=window,
+                        label="fft-inversion")
+        if not math.isfinite(pess.total_mass):  # so is every value
+            raise NumericalError("the inverted density or its mass is not finite")
+    return pess
 
 
 ORACLE_MIN_SAMPLES = 10**4

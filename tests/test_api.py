@@ -19,7 +19,6 @@ from stokespace import (
     ClickSampleSet,
     CoherentEnsemble,
     CoherentSpec,
-    ConvergenceWarning,
     Grid3,
     HomInputSpec,
     JointPhotonDistribution,
@@ -66,6 +65,11 @@ TRACER = BENCH / "tracer.py"
 def test_every_exported_name_resolves():
     missing = [n for n in stokespace.__all__ if not hasattr(stokespace, n)]
     assert missing == []
+    # a record of arrays compares and hashes by identity: == on two points
+    # raised "truth value of an array is ambiguous", and hash() TypeError
+    ensemble = CoherentEnsemble(points=[[1, 0], [0, 1]])
+    assert ensemble == ensemble != CoherentEnsemble(points=[[1, 0], [0, 1]])
+    assert {ensemble: 1}[ensemble] == 1
 
 
 def test_every_traced_layer_is_a_callable():
@@ -135,7 +139,7 @@ def test_many_point_calls_warn_once(call):
         for _ in range(2):
             call(state)
     kinds = [w.category for w in caught]
-    assert kinds.count(ConvergenceWarning) == 2
+    assert kinds.count(TruncationWarning) == 2
 
 
 @pytest.mark.parametrize("t, tau", [(0.2, 0.3), (0.0, 0.0)])
@@ -144,7 +148,7 @@ def test_surface_map_inside_the_disc_is_silent(t, tau):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         surface_map(state, t, tau, sphere_grid(3, 4))
-    assert not [w for w in caught if w.category is ConvergenceWarning]
+    assert not [w for w in caught if w.category is TruncationWarning]
 
 
 def _corner_state(cutoff=3):
@@ -187,7 +191,7 @@ def test_clipped_mass_alone_warns_once_outside_the_disc(call, t, tau):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call(state, t, tau)
-    assert not [w for w in caught if w.category is ConvergenceWarning]
+    assert not [w for w in caught if w.category is TruncationWarning]
 
 
 NAN = float("nan")

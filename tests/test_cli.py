@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import stokespace
-from stokespace import (TOL, ConvergenceWarning, Grid3, Tolerances, TruncationWarning,
-                        load_pess)
+from stokespace import TOL, Grid3, Tolerances, TruncationWarning, load_pess
 from stokespace.cli import _CSV_CHUNK_ROWS, _format_17g, _write_csv, main
 
 VAC = '{"kind": "vacuum"}'
@@ -254,7 +253,7 @@ def test_nctest_prints_one_cross_correlation_witness(tmp_path):
     # the table carried det cov(N, e.S) = 4 det cov(n_a, n_b) as a row of
     # its own: at xi = 0.005 the two read -2.5e-9 "nonclassical" and
     # -6.25e-10 "inconclusive", one witness with two verdicts
-    with pytest.warns(ConvergenceWarning):  # char_fn reads M at |kernel| > 1
+    with pytest.warns(TruncationWarning):  # the criteria read M at |kernel| > 1
         assert main(["nctest", "--state", '{"kind": "tmsv", "xi": 0.005}',
                      "--out", str(tmp_path), "--no-timestamp"]) == 0
     with open(tmp_path / "nctest.csv") as fh:
@@ -285,6 +284,36 @@ def test_nctest_char_fn_row_reads_the_criterion(tmp_path, monkeypatch):
         rows = {r["criterion"]: r for r in csv.DictReader(fh)}
     assert len(reports) == 1 and float(rows["char_fn"]["value"]) == reports[0]
     assert abs(reports[0] - 0.36004101592950788) <= 1e-12
+
+
+# a seeded benchmark op (TMSV xi = 0.996 at cutoff 42, off-axis) whose
+# characteristic function sits at |z| = sqrt 2, past the reach 1/tanh xi = 1.317
+FAR_NCTEST = ["nctest", "--state", '{"kind": "tmsv", "xi": 0.9957720427122672}',
+              "--cutoff", "42",
+              "--direction=-0.90678331320222749,0.39482266582646519,0.14784818378212972",
+              "--t=0.076572236969841223", "--tau=0.17639376136298879",
+              "--t2=-0.12285741035353019", "--tau2=0.16806545383529803"]
+
+
+def test_nctest_reads_no_criterion_past_the_reach(tmp_path):
+    # the char_fn row read 1 - |Phi| = -0.719 "nonclassical" at cutoff 42
+    # and -712445 at cutoff 120, off a divergent sum; the other rows are
+    # inside the reach and keep their bytes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(FAR_NCTEST + ["--out", str(tmp_path), "--no-timestamp"]) == 0
+    axis = "-0.90678331320222727,0.39482266582646519,0.14784818378212966"
+    pair = ("0.076572236969841223,0,0.17639376136298879,"
+            "-0.12285741035353019,0,0.16806545383529803")
+    assert (tmp_path / "nctest.csv").read_text().splitlines() == [
+        "criterion,e_x,e_y,e_z,t_re,t_im,tau,t2_re,t2_im,tau2,value,verdict",
+        f"second_order_det,{axis},{pair},0.035111430623802675,inconclusive",
+        f"matrix_min_eigenvalue,{axis},{pair},0.030312196979937256,inconclusive",
+        f"char_fn,{axis},,,,,,,nan,inconclusive",
+        f"variance_stokes,{axis},,,,,,,9.9111000739021122,inconclusive",
+        f"variance_number,{axis},,,,,,,10.193635052101953,inconclusive",
+        f"cross_photon_photon,{axis},,,,,,,25.257534279554715,inconclusive",
+    ]
 
 
 def test_clicks_moments_and_sampling(tmp_path):
@@ -345,7 +374,7 @@ def test_reconstruct_csv_parses_back_to_the_binary_grid(tmp_path):
     ens = ('{"points": [[{"re": 0.9, "im": 0.2}, 0.3], [0.1, {"re": 0, "im": -0.7}]],'
            ' "weights": [0.25, 0.75]}')
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # point densities ring to the edge
+        warnings.simplefilter("error")  # the face share is a number of the report
         assert main(["reconstruct", "--out", str(tmp_path), "--ensemble", ens,
                      "--s-min=-2,-3,-1", "--s-max=2,1,3", "--n-points", "10",
                      "--no-timestamp"]) == 0
@@ -431,11 +460,6 @@ def test_grid_writer_matches_row_formatter(tmp_path, shape, timestamp):
     _write_csv(tmp_path / "f.csv", cols, table, timestamp, axes)
     assert written(tmp_path / "f.csv", timestamp) == \
         reference_csv(cols, [(*c, *r) for c, r in zip(coords, table)])
-    rows = mixed_rows(n)
-    cols = cols[:-2] + ["c", "d", "e", "f", "g"]
-    _write_csv(tmp_path / "m.csv", cols, rows, timestamp, axes)
-    assert written(tmp_path / "m.csv", timestamp) == \
-        reference_csv(cols, [(*c, *r) for c, r in zip(coords, rows)])
 
 
 def formatter_probes() -> np.ndarray:
@@ -473,9 +497,32 @@ def test_float_kernel_is_format_17g_exactly():
     assert [(v, g, w) for v, g, w in zip(values, got, want) if g != w] == []
 
 
+def test_reconstruct_past_a_squeezed_vacuum_reach_exits_3(tmp_path, capsys):
+    # the k grid reaches |z| = 10.6, past 1/tanh 0.5 = 2.164, where the
+    # truncated sums diverge: the run wrote total_mass -85842 with exit 0
+    assert main(["reconstruct", "--state", '{"kind": "tmsv", "xi": 0.5}',
+                 "--out", str(tmp_path), "--no-timestamp"]) == 3
+    assert capsys.readouterr().err == \
+        "numeric failure: the series of M diverges at |z| = 10.59 >= reach 2.164\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_records_the_boundary_share_of_pess_bin(tmp_path):
+    assert main(["reconstruct", "--n-points", "16", "--out", str(tmp_path),
+                 "--no-timestamp"]) == 0
+    share = json.loads((tmp_path / "report.json").read_text())["boundary_share"]
+    pess = load_pess(tmp_path / "pess.bin")
+    assert share == pess.boundary_share
+    # |P| on the six faces, a cell once per face it lies on, over all |P|
+    v = np.abs(pess.values)
+    faces = sum(v[i].sum() + v[:, i].sum() + v[:, :, i].sum() for i in (0, -1))
+    assert share == pytest.approx(faces / v.sum(), rel=1e-12)
+    assert 1e-3 < share < 1e-2  # the vacuum's point density rings to the faces
+
+
 def test_reconstruct_from_state(tmp_path):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the point density rings to the edge
+        warnings.simplefilter("error")  # the face share is a number of the report
         assert main(["reconstruct", "--state", VAC, "--out", str(tmp_path),
                      "--s-min=-2,-2,-2", "--s-max=2,2,2", "--n-points", "16",
                      "--tau", "0", "--no-timestamp"]) == 0
@@ -496,9 +543,9 @@ GRID_RUNS = {
 }
 
 
-def run_quietly(argv, out):
+def run_cleanly(argv, out):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the vacuum density rings to the 8^3 edge
+        warnings.simplefilter("error")  # no run warns, the 8^3 vacuum included
         assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
 
 
@@ -508,7 +555,7 @@ def test_byte_identical_reruns(tmp_path):
         assert main(["surface", "--state", HOM, "--out", str(d),
                      "--n-theta", "3", "--n-phi", "4", "--no-timestamp"]) == 0
         for argv, _ in GRID_RUNS.values():
-            run_quietly(argv, d / argv[0])
+            run_cleanly(argv, d / argv[0])
     assert (tmp_path / "a/surface.csv").read_bytes() == \
         (tmp_path / "b/surface.csv").read_bytes()
     for argv, names in GRID_RUNS.values():
@@ -529,7 +576,7 @@ def test_each_table_is_one_write_call_of_its_rows(tmp_path, monkeypatch, argv, n
         write(path, columns, rows, timestamp, axes)
 
     monkeypatch.setattr(cli, "_write_csv", spy)
-    run_quietly(argv, tmp_path)
+    run_cleanly(argv, tmp_path)
     assert sorted(calls) == sorted(
         (name, len((tmp_path / name).read_text().splitlines()) - 1) for name in names)
     if argv[0] == "reconstruct":
@@ -551,14 +598,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["mgf", "--state", "/does/not/exist.json", "--out", out]) == 2
     assert "/does/not/exist.json" in capsys.readouterr().err
     with warnings.catch_warnings():
-        # a point far outside the grid: the inversion warns, then the MC
-        # oracle finds no sample on the grid
-        warnings.simplefilter("ignore")
+        # a point far outside the grid: the MC oracle finds no sample on it
+        warnings.simplefilter("error")
         assert main(["reconstruct", "--out", out, "--n-points", "8",
                      "--ensemble", '{"points": [[{"re": 10, "im": 0}, '
                      '{"re": 0, "im": 0}]]}', "--mc-oracle", "10000"]) == 3
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fails after the inversion ran
+        warnings.simplefilter("error")
         assert main(["reconstruct", "--out", out, "--mc-oracle", "20000",
                      "--state", VAC]) == 2  # oracle needs an ensemble
     assert main(["--definitely-not-a-flag"]) == 2
@@ -581,8 +627,11 @@ def test_mgf_fails_loudly_on_a_non_finite_kernel_sum(tmp_path, capsys):
     # the cutoff cap of 512 leaves nearly all of this state behind, and the
     # powers of |z_a| = 2 overflow at N = 1024
     state = '{"kind": "tmsv", "xi": 8}'
-    with pytest.warns(TruncationWarning), pytest.warns(ConvergenceWarning):
+    with pytest.warns(TruncationWarning) as caught:
         assert main(["mgf", "--state", state, "--out", str(tmp_path)]) == 3
+    # make_state's warning alone: overflow is the first kernel rule, so the
+    # reach and the kernel's truncation warning are not reached
+    assert len(caught) == 1 and "probability mass behind" in str(caught[0].message)
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: kernel sum is not finite")
     assert not (tmp_path / "mgf.csv").exists()
@@ -819,10 +868,12 @@ def test_reconstruct_judges_its_grid_and_damping_before_the_source(
 
 def test_reconstruct_inverts_a_coarse_grid_whose_cell_volume_fits(tmp_path):
     # the dual-of-dual rule rejected it with exit 2
-    with pytest.warns(ConvergenceWarning):  # the vacuum is not resolved on it
-        assert main(["reconstruct", "--s-min=-1.3e154,-8,-8", "--s-max", "1.3e154,8,8",
-                     "--n-points", "8", "--out", str(tmp_path), "--no-timestamp"]) == 0
-    assert math.isfinite(json.loads((tmp_path / "report.json").read_text())["total_mass"])
+    assert main(["reconstruct", "--s-min=-1.3e154,-8,-8", "--s-max", "1.3e154,8,8",
+                 "--n-points", "8", "--out", str(tmp_path), "--no-timestamp"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert math.isfinite(report["total_mass"])
+    # the vacuum is not resolved on it: mass 1.096, half of |P| on the faces
+    assert abs(report["total_mass"] - 1.0) > 1e-2 and report["boundary_share"] > 1e-3
 
 
 @pytest.mark.parametrize("cutoff", ["1e400", "2.7", "true", '"3"'],
@@ -928,7 +979,7 @@ def test_a_failing_reconstruct_writes_no_file(tmp_path, capsys):
     # a point far outside the grid: the oracle finds no sample on it, which
     # came after pess.bin and pess.csv were written
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)  # the inversion's
+        warnings.simplefilter("error")  # the inversion reports numbers, not warnings
         assert main(["reconstruct", "--out", str(tmp_path), "--n-points", "8",
                      "--ensemble", '{"points": [[10, 0]]}', "--mc-oracle", "10000",
                      "--no-timestamp"]) == 3
@@ -1018,10 +1069,7 @@ def test_subcommands_take_only_the_options_they_read(tmp_path, argv):
      "tmsv_scan.csv"),
     (["nctest"], "nctest.csv"),
     (["clicks", "--samples", "100"], "clicks.json"),
-    # the vacuum's point density misses mass on 8 points a side
-    pytest.param(["reconstruct", "--n-points", "8"], "report.json",
-                 marks=pytest.mark.filterwarnings(
-                     "ignore::stokespace.config.ConvergenceWarning")),
+    (["reconstruct", "--n-points", "8"], "report.json"),
 ])
 def test_every_subcommand_prints_one_path(tmp_path, capsys, argv, printed):
     assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
@@ -1069,17 +1117,22 @@ def test_single_axis_commands_rotate_once(tmp_path, monkeypatch, argv):
         return rotate(state, direction)
 
     monkeypatch.setattr(cli, "joint_photon_distribution", counting)
-    # nctest reads M at |z| > 1 (the characteristic function sits at
-    # |1 + i| = sqrt 2), where the 2.3e-13 the cutoff-20 state misses
-    # weighs up to 2^(21/2) times as much, so the truncated sums warn
-    expect = (pytest.warns(ConvergenceWarning) if argv[0] == "nctest"
+    # nctest reads M at |z| > 1: the matrix pair past the reach 2 (NaN
+    # rows), and the characteristic function at |1 + i| = sqrt 2, where
+    # the 2.3e-13 the cutoff-20 state misses weighs up to 2^(21/2) times as
+    # much, so the truncated sum warns
+    expect = (pytest.warns(TruncationWarning) if argv[0] == "nctest"
               else contextlib.nullcontext())
     with expect:
         assert main(argv + ["--out", str(tmp_path), "--no-timestamp"]) == 0
     assert len(calls) == 1
+    if argv[0] == "nctest":
+        with open(tmp_path / "nctest.csv") as fh:
+            rows = {r["criterion"]: r for r in csv.DictReader(fh)}
+        pair = [rows[name] for name in ("second_order_det", "matrix_min_eigenvalue")]
+        assert [(r["value"], r["verdict"]) for r in pair] == [("nan", "inconclusive")] * 2
 
 
-@pytest.mark.filterwarnings("ignore::stokespace.config.ConvergenceWarning")
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
     import stokespace.cli as cli
 
@@ -1094,7 +1147,10 @@ def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
         got = []
         for i, argv in enumerate(runs):
             out = tmp_path / f"{label}{i}"
-            assert main(argv + ["--out", str(out), "--no-timestamp"]) == 0
+            # nctest's characteristic function reads M at |z| = sqrt 2
+            with (pytest.warns(TruncationWarning) if argv[0] == "nctest"
+                  else contextlib.nullcontext()):
+                assert main(argv + ["--out", str(out), "--no-timestamp"]) == 0
             got.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         return got
 

@@ -1,10 +1,11 @@
 """Dead-code and NaN-gate lint over the package sources, on the standard
 library's ast.
 
-Four rules: no module imports a name it never reads, no module-level
+Five rules: no module imports a name it never reads, no module-level
 private name goes unread across the package, no public function or class
 goes unnamed outside its own definition and __init__.py (the package,
-demos/, bench/ and tests/test_acceptance.py count), and no raise is guarded by
+demos/, bench/ and tests/test_acceptance.py count), every field of
+config.Tolerances is read as TOL.<field> in the package, and no raise is guarded by
 a bare ordering comparison with a TOL bound or on a parameter annotated
 float.  NaN makes every such comparison False, so `if value > TOL.bound:
 raise` lets NaN through; `if not value <= TOL.bound: raise` stops it.
@@ -123,6 +124,17 @@ def test_every_public_name_has_a_caller():
                 if node.name not in outside
                 and not any(node.name in _named(t, node) for t in package)]
     assert uncalled == []
+
+
+def test_every_tolerance_is_read():
+    # a field that no code reads as TOL.<field> is a knob that turns nothing
+    record = next(node for node in TREES["config.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tolerances")
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "TOL"}
+    unread = [node.target.id for node in record.body
+              if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+    assert unread == []
 
 
 _ORDERING = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)

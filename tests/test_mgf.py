@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import stokespace.fock as fock
+
 from stokespace import (
     CoherentSpec,
-    ConvergenceWarning,
     HomInputSpec,
     MgfQuery,
     MixtureSpec,
     NumericalError,
     QuadratureError,
+    ReachError,
     TOL,
     TmsvSpec,
     TruncationWarning,
@@ -30,6 +32,7 @@ from stokespace import (
     mgf_closed_form,
     mgf_from_distribution,
     mgf_via_husimi_quadrature,
+    power_expectation,
     sphere_grid,
     surface_map,
 )
@@ -190,10 +193,39 @@ class TestMgfStructure:
                  lambda: mgf_from_distribution(dist, 1.0, 0.0),
                  lambda: mgf(state, MgfQuery(axis, 1.0, 0.0)),
                  lambda: surface_map(state, 1.0, 0.0, [(0, 0, 1), (0, 0, -1)])]
+        # overflow is the first kernel rule: the reach (1 + 2e-7) and the
+        # truncation warning, which |z_a| = 2 also fails, are not reached
         for call in calls:
-            with pytest.warns(ConvergenceWarning), pytest.raises(NumericalError,
-                                                                 match="not finite"):
+            with pytest.raises(NumericalError, match="not finite") as err:
                 call()
+            assert not isinstance(err.value, ReachError)
+
+    def test_a_kernel_at_the_reach_raises_before_any_rotation(self, monkeypatch):
+        # P(2n) = (1 - k^2) k^2n with k = tanh xi, so the series converges
+        # for |z| < 1/k: at xi = 0.5 the reach is 2.164, and the truncated
+        # sums past it wrote a mass of -85842
+        state = make_state(TmsvSpec(0.5), 40)
+        kappa = math.tanh(0.5)
+        assert state.reach == 1.0 / kappa
+        axis = direction_to_beamsplitter((0.6, 0.0, 0.8))
+        # just inside: z_a = z_b = z weighs block N by z^N, so the sum is
+        # that of the diagonal terms (1 - k^2) (k z)^2n up to the cutoff
+        z = np.nextafter(state.reach, 0.0)
+        want = sum((1 - kappa**2) * (kappa * z) ** (2 * n) for n in range(41))
+        assert power_expectation(state, axis, z, z) == pytest.approx(want, rel=1e-12)
+        dist = joint_photon_distribution(state, axis)
+        assert dist.reach == state.reach
+        rows, count_rows = [], fock._count_rows
+        monkeypatch.setattr(fock, "_count_rows", lambda *a: rows.append(a) or count_rows(*a))
+        t = state.reach - 1.0 + 1e-3
+        for call in (lambda: power_expectation(state, axis, state.reach, 0.0),
+                     lambda: power_expectation(state, axis, 0.5, -state.reach),
+                     lambda: mgf(state, MgfQuery(axis, t, 0.0)),
+                     lambda: surface_map(state, t, 0.0, sphere_grid(3, 4)),
+                     lambda: mgf_from_distribution(dist, [0.0, t], 0.0)):
+            with pytest.raises(ReachError, match=r">= reach 2\.164$"):
+                call()
+        assert rows == []  # no rotation ran
 
     def test_query_coordinates(self):
         z_a, z_b = sys.modules["stokespace.mgf"]._kernels(0.2 + 0.1j, 0.5)

@@ -9,10 +9,10 @@ import pytest
 from stokespace import (
     CoherentEnsemble,
     CoherentSpec,
-    ConvergenceWarning,
     Grid3,
     MixtureSpec,
     NumericalError,
+    TruncationWarning,
     VacuumSpec,
     classicality_check,
     default_tau,
@@ -32,12 +32,8 @@ from stokespace import (
 from conftest import gaussian_pess_exact, rng_for
 
 
-def reconstruct(source, grid, tau, quiet=False, **kw):
-    values = mgf_imaginary_grid(source, dual_grid(grid), tau)
-    with warnings.catch_warnings():
-        if quiet:  # point-like densities ring to the boundary by design
-            warnings.simplefilter("ignore", ConvergenceWarning)
-        return invert_to_pess(values, grid, tau, **kw)
+def reconstruct(source, grid, tau, **kw):
+    return invert_to_pess(mgf_imaginary_grid(source, dual_grid(grid), tau), grid, tau, **kw)
 
 
 class TestGrids:
@@ -115,11 +111,12 @@ class TestGrids:
     def test_a_coarse_grid_whose_cell_volume_fits_is_kept(self):
         # the dual-of-dual rule rejected it; |S|^2, h_x h_y h_z = 1.9e154 and
         # the dual's rules all fit, and the vacuum (M = 1) inverts to a finite
-        # mass, off 1 on a grid that cannot resolve it
+        # mass, off 1 on a grid that cannot resolve it (mass 1.096, half of
+        # |P| on the faces)
         g = Grid3((-1.3e154, -8.0, -8.0), (1.3e154, 8.0, 8.0), (8, 8, 8))
-        with pytest.warns(ConvergenceWarning):
-            pess = invert_to_pess(np.ones(g.ns, dtype=complex), g, default_tau(g))
-        assert math.isfinite(pess.total_mass)
+        pess = invert_to_pess(np.ones(g.ns, dtype=complex), g, default_tau(g))
+        assert math.isfinite(pess.total_mass) and abs(pess.total_mass - 1.0) > 1e-2
+        assert pess.boundary_share > 1e-3
 
 
 class TestDampingRule:
@@ -279,7 +276,7 @@ class TestMgfGrid:
         kg = dual_grid(Grid3.cube(2.0, 8))
         # |z| reaches 9.6 on this grid, where the 5.6e-22 the cutoff leaves
         # behind weighs enough to move M by 3.4e-8 against cutoff 60
-        with pytest.warns(ConvergenceWarning):
+        with pytest.warns(TruncationWarning, match="above cutoff 14"):
             m = mgf_imaginary_grid(state, kg, 0.1)
         flipped = m[1:, 1:, 1:][::-1, ::-1, ::-1]
         assert np.max(np.abs(flipped - np.conj(m[1:, 1:, 1:]))) < 1e-12
@@ -369,9 +366,9 @@ class TestInversion:
         tau = 0.7 * default_tau(g)
         kg = dual_grid(g)
         values = mgf_imaginary_grid(ens, kg, tau)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)  # a coarse grid
-            pess = invert_to_pess(values, g, tau, window="none")
+        pess = invert_to_pess(values, g, tau, window="none")
+        # a coarse grid: mass 1.037, 40% of |P| on the faces
+        assert abs(pess.total_mass - 1.0) > 1e-2 and pess.boundary_share > 1e-3
         k = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
         s = np.stack(np.meshgrid(*g.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
         sums = (np.exp(-1j * (s @ k.T)) @ values.reshape(-1)).real
@@ -383,8 +380,9 @@ class TestInversion:
     def test_vacuum_peaks_at_origin(self):
         state = make_state(VacuumSpec(), cutoff=2)
         g = Grid3.cube(2.0, 16)
-        pess = reconstruct(state, g, tau=0.0, quiet=True)
+        pess = reconstruct(state, g, tau=0.0)
         assert abs(pess.total_mass - 1.0) < 0.02
+        assert pess.boundary_share > 1e-3  # a point density rings to the faces
         peak_idx = np.unravel_index(np.argmax(pess.values), pess.values.shape)
         centers = [np.abs(ax).argmin() for ax in g.axes()]
         assert peak_idx == tuple(centers)
@@ -394,7 +392,8 @@ class TestInversion:
         pts = np.array([[1.5, 0.0], [0.0, 1.2]], dtype=complex)  # S_z = 2.25, -1.44
         ens = CoherentEnsemble(points=pts, weights=np.array([0.3, 0.7]))
         g = Grid3.cube(4.0, 32)
-        pess = reconstruct(ens, g, tau=default_tau(g), quiet=True)
+        pess = reconstruct(ens, g, tau=default_tau(g))
+        assert pess.boundary_share > 1e-3  # point densities ring to the faces
         zax = g.axes()[2]
         dens_z = pess.values.sum(axis=(0, 1)) * g.cell_volume / g.spacing()[2]
         # split the z marginal at zero: upper lobe mass 0.3, lower 0.7
@@ -421,8 +420,9 @@ class TestInversion:
         g = Grid3((-1.6, -1.6, 0.3), (1.6, 1.6, 3.7), (24, 24, 24))
         tau = default_tau(g)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # clean run: no mass or edge warnings
+            warnings.simplefilter("error")  # clean run: no warning
             pess = reconstruct(ens, g, tau)
+        assert pess.boundary_share <= 1e-3
         oracle = pess_mc_oracle(ens, g, n=300000, seed=8)
         assert l1_distance(pess, oracle) < 0.13
         assert abs(pess.total_mass - 1.0) < 0.01
@@ -435,38 +435,43 @@ class TestInversion:
         with pytest.raises(NumericalError):
             invert_to_pess(values, g, 0.1)
 
-    def test_mass_deviation_warns(self):
+    def test_mass_deviation_is_a_number(self):
         state = make_state(VacuumSpec(), cutoff=2)
         g = Grid3.cube(2.0, 16)
         values = 1.5 * mgf_imaginary_grid(state, dual_grid(g), 0.0)
-        with pytest.warns(ConvergenceWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a number, not a warning
             pess = invert_to_pess(values, g, 0.0)
         assert abs(pess.total_mass - 1.5) < 0.03
 
-    def test_boundary_mass_warns(self):
+    def test_boundary_share_is_a_number(self):
         # density centered at S_z = 2.25 on a grid that clips it
         ens = CoherentEnsemble(points=np.array([[1.5, 0.0]]))
         g = Grid3((-1.0, -1.0, -1.0), (1.0, 1.0, 2.3), (16, 16, 16))
         values = mgf_imaginary_grid(ens, dual_grid(g), 0.1)
-        with pytest.warns(ConvergenceWarning) as caught:  # the mass warns too
-            invert_to_pess(values, g, 0.1)
-        assert any("grid boundary" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pess = invert_to_pess(values, g, 0.1)
+        v = np.abs(pess.values)
+        faces = sum(v[i].sum() + v[:, i].sum() + v[:, :, i].sum() for i in (0, -1))
+        assert pess.boundary_share == pytest.approx(faces / v.sum(), rel=1e-12)
+        assert pess.boundary_share > 0.5  # 60% of |P|; the mass is off too
+        assert abs(pess.total_mass - 1.0) > 1e-2
 
     def test_window_options(self):
         g = Grid3.cube(8.0, 32)
         tau = default_tau(g)
         values = mgf_imaginary_grid(gaussian_ensemble(1.0), dual_grid(g), tau)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            bare = invert_to_pess(values, g, tau, window="none")
+        bare = invert_to_pess(values, g, tau, window="none")
         assert bare.window == "none"
         assert abs(bare.total_mass - 1.0) < 0.01
         with pytest.raises(ValueError):
             invert_to_pess(values, g, tau, window="hamming")
         smooth = invert_to_pess(values, g, tau)
         assert smooth.window == "raised-cosine"
-        # no window rings the hardest
+        # no window rings the hardest, out to the faces
         assert smooth.peak < bare.peak
+        assert smooth.boundary_share < 1e-3 < bare.boundary_share
 
     def test_shape_mismatch_rejected(self):
         g = Grid3.cube(2.0, 8)
@@ -495,21 +500,21 @@ class TestInversion:
             m = mgf_imaginary_grid(source, kg, tau)
             data = m * w * phase[0][:, None, None] * phase[1][None, :, None] * phase[2][None, None, :]
             ref = np.fft.fftn(np.fft.ifftshift(data)).real * np.exp(tau * s_norm) * scale
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConvergenceWarning)  # a coarse grid
-                got = invert_to_pess(m, g, tau)
+            got = invert_to_pess(m, g, tau)
             assert got.values.tobytes() == ref.tobytes()
+            assert got.boundary_share > 1e-3  # a coarse grid
 
     def test_the_input_is_not_written(self):
         g = Grid3.cube(6.0, 16)
         tau = default_tau(g)
         m = mgf_imaginary_grid(gaussian_ensemble(0.45, 0.9 - 0.4j, 0.3 + 0.5j), dual_grid(g), tau)
         before = m.copy()
-        for window in ("raised-cosine", "none"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConvergenceWarning)
-                invert_to_pess(m, g, tau, window=window)
+        # the mass and face share of each: 1.0116 and 8.4e-4, 1.0001 and 7.2e-3
+        for window, mass, share in (("raised-cosine", 1.0116, 8.4e-4), ("none", 1.0001, 7.2e-3)):
+            pess = invert_to_pess(m, g, tau, window=window)
             assert m.tobytes() == before.tobytes()
+            assert pess.total_mass == pytest.approx(mass, abs=1e-4)
+            assert pess.boundary_share == pytest.approx(share, rel=1e-2)
 
     def test_only_the_minus_k_edge_planes_escape_the_hermitian_check(self):
         # bin m pairs with bin n - m; the m = 0 planes (k = -K) have no
@@ -521,9 +526,7 @@ class TestInversion:
         for index in [(0, 3, 5), (4, 0, 9), (7, 11, 0)]:
             edge = m.copy()
             edge[index] += bump
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConvergenceWarning)
-                invert_to_pess(edge, g, tau, window="none")
+            assert invert_to_pess(edge, g, tau, window="none").boundary_share > 0.1
         for index in [(1, 3, 5), (8, 8, 8), (15, 1, 9)]:
             inner = m.copy()
             inner[index] += bump
