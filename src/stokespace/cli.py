@@ -4,9 +4,10 @@ Subcommands: mgf, surface, hom-scan, tmsv-scan, nctest, clicks,
 reconstruct.  Each takes --out, --cutoff and --no-timestamp; --state
 only where a state is read (all but the two scans) and --seed only where
 draws are made (clicks, reconstruct).  Exit codes: 0 success, 2
-validation error, 3 numeric failure.  Output is deterministic for a
-fixed configuration and seed; the timestamp comment line can be
-suppressed for byte-identical reruns.
+validation error, 3 numeric failure; each error and each warning goes to
+stderr as one "error:", "numeric failure:" or "warning:" line.  Output is
+deterministic for a fixed configuration and seed; the timestamp comment
+line can be suppressed for byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -661,6 +663,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # only the format: the caller's showwarning and filters still hold
+    caller_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
@@ -670,6 +675,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = caller_format
 
 
 if __name__ == "__main__":

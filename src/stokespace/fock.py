@@ -75,6 +75,8 @@ class _CoherentPoints:
     weights, (m,) or None for equal ones.  _hold judges them once, at
     construction; make_state, mgf_closed_form, kernel and draw read them."""
 
+    reach: ClassVar[float] = math.inf  # tails fall faster than geometric
+
     def __post_init__(self):  # CoherentEnsemble's; each spec holds its own fields
         self._hold(self.points, self.weights, "ensemble points")
 
@@ -151,12 +153,13 @@ class HomInputSpec:
     """Single photon in each input port, |1,1>."""
 
     kind: ClassVar[str] = "hom_input"
+    reach: ClassVar[float] = math.inf  # M is a polynomial
 
 
 @dataclass(frozen=True)
 class TmsvSpec:
     """Two-mode squeezed vacuum with squeezing parameter xi >= 0 and
-    tanh(xi) < 1 in double precision (xi below about 19.06)."""
+    tanh(xi) < 1 in double precision (xi below about 19.06); M exists for |z| < reach."""
 
     xi: float
     kind: ClassVar[str] = "tmsv"
@@ -169,6 +172,10 @@ class TmsvSpec:
         if not math.tanh(self.xi) < 1.0:
             raise ValueError(f"squeezing parameter {self.xi!r} is too large: "
                              "tanh(xi) rounds to 1")
+
+    @property
+    def reach(self) -> float:  # P(2n) falls as tanh(xi)^2n
+        return 1.0 / math.tanh(self.xi) if self.xi > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -470,7 +477,7 @@ def _leakage_table(spec: StateSpec, top: int):
 
 
 def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
-    """Build the truncated state a StateSpec describes, with its reach.
+    """Build the truncated state a StateSpec describes, with the spec's reach.
 
     Emits a TruncationWarning when the analytic leakage estimate exceeds
     TOL.leakage_bound.
@@ -480,7 +487,6 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
     weights, table = _leakage_table(spec, cutoff)
     leak = float(weights @ table[:, cutoff])
     n = cutoff + 1
-    reach = math.inf  # every tail but a squeezed vacuum's falls faster than geometric
     if isinstance(spec, _CoherentPoints):
         amps = coherent_amplitudes(spec.points, cutoff)
         comps = tuple(zip(weights, amps[:, 0, :, None] * amps[:, 1, None, :]))
@@ -494,8 +500,6 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
         else:  # TmsvSpec
             diag = _powers(-math.tanh(spec.xi), cutoff) / math.cosh(spec.xi)
             amp[np.arange(n), np.arange(n)] = diag
-            if spec.xi > 0:  # P(2n) = tanh(xi)^2n / cosh(xi)^2
-                reach = 1.0 / math.tanh(spec.xi)
     if leak > TOL.leakage_bound:
         warnings.warn(
             f"cutoff {cutoff} leaves {leak:.3e} probability mass behind "
@@ -503,7 +507,7 @@ def make_state(spec: StateSpec, cutoff: int) -> TwoModeState:
             TruncationWarning,
             stacklevel=2,
         )
-    return TwoModeState(cutoff, comps, leak, reach)
+    return TwoModeState(cutoff, comps, leak, spec.reach)
 
 
 # largest cutoff auto_cutoff returns

@@ -8,20 +8,19 @@ The central object is the phase-insensitive generating function
 where p is the joint photon distribution behind the splitter that
 realizes the axis e.  Equivalent damping parameters are
 lambda_a = tau - t and lambda_b = tau + t.  The series converges for |z|
-below the state's reach (1/tanh xi for a squeezed vacuum, else inf): past
-it ReachError is raised, and inside it, at |z| > 1, a TruncationWarning is
-attached when the state misses probability mass.
+below the spec's reach (1/tanh xi for a squeezed vacuum, else inf): past it
+the series and the closed form alike raise ReachError, and inside it, at
+|z| > 1, a TruncationWarning is attached when the state misses mass.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, QuadratureError, TruncationWarning
+from .config import TOL, QuadratureError
 from .fock import (
     HomInputSpec,
     JointPhotonDistribution,
@@ -101,7 +100,8 @@ def mgf_closed_form(
     vacuum / coherent / mixture: sum_p w_p exp(t e.S_p - tau |S_p|) over the
     point set, each exponent whole (its terms may overflow alone), any complex t.
     hom_input (|1,1>): (1 - tau)^2 + (1 - 2 e_z^2) t^2, any complex t.
-    tmsv: closed form valid for real t with 0 <= lambda_a, lambda_b <= 1.
+    tmsv: val^(-1/2), val = (ch^2 - z_a z_b sh^2)^2 - (1 - e_z^2) sh^2 ch^2 (z_a - z_b)^2,
+    real or imaginary t: val > 0 inside the reach, and past it ReachError.
     """
     _check_points(t, tau)
     e = direction.e
@@ -112,22 +112,17 @@ def mgf_closed_form(
     if isinstance(spec, HomInputSpec):
         return (1.0 - tau) ** 2 + (1.0 - 2.0 * e[2] ** 2) * t * t
     if isinstance(spec, TmsvSpec):
-        if abs(complex(t).imag) > 1e-12:
-            raise ValueError("tmsv closed form requires real t")
-        t = complex(t).real
-        lam_a, lam_b = tau - t, tau + t
-        if not (-1e-12 <= lam_a <= 1.0 + 1e-12 and -1e-12 <= lam_b <= 1.0 + 1e-12):
-            raise ValueError(
-                "tmsv closed form is valid only for 0 <= tau -+ t <= 1"
-            )
+        t = complex(t)
+        if abs(t.imag) <= 1e-12:
+            t = t.real
+        elif t.real != 0.0:
+            raise ValueError("tmsv closed form needs a real or an imaginary t")
+        z_a, z_b = _kernels(t, tau)
+        _check_kernels(0.0, 0, spec.reach, z_a, z_b)  # no mass missed: the reach alone
         ch2 = math.cosh(spec.xi) ** 2
         sh2 = math.sinh(spec.xi) ** 2
-        sin2 = 1.0 - e[2] ** 2
-        a = ch2 - (1.0 - lam_a) * (1.0 - lam_b) * sh2
-        val = a * a - sin2 * sh2 * ch2 * (lam_a - lam_b) ** 2
-        if val <= 0:
-            raise ValueError("tmsv closed form left its validity domain")
-        return complex(val ** -0.5)
+        val = (ch2 - z_a * z_b * sh2) ** 2 - (1.0 - e[2] ** 2) * sh2 * ch2 * (z_a - z_b) ** 2
+        return complex(val.real ** -0.5)  # val is real at real and imaginary t
     raise ValueError(f"no closed form for spec {spec!r}")
 
 
@@ -257,7 +252,7 @@ def mgf_via_husimi_quadrature(
     QuadratureError if node refinement does not confirm the value.
     """
     if not abs(complex(t).imag) <= 1e-12:  # NaN fails too
-        raise ValueError("Husimi quadrature requires real t")
+        raise ValueError("Husimi quadrature needs a real t")
     t = complex(t).real
     lam_a, lam_b = tau - t, tau + t
     if not (0.0 <= lam_a < 1.0 and 0.0 <= lam_b < 1.0):
@@ -289,8 +284,9 @@ def find_node(
     Scans TOL.node_scan_points points in one kernel sum, then rescans the first
     bracket with a sign change until it is at most TOL.node_xtol wide or holds
     no double.  Returns its midpoint, an exact zero at a scan point, or None if
-    the first scan finds no sign change; that scan holds both ends, so its
-    kernel rules (one warning) cover every later point."""
+    the first scan finds no sign change.  That scan holds both ends and judges
+    the kernel rules (one warning); |1 +- t - tau| is convex in t, so no later
+    kernel is larger and rescans sum the distribution directly."""
     a, b = float(t_interval[0]), float(t_interval[1])
     _check_points((a, b), tau)
     if not b > a:
@@ -298,17 +294,15 @@ def find_node(
     dist = joint_photon_distribution(state, direction)
     ts = np.linspace(a, b, TOL.node_scan_points)
     vals = mgf_from_distribution(dist, ts, tau).real
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        while True:
-            hit = (vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)
-            if not hit.any():  # only on the first scan: a rescan repeats its ends
-                return None
-            i = int(np.argmax(hit))
-            if vals[i] == 0.0:
-                return float(ts[i])
-            lo, hi = ts[i], ts[i + 1]
-            if hi - lo <= TOL.node_xtol or np.nextafter(lo, hi) == hi:
-                return float(0.5 * (lo + hi))
-            ts = np.linspace(lo, hi, TOL.node_scan_points)
-            vals = mgf_from_distribution(dist, ts, tau).real
+    while True:
+        hit = (vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)
+        if not hit.any():  # only on the first scan: a rescan repeats its ends
+            return None
+        i = int(np.argmax(hit))
+        if vals[i] == 0.0:
+            return float(ts[i])
+        lo, hi = ts[i], ts[i + 1]
+        if hi - lo <= TOL.node_xtol or np.nextafter(lo, hi) == hi:
+            return float(0.5 * (lo + hi))
+        ts = np.linspace(lo, hi, TOL.node_scan_points)
+        vals = _power_sum(dist.p, *_kernels(ts, tau)).real

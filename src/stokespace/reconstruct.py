@@ -183,13 +183,11 @@ class _GaussianEnsemble:
             exp[(i k.S0 - (sigma^2 k^2 + tau (1 + sigma^2 tau)) I0) / d] / d,
 
         with d = (1 + sigma^2 tau)^2 + sigma^4 k^2, S0 the Stokes vector of
-        the means and I0 their total intensity.  The Stokes support is
-        unbounded, so the expectation needs tau > 0.  Beside the complex
+        the means and I0 their total intensity.  d >= 1 for every tau >= 0,
+        so the expectation converges at tau = 0 too.  Beside the complex
         result, which holds the exponent, it allocates two grid floats (k^2
         and d, which holds k.S0 first, one matvec per k_x plane).
         """
-        if tau == 0:
-            raise ValueError("tau must be > 0 for ensembles with unbounded support")
         sigma = self.sigma
         mu = np.array([self.mean_alpha, self.mean_beta], dtype=complex)
         s0 = stokes_points(mu[None, :])[0]
@@ -292,8 +290,8 @@ def mgf_imaginary_grid(source, k_grid: Grid3, tau: float) -> np.ndarray:
     source is a TwoModeState (one beam-splitter rotation per k direction),
     a point set (CoherentEnsemble, or a vacuum, coherent or mixture spec;
     exact) or a gaussian_ensemble (closed form).  Output obeys M(-k) = M(k)*
-    wherever the grid holds both points.  Truncated states and point sets
-    accept tau = 0; a Gaussian's unbounded support needs tau > 0.
+    wherever the grid holds both points.  Every source accepts tau = 0; a grid
+    past a state's reach raises ReachError (a TMSV's exact M: mgf_closed_form).
     """
     _check_points(0.0, tau)
     if isinstance(source, TwoModeState):

@@ -30,13 +30,17 @@ def read_csv(path):
     return header, [[float(v) for v in row] for row in body]
 
 
-def test_console_entry_point():
-    # the child imports the same stokespace as this process, installed or not
+def child_env() -> dict:
+    """The environment of a child that imports the same stokespace as this
+    process, installed or not."""
     src = str(Path(stokespace.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point():
     r = subprocess.run([sys.executable, "-m", "stokespace.cli", "--help"],
-                       capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": path})
+                       capture_output=True, text=True, env=child_env())
     assert r.returncode == 0
     for name in ("mgf", "surface", "hom-scan", "tmsv-scan", "nctest",
                  "clicks", "reconstruct"):
@@ -44,12 +48,10 @@ def test_console_entry_point():
 
 
 def test_import_pulls_in_no_scipy():
-    src = str(Path(stokespace.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, stokespace, stokespace.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env={**os.environ, "PYTHONPATH": path})
+                       text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
@@ -314,6 +316,32 @@ def test_nctest_reads_no_criterion_past_the_reach(tmp_path):
         f"variance_number,{axis},,,,,,,10.193635052101953,inconclusive",
         f"cross_photon_photon,{axis},,,,,,,25.257534279554715,inconclusive",
     ]
+
+
+# the characteristic function at |z| = sqrt 2 weighs the 2.3e-13 of mass
+# that cutoff 20 leaves behind
+WARNING_NCTEST = ["nctest", "--state", '{"kind": "tmsv", "xi": 0.5493061443340549}',
+                  "--direction", "0.6,0,0.8", "--cutoff", "20"]
+
+
+def test_a_warning_is_one_stderr_line(tmp_path):
+    # like the error lines: no source file and no source line
+    r = subprocess.run([sys.executable, "-m", "stokespace.cli", *WARNING_NCTEST,
+                        "--out", str(tmp_path), "--no-timestamp"],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: the state misses")
+
+
+def test_main_leaves_the_callers_warning_machinery_alone(tmp_path):
+    caller_format = warnings.formatwarning
+    with pytest.warns(TruncationWarning, match="the state misses"):  # still recorded
+        assert main(WARNING_NCTEST + ["--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert warnings.formatwarning is caller_format
+    with pytest.raises(TruncationWarning):  # and the caller's filters still hold
+        main(WARNING_NCTEST + ["--out", str(tmp_path), "--no-timestamp"])
+    assert warnings.formatwarning is caller_format
 
 
 def test_clicks_moments_and_sampling(tmp_path):

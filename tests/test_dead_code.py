@@ -1,14 +1,16 @@
 """Dead-code and NaN-gate lint over the package sources, on the standard
 library's ast.
 
-Five rules: no module imports a name it never reads, no module-level
+Six rules: no module imports a name it never reads, no module-level
 private name goes unread across the package, no public function or class
 goes unnamed outside its own definition and __init__.py (the package,
 demos/, bench/ and tests/test_acceptance.py count), every field of
-config.Tolerances is read as TOL.<field> in the package, and no raise is guarded by
+config.Tolerances is read as TOL.<field> in the package, no raise is guarded by
 a bare ordering comparison with a TOL bound or on a parameter annotated
-float.  NaN makes every such comparison False, so `if value > TOL.bound:
-raise` lets NaN through; `if not value <= TOL.bound: raise` stops it.
+float, and no module sets warning filters.  NaN makes every such comparison
+False, so `if value > TOL.bound: raise` lets NaN through; `if not value <=
+TOL.bound: raise` stops it.  A filter set inside the package would hide a
+warning from the caller, whose filters alone decide what is shown.
 """
 
 import ast
@@ -208,3 +210,41 @@ def test_every_tolerance_gate_fails_on_nan():
     blind = [f"{module}:{line}" for module, tree in TREES.items()
              for line in _nan_blind_gates(tree)]
     assert blind == []
+
+
+_FILTERS = {"simplefilter", "filterwarnings", "catch_warnings"}
+
+
+def _warning_filters(tree: ast.Module):
+    """Line of every call of warnings.simplefilter, filterwarnings or
+    catch_warnings, by attribute or by a name imported from warnings."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "warnings"
+                for alias in node.names if alias.name in _FILTERS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr in _FILTERS
+                and getattr(node.func.value, "id", None) == "warnings"
+                or getattr(node.func, "id", None) in imported):
+            yield node.lineno
+
+
+def test_warning_filter_rule_flags_each_call():
+    tree = ast.parse(
+        "import warnings\n"
+        "from warnings import catch_warnings as cw\n"
+        "with warnings.catch_warnings():\n"          # line 3
+        "    warnings.simplefilter('ignore')\n"      # line 4
+        "warnings.filterwarnings('error')\n"         # line 5
+        "with cw():\n"                               # line 6
+        "    warnings.warn('shown')\n"               # not a filter
+    )
+    assert sorted(_warning_filters(tree)) == [3, 4, 5, 6]
+
+
+def test_no_module_sets_warning_filters():
+    # the caller's filters decide what is shown: the CLI prints each warning,
+    # a test turns it into an error
+    filters = [f"{module}:{line}" for module, tree in TREES.items()
+               for line in _warning_filters(tree)]
+    assert filters == []

@@ -46,6 +46,21 @@ def random_wedge_point(rng, tau_max=0.8):
     return t, tau
 
 
+def tmsv_reach_points(rng, r_max, n):
+    """n real t outside the wedge |t| <= min(tau, 1 - tau) and n imaginary t,
+    as (kind, t, tau), all with max(|1 + t - tau|, |1 - t - tau|) <= r_max."""
+    points = []
+    while len(points) < n:
+        tau, t = rng.uniform(0.0, 2.0), rng.uniform(-r_max, r_max)
+        if abs(1.0 - tau) + abs(t) <= r_max and abs(t) > min(tau, 1.0 - tau):
+            points.append(("real", t, tau))
+    while len(points) < 2 * n:
+        tau, k = rng.uniform(0.0, 2.0), rng.uniform(-r_max, r_max)
+        if (1.0 - tau) ** 2 + k * k <= r_max**2:
+            points.append(("imaginary", 1j * k, tau))
+    return points
+
+
 class TestClosedFormAgreement:
     def test_vacuum(self, rng):
         state = make_state(VacuumSpec(), cutoff=2)
@@ -109,12 +124,38 @@ class TestClosedFormAgreement:
             assert abs(lhs - rhs) < 1e-10 * abs(rhs) + 1e-10
 
     def test_tmsv_closed_form_domain_errors(self):
-        spec = TmsvSpec(0.5)
+        spec = TmsvSpec(0.5)  # reach 1/tanh 0.5 = 2.164
         d = direction_to_beamsplitter([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            mgf_closed_form(spec, d, 0.3 + 0.1j, 0.3)  # complex t
-        with pytest.raises(ValueError):
-            mgf_closed_form(spec, d, 0.8, 0.1)  # lambda_a < 0
+        with pytest.raises(ValueError, match="real or an imaginary t"):
+            mgf_closed_form(spec, d, 0.3 + 0.1j, 0.3)
+        dist = joint_photon_distribution(make_state(spec, cutoff=120), d)
+        # z = (1.7, 0.1): past the old wedge 0 <= tau -+ t <= 1, inside the reach
+        assert mgf_closed_form(spec, d, 0.8, 0.1) == pytest.approx(
+            mgf_from_distribution(dist, 0.8, 0.1), rel=1e-13)
+        for t in (2.0, 2.5j):  # |z| = 3 and 2.69 at tau = 0
+            with pytest.raises(ReachError) as series:
+                mgf_from_distribution(dist, t, 0.0)
+            with pytest.raises(ReachError) as closed:
+                mgf_closed_form(spec, d, t, 0.0)
+            assert str(closed.value) == str(series.value)
+
+    def test_tmsv_closed_form_is_the_series_inside_the_reach(self, rng):
+        # real t outside the old wedge and imaginary t, each at max|z| <= 0.9
+        # reach, on and off the z axis; cutoff 200 leaves a tail below 0.9^400
+        errors = {"real": [], "imaginary": []}
+        for xi in rng.uniform(0.2, 0.9, size=4):
+            spec = TmsvSpec(xi)
+            r_max = 0.9 * spec.reach
+            state = make_state(spec, cutoff=200)
+            for d in (direction_to_beamsplitter([0.0, 0.0, 1.0]),
+                      random_direction(rng), random_direction(rng)):
+                dist = joint_photon_distribution(state, d)
+                for kind, t, tau in tmsv_reach_points(rng, r_max, 9):
+                    want = mgf_closed_form(spec, d, t, tau)
+                    got = mgf_from_distribution(dist, t, tau)
+                    errors[kind].append(abs(got - want) / abs(want))
+        assert len(errors["real"]) == len(errors["imaginary"]) == 108
+        assert max(map(max, errors.values())) <= 1e-13
 
 
 class TestMgfStructure:

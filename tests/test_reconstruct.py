@@ -12,10 +12,12 @@ from stokespace import (
     Grid3,
     MixtureSpec,
     NumericalError,
+    TmsvSpec,
     TruncationWarning,
     VacuumSpec,
     classicality_check,
     default_tau,
+    direction_to_beamsplitter,
     dual_grid,
     ensemble_from_json,
     gaussian_ensemble,
@@ -23,6 +25,7 @@ from stokespace import (
     l1_distance,
     load_pess,
     make_state,
+    mgf_closed_form,
     mgf_imaginary_grid,
     pess_mc_oracle,
     save_pess,
@@ -236,22 +239,37 @@ class TestMgfGrid:
         from_points = mgf_imaginary_grid(point, kg, tau)
         assert np.max(np.abs(from_state - from_points)) < 1e-8
 
-    def test_gaussian_kernel_small_sigma_limit(self):
+    def test_tmsv_state_route_on_a_whole_grid_is_the_closed_form(self):
+        # kappa max|z| = 0.84 at tau = 0.1 on this grid; cutoff 180 leaves a
+        # tail below 0.84^360
+        spec, tau = TmsvSpec(0.5), 0.1
+        kg = dual_grid(Grid3.cube(12.0, 8))
+        got = mgf_imaginary_grid(make_state(spec, cutoff=180), kg, tau).ravel()
+        k = np.stack(np.meshgrid(*kg.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        norms = np.linalg.norm(k, axis=1)
+        want = np.array([mgf_closed_form(
+            spec, direction_to_beamsplitter(v / n if n > 0 else (0.0, 0.0, 1.0)), 1j * n, tau)
+            for v, n in zip(k, norms)])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("tau", [0.05, 0.0])
+    def test_gaussian_kernel_small_sigma_limit(self, tau):
         g = Grid3.cube(3.0, 8)
         kg = dual_grid(g)
         narrow = gaussian_ensemble(1e-8, 1.1, 0.4 - 0.2j)
         point = CoherentEnsemble(points=np.array([[1.1, 0.4 - 0.2j]]))
-        a = mgf_imaginary_grid(narrow, kg, 0.05)
-        b = mgf_imaginary_grid(point, kg, 0.05)
+        a = mgf_imaginary_grid(narrow, kg, tau)
+        b = mgf_imaginary_grid(point, kg, tau)
         assert np.max(np.abs(a - b)) < 1e-6
 
-    def test_drawn_points_agree_with_the_kernel(self):
+    @pytest.mark.parametrize("tau", [0.1, 0.0])
+    def test_drawn_points_agree_with_the_kernel(self, tau):
         g = Grid3.cube(3.0, 8)
         kg = dual_grid(g)
         full = gaussian_ensemble(0.2, 0.8, 0.0)
-        exact = mgf_imaginary_grid(full, kg, 0.1)
+        exact = mgf_imaginary_grid(full, kg, tau)
         drawn = CoherentEnsemble(points=full.draw(rng_for(4), 200000))
-        noisy = mgf_imaginary_grid(drawn, kg, 0.1)
+        noisy = mgf_imaginary_grid(drawn, kg, tau)
         assert np.max(np.abs(noisy - exact)) < 0.02
 
     def test_gaussian_kernel_rounds_as_the_point_list_formula(self):
@@ -285,11 +303,12 @@ class TestMgfGrid:
         kg = dual_grid(Grid3.cube(2.0, 8))
         with pytest.raises(ValueError):
             mgf_imaginary_grid(gaussian_ensemble(0.5), kg, -0.1)
-        with pytest.raises(ValueError):
-            mgf_imaginary_grid(gaussian_ensemble(0.5), kg, 0.0)  # unbounded support
         with pytest.raises(TypeError):
             mgf_imaginary_grid("not a state", kg, 0.1)
-        # a finite point list is bounded: tau = 0 is allowed there
+        # tau = 0 is allowed for every source: the Gaussian's determinant is
+        # at least 1 there, so its unbounded support still converges
+        gaussian = mgf_imaginary_grid(gaussian_ensemble(0.5), kg, 0.0)
+        assert gaussian.shape == kg.ns and np.all(np.abs(gaussian) <= 1.0)
         point = CoherentEnsemble(points=np.array([[0.5, 0.0]]))
         mgf_imaginary_grid(point, kg, 0.0)
 
